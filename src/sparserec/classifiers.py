@@ -2,9 +2,14 @@
 l0-constrained sparse solve, their normalized augmentation with label-matrix
 classification, and the residual / nearest-neighbor baselines.
 
-The collaborative solve uses the squared-l2 ridge penalty, giving the closed
-form (Phi^T Phi + lambda I)^-1 Phi^T y; the factorization is computed once
-per dictionary and reused across probes.
+Every solver works on a block of probes at once, one probe per row.
+`score_matrix` maps a P x D probe array to its P x c per-class scores, and
+the single-probe functions below are one-row calls into the same code.
+
+The collaborative solve uses the squared-l2 ridge penalty, whose closed form
+(Phi^T Phi + lambda I)^-1 Phi^T y is a fixed linear map of y: the inverse of
+the smaller regularized Gram matrix is computed once per dictionary, and the
+map is applied to a probe block with two matrix products.
 """
 
 from __future__ import annotations
@@ -12,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .core import Dataset, Dictionary, RepresentationResult
+from .core import Dataset, Dictionary, RepresentationResult, _frozen
 from .errors import (
     DegenerateAugmentation,
     DimensionMismatch,
@@ -22,8 +26,8 @@ from .errors import (
     InvalidParameters,
     SingularSystem,
     UnknownClass,
+    ZeroNormSample,
 )
-from .features import l2_normalize
 
 DEFAULT_RIDGE_LAMBDA = 0.01
 DEFAULT_SPARSITY_CAP = 50
@@ -32,6 +36,17 @@ DEFAULT_RESIDUAL_TOL = 1e-6
 # Below this, the sum of the two coefficient vectors is treated as cancelled
 # and the normalized collaborative solution is used alone.
 AUGMENTATION_EPS = 1e-12
+
+# A candidate atom whose squared distance from the span of the current support
+# is below this fraction of its squared norm is linearly dependent on the
+# support; the pursuit treats it like a residual orthogonal to every atom.
+DEPENDENT_ATOM_EPS = 1e-12
+
+# Probes are scored in blocks of at most _PROBE_BLOCK rows, and of fewer rows
+# when a block's per-probe temporaries would exceed _BLOCK_ELEMENTS float64
+# values (32 MB), e.g. OMP's selected atoms at large D.
+_PROBE_BLOCK = 256
+_BLOCK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -62,39 +77,251 @@ class SacrcConfig:
 
 
 class CrcOperator:
-    """Cached SPD factorization of (Phi^T Phi + lambda I) for one dictionary.
+    """The ridge map y -> (Phi^T Phi + lambda I)^-1 Phi^T y of one dictionary.
 
-    Immutable after construction; applying it to distinct probes is pure and
-    safe under unbounded read-parallelism.
+    It inverts whichever regularized Gram matrix is smaller, once.  When
+    D < N it applies the equal form Phi^T (Phi Phi^T + lambda I)^-1 y, so no
+    N x N matrix is formed.  Immutable after construction.
     """
 
     def __init__(self, dictionary: Dictionary, ridge_lambda: float = DEFAULT_RIDGE_LAMBDA):
         if ridge_lambda < 0.0:
             raise InvalidParameters(f"lambda must be >= 0, got {ridge_lambda}")
-        n = dictionary.num_atoms
-        if ridge_lambda == 0.0 and n > dictionary.dim:
+        d, n = dictionary.dim, dictionary.num_atoms
+        if ridge_lambda == 0.0 and n > d:
             raise SingularSystem(
-                f"lambda=0 with {n} atoms in dimension {dictionary.dim}: Phi^T Phi is rank-deficient"
+                f"lambda=0 with {n} atoms in dimension {d}: Phi^T Phi is rank-deficient"
             )
-        gram = dictionary.atoms.T @ dictionary.atoms
-        gram[np.diag_indices(n)] += ridge_lambda
+        atoms = dictionary.atoms
+        self.wide = d < n
+        gram = atoms @ atoms.T if self.wide else atoms.T @ atoms
+        gram[np.diag_indices_from(gram)] += ridge_lambda
         try:
-            self._factor = scipy.linalg.cho_factor(gram, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"Phi^T Phi + lambda I is not positive definite: {exc}") from exc
+        self.gram_inverse = _frozen(np.linalg.inv(gram))
         self.dictionary = dictionary
         self.ridge_lambda = float(ridge_lambda)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(self._factor, self.dictionary.atoms.T @ y)
+        """Collaborative coefficients of probe rows: (..., D) -> (..., N)."""
+        atoms, inverse_t = self.dictionary.atoms, self.gram_inverse.T
+        return (y @ inverse_t) @ atoms if self.wide else (y @ atoms) @ inverse_t
+
+
+# ---------------------------------------------------------------------------
+# block kernels: every probe is a row
+
+
+def _unit_rows(y: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(y, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ZeroNormSample("cannot l2-normalize a zero vector")
+    return y / norms
+
+
+def _omp_block(atoms: np.ndarray, y: np.ndarray, k: int, tol: float) -> np.ndarray:
+    """Orthogonal matching pursuit run in lockstep over the rows of y.
+
+    Each step correlates every residual with every atom in one product.  The
+    Cholesky factor L of Phi_S^T Phi_S grows by one bordered row per step and
+    is kept as its inverse, so the coefficients (Phi_S^T Phi_S)^-1 Phi_S^T y
+    = Linv^T Linv Phi_S^T y are batched matrix products.  The residual is
+    formed explicitly, and a probe leaves the block at its first stop: support
+    size k, residual norm <= tol, or a residual orthogonal to every atom.
+    """
+    p, dim = y.shape
+    alpha = np.zeros((p, atoms.shape[1]))
+    sq_norms = np.einsum("dn,dn->n", atoms, atoms)
+    live = np.arange(p)  # output row of each probe still in the block
+    residual = y.copy()
+    support = np.empty((p, k), dtype=np.intp)
+    chosen = np.empty((p, k, dim))  # selected atoms, as rows
+    linv = np.zeros((p, k, k))
+    z = np.empty((p, k))  # Linv Phi_S^T y
+    coeffs = np.empty((p, 0))
+    for t in range(k):
+        correlations = residual @ atoms
+        j = np.abs(correlations).argmax(axis=1)  # first index on ties
+        atom = atoms.T[j]
+        w = (linv[:, :t, :t] @ (chosen[:, :t] @ atom[:, :, None]))[:, :, 0]
+        delta_sq = sq_norms[j] - np.einsum("bt,bt->b", w, w)
+        stop = (
+            (np.linalg.norm(residual, axis=1) <= tol)
+            | (correlations[np.arange(live.size), j] == 0.0)
+            | (support[:, :t] == j[:, None]).any(axis=1)
+            | (delta_sq <= DEPENDENT_ATOM_EPS * sq_norms[j])
+        )
+        if stop.any():
+            alpha[live[stop, None], support[stop, :t]] = coeffs[stop]
+            keep = ~stop
+            live, y, residual, support, chosen, linv, z, coeffs, j, atom, w, delta_sq = (
+                a[keep] for a in (live, y, residual, support, chosen, linv, z, coeffs,
+                                  j, atom, w, delta_sq)
+            )
+            if not live.size:
+                return alpha
+        delta = np.sqrt(delta_sq)
+        linv[:, t, :t] = -(w[:, None, :] @ linv[:, :t, :t])[:, 0] / delta[:, None]
+        linv[:, t, t] = 1.0 / delta
+        z[:, t] = (np.einsum("bd,bd->b", atom, y) - np.einsum("bt,bt->b", w, z[:, :t])) / delta
+        support[:, t] = j
+        chosen[:, t] = atom
+        coeffs = (z[:, None, : t + 1] @ linv[:, : t + 1, : t + 1])[:, 0]
+        residual = y - (coeffs[:, None, :] @ chosen[:, : t + 1])[:, 0]
+    alpha[live[:, None], support] = coeffs
+    return alpha
+
+
+def _augment(alpha_collab: np.ndarray, alpha_sparse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise normalized sum of the two solutions.  Rows where they cancel
+    fall back to the normalized collaborative solution and are flagged; a row
+    where that is zero too is an error."""
+    combined = alpha_collab + alpha_sparse
+    norms = np.linalg.norm(combined, axis=-1, keepdims=True)
+    fell_back = norms < AUGMENTATION_EPS
+    if fell_back.any():
+        collab_norms = np.linalg.norm(alpha_collab, axis=-1, keepdims=True)
+        if np.any(fell_back & (collab_norms < AUGMENTATION_EPS)):
+            raise DegenerateAugmentation("both coefficient vectors are zero")
+        combined = np.where(fell_back, alpha_collab, combined)
+        norms = np.where(fell_back, collab_norms, norms)
+    return combined / norms, fell_back[..., 0]
+
+
+def _sacrc_block(y_hat, dictionary, op, k, tol):
+    alpha_collab = op.apply(y_hat)
+    alpha_sparse = _omp_block(dictionary.atoms, y_hat, k, tol)
+    alpha_aug, fell_back = _augment(alpha_collab, alpha_sparse)
+    return alpha_collab, alpha_sparse, alpha_aug, fell_back
+
+
+def _crc_scores(y_hat: np.ndarray, op: CrcOperator) -> np.ndarray:
+    alpha = op.apply(y_hat)
+    norms = np.linalg.norm(alpha, axis=1, keepdims=True)
+    alpha = alpha / np.where(norms > 0.0, norms, 1.0)
+    return alpha @ op.dictionary.label_matrix.T
+
+
+def _class_residuals(y: np.ndarray, alpha: np.ndarray, dictionary: Dictionary) -> np.ndarray:
+    """||y - Phi_i alpha_i|| for every row and class i, from each class's
+    columns alone: (P, D), (P, N) -> (P, c)."""
+    labels = dictionary.column_labels
+    order = np.argsort(labels, kind="stable")  # the identity for class-major atoms
+    bounds = np.searchsorted(labels[order], np.arange(dictionary.num_classes + 1))
+    residuals = np.empty((y.shape[0], dictionary.num_classes))
+    for i in range(dictionary.num_classes):
+        cols = order[bounds[i] : bounds[i + 1]]
+        reconstruction = alpha[:, cols] @ dictionary.atoms[:, cols].T
+        residuals[:, i] = np.linalg.norm(y - reconstruction, axis=1)
+    return residuals
+
+
+def _knn1_distances(y: np.ndarray, enrolment: Dataset) -> np.ndarray:
+    """Euclidean distance from every row to every enrolment sample, (P, M),
+    from the expansion ||y||^2 - 2 y.e + ||e||^2."""
+    e = enrolment.features
+    sq = np.einsum("pd,pd->p", y, y)[:, None] - 2.0 * (y @ e.T) + np.einsum("md,md->m", e, e)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _knn1_scores(y: np.ndarray, enrolment: Dataset, num_classes: int) -> np.ndarray:
+    best = np.full((y.shape[0], num_classes), np.inf)
+    np.minimum.at(best, (slice(None), enrolment.labels), _knn1_distances(y, enrolment))
+    return np.where(np.isfinite(best), -best, -np.inf)
+
+
+def _blockwise(fn, y: np.ndarray, per_row: int) -> np.ndarray:
+    """fn applied to consecutive row blocks of y, results stacked."""
+    step = max(1, min(_PROBE_BLOCK, _BLOCK_ELEMENTS // max(per_row, 1)))
+    return np.concatenate([fn(y[start : start + step]) for start in range(0, y.shape[0], step)])
+
+
+def _probe_rows(probes: np.ndarray, dim: int) -> np.ndarray:
+    y = np.asarray(probes, dtype=np.float64)
+    if y.ndim != 2 or y.shape[1] != dim:
+        raise DimensionMismatch(f"probes have shape {y.shape}, expected (P, {dim})")
+    return y
+
+
+def score_matrix(
+    kind: str,
+    probes: np.ndarray,
+    dictionary: Dictionary,
+    op: CrcOperator | None = None,
+    cfg: SacrcConfig | None = None,
+    enrolment: Dataset | None = None,
+) -> np.ndarray:
+    """Per-class match scores of every probe row: (P, D) -> (P, c).
+
+    `kind` is sacrc (augmented evidence), crc (normalized collaborative
+    evidence), src (minus each class's reconstruction residual of the sparse
+    code) or knn1 (minus the distance to the class's nearest enrolment
+    sample, -inf for classes without samples).  Probes are l2-normalized
+    first, except for knn1.  Each row's scores depend on that row alone.
+    """
+    y = _probe_rows(probes, dictionary.dim)
+    c = dictionary.num_classes
+    if y.shape[0] == 0:
+        return np.empty((0, c))
+    d, n = dictionary.dim, dictionary.num_atoms
+    if kind == "sacrc":
+        if op is None or cfg is None:
+            raise InvalidParameters("sacrc scoring needs a CrcOperator and a SacrcConfig")
+        k = cfg.resolve_k(n)
+        labels_t = dictionary.label_matrix.T
+        return _blockwise(
+            lambda b: _sacrc_block(b, dictionary, op, k, cfg.residual_tol)[2] @ labels_t,
+            _unit_rows(y), k * (d + k) + 4 * n,
+        )
+    if kind == "crc":
+        if op is None:
+            raise InvalidParameters("crc scoring needs a CrcOperator")
+        return _blockwise(lambda b: _crc_scores(b, op), _unit_rows(y), 2 * n + c)
+    if kind == "src":
+        if cfg is None:
+            raise InvalidParameters("src scoring needs a SacrcConfig")
+        k = cfg.resolve_k(n)
+        return _blockwise(
+            lambda b: -_class_residuals(b, _omp_block(dictionary.atoms, b, k, cfg.residual_tol),
+                                        dictionary),
+            _unit_rows(y), k * (d + k) + 2 * n + c,
+        )
+    if kind == "knn1":
+        if enrolment is None:
+            raise InvalidParameters("knn1 scoring needs the enrolment dataset")
+        _probe_rows(y, enrolment.dim)
+        return _blockwise(lambda b: _knn1_scores(b, enrolment, c), y, 2 * enrolment.num_samples + c)
+    raise InvalidParameters(f"unknown classifier {kind!r}; choose from sacrc, crc, src, knn1")
+
+
+def knn1_labels(probes: np.ndarray, enrolment: Dataset) -> np.ndarray:
+    """Class of each probe row's Euclidean nearest enrolment sample (the
+    first such sample on ties)."""
+    if enrolment.num_samples == 0:
+        raise EmptyDataset("nearest-neighbor needs a non-empty enrolment set")
+    y = _probe_rows(probes, enrolment.dim)
+    return _blockwise(
+        lambda b: enrolment.labels[_knn1_distances(b, enrolment).argmin(axis=1)],
+        y, 2 * enrolment.num_samples,
+    )
+
+
+# ---------------------------------------------------------------------------
+# single-probe calls
+
+
+def _probe(y: np.ndarray, dim: int, what: str = "dictionary") -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (dim,):
+        raise DimensionMismatch(f"probe has shape {y.shape}, {what} dim is {dim}")
+    return y[None, :]
 
 
 def crc_solve(y: np.ndarray, op: CrcOperator) -> np.ndarray:
     """Dense collaborative solution (Phi^T Phi + lambda I)^-1 Phi^T y."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (op.dictionary.dim,):
-        raise DimensionMismatch(f"probe has shape {y.shape}, dictionary dim is {op.dictionary.dim}")
-    return op.apply(y)
+    return op.apply(_probe(y, op.dictionary.dim))[0]
 
 
 def omp_solve(y: np.ndarray, dictionary: Dictionary, k: int, tol: float = 0.0) -> np.ndarray:
@@ -104,46 +331,13 @@ def omp_solve(y: np.ndarray, dictionary: Dictionary, k: int, tol: float = 0.0) -
     re-fits least squares on the whole active set.  Stops at support size k,
     residual norm <= tol, or a residual orthogonal to every atom.
     """
-    y = np.asarray(y, dtype=np.float64)
-    atoms = dictionary.atoms
-    if y.shape != (atoms.shape[0],):
-        raise DimensionMismatch(f"probe has shape {y.shape}, dictionary dim is {atoms.shape[0]}")
+    row = _probe(y, dictionary.dim)
     n = dictionary.num_atoms
     if not 1 <= k <= n:
         raise InvalidParameters(f"sparsity k must be in [1, {n}], got {k}")
     if tol < 0.0:
         raise InvalidParameters(f"residual tolerance must be >= 0, got {tol}")
-
-    alpha = np.zeros(n)
-    support: list[int] = []
-    coeffs = np.empty(0)
-    residual = y.copy()
-    while len(support) < k:
-        if np.linalg.norm(residual) <= tol:
-            break
-        correlations = atoms.T @ residual
-        j = int(np.argmax(np.abs(correlations)))
-        if correlations[j] == 0.0 or j in support:
-            break  # residual is (numerically) orthogonal to every atom
-        support.append(j)
-        coeffs, *_ = np.linalg.lstsq(atoms[:, support], y, rcond=None)
-        residual = y - atoms[:, support] @ coeffs
-    if support:
-        alpha[support] = coeffs
-    return alpha
-
-
-def _augment(alpha_collab: np.ndarray, alpha_sparse: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Normalized sum of the two solutions; falls back to the collaborative
-    one (flagged) when they cancel, errors when that is zero too."""
-    combined = alpha_collab + alpha_sparse
-    norm = float(np.linalg.norm(combined))
-    if norm >= AUGMENTATION_EPS:
-        return combined / norm, False
-    collab_norm = float(np.linalg.norm(alpha_collab))
-    if collab_norm < AUGMENTATION_EPS:
-        raise DegenerateAugmentation("both coefficient vectors are zero")
-    return alpha_collab / collab_norm, True
+    return _omp_block(dictionary.atoms, row, k, tol)[0]
 
 
 def sacrc_classify(
@@ -154,20 +348,19 @@ def sacrc_classify(
     The probe is l2-normalized internally, so the decision is invariant to
     positive rescaling of y.
     """
-    y_hat = l2_normalize(y)
-    alpha_collab = crc_solve(y_hat, op)
+    y_hat = _unit_rows(_probe(y, dictionary.dim))
     k = cfg.resolve_k(dictionary.num_atoms)
-    alpha_sparse = omp_solve(y_hat, dictionary, k, cfg.residual_tol)
-    alpha_aug, fell_back = _augment(alpha_collab, alpha_sparse)
-    class_scores = dictionary.label_matrix @ alpha_aug
-    predicted = int(np.argmax(class_scores))  # argmax takes the lowest index on ties
+    alpha_collab, alpha_sparse, alpha_aug, fell_back = _sacrc_block(
+        y_hat, dictionary, op, k, cfg.residual_tol
+    )
+    class_scores = dictionary.label_matrix @ alpha_aug[0]
     return RepresentationResult(
-        alpha_collab=alpha_collab,
-        alpha_sparse=alpha_sparse,
-        alpha_aug=alpha_aug,
+        alpha_collab=alpha_collab[0],
+        alpha_sparse=alpha_sparse[0],
+        alpha_aug=alpha_aug[0],
         class_scores=class_scores,
-        predicted_class=predicted,
-        used_collab_fallback=fell_back,
+        predicted_class=int(np.argmax(class_scores)),  # argmax takes the lowest index on ties
+        used_collab_fallback=bool(fell_back[0]),
     )
 
 
@@ -177,11 +370,7 @@ def crc_class_scores(y: np.ndarray, op: CrcOperator) -> np.ndarray:
     The coefficient vector is l2-normalized (when nonzero) so scores are
     comparable across probes, mirroring the augmented rule.
     """
-    alpha = crc_solve(l2_normalize(y), op)
-    norm = float(np.linalg.norm(alpha))
-    if norm > 0.0:
-        alpha = alpha / norm
-    return op.dictionary.label_matrix @ alpha
+    return _crc_scores(_unit_rows(_probe(y, op.dictionary.dim)), op)[0]
 
 
 def src_residual_classify(
@@ -189,42 +378,24 @@ def src_residual_classify(
 ) -> tuple[int, np.ndarray]:
     """Classical residual rule: keep only class i's coefficients, reconstruct,
     and pick the class with the smallest reconstruction error."""
-    y = np.asarray(y, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (dictionary.num_atoms,):
         raise DimensionMismatch(
             f"alpha has shape {alpha.shape}, dictionary holds {dictionary.num_atoms} atoms"
         )
-    c = dictionary.num_classes
-    residuals = np.empty(c)
-    for i in range(c):
-        mask = dictionary.column_labels == i
-        reconstruction = dictionary.atoms[:, mask] @ alpha[mask]
-        residuals[i] = np.linalg.norm(y - reconstruction)
+    residuals = _class_residuals(_probe(y, dictionary.dim), alpha[None, :], dictionary)[0]
     return int(np.argmin(residuals)), residuals
 
 
 def knn1_classify(y: np.ndarray, enrolment: Dataset) -> int:
     """Class of the Euclidean nearest enrolment sample (first on ties)."""
-    y = np.asarray(y, dtype=np.float64)
-    if enrolment.num_samples == 0:
-        raise EmptyDataset("nearest-neighbor needs a non-empty enrolment set")
-    if y.shape != (enrolment.dim,):
-        raise DimensionMismatch(f"probe has shape {y.shape}, enrolment dim is {enrolment.dim}")
-    distances = np.linalg.norm(enrolment.features - y, axis=1)
-    return int(enrolment.labels[int(np.argmin(distances))])
+    return int(knn1_labels(_probe(y, enrolment.dim, "enrolment"), enrolment)[0])
 
 
 def knn1_class_scores(y: np.ndarray, enrolment: Dataset, num_classes: int) -> np.ndarray:
     """Per-class nearest-neighbor match scores: minus the smallest Euclidean
     distance from y to any sample of the class (-inf for absent classes)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (enrolment.dim,):
-        raise DimensionMismatch(f"probe has shape {y.shape}, enrolment dim is {enrolment.dim}")
-    distances = np.linalg.norm(enrolment.features - y, axis=1)
-    best = np.full(num_classes, np.inf)
-    np.minimum.at(best, enrolment.labels, distances)
-    return np.where(np.isfinite(best), -best, -np.inf)
+    return _knn1_scores(_probe(y, enrolment.dim, "enrolment"), enrolment, num_classes)[0]
 
 
 def match_score(

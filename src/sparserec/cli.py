@@ -2,8 +2,9 @@
 
 Subcommands: gen-synthetic, flatten, fit, verify, identify, sweep-pcs.
 Every command is deterministic given its input files, configuration and
-seed; re-runs write byte-identical outputs.  SPARSEREC_THREADS caps the
-probe-scoring worker pool (results never depend on it).
+seed; re-runs write byte-identical outputs.  Probes are scored in blocks by
+array operations; BLAS's own thread variables (OPENBLAS_NUM_THREADS and the
+like) set how many cores those use.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from .config import (
     read_config_file,
 )
 from .core import Dataset, build_dictionary, dataset_from_arrays
-from .errors import DimensionMismatch, InvalidParameters, SparserecError
+from .errors import DimensionMismatch, InvalidParameters, MalformedLine, SparserecError
 from .evaluation import (
     build_scoreset,
-    default_workers,
     evaluate_verification,
     generate_synthetic,
     rank1_identification,
@@ -101,10 +101,12 @@ def _write_manifest(path: Path, entries: dict[str, str]) -> None:
 
 def _read_manifest(path: Path) -> dict[str, str]:
     entries: dict[str, str] = {}
-    for raw in path.read_text().splitlines():
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
+        if "=" not in line:
+            raise MalformedLine(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         entries[key] = value
     return entries
@@ -247,7 +249,6 @@ def _scoreset_for(cfg: RunConfig, probes, dictionary, enrolment):
         pairs=pairs,
         classifier=cfg.classifier,
         enrolment=enrolment,
-        workers=default_workers(),
     )
     return scoreset, op, sacrc_cfg
 
@@ -299,7 +300,6 @@ def cmd_identify(args: argparse.Namespace) -> int:
     classifiers = [c.strip() for c in (classifier_arg or cfg.classifier).split(",") if c.strip()]
     sacrc_cfg = SacrcConfig(cfg.ridge_lambda, cfg.sparsity_k, cfg.residual_tol)
     op = CrcOperator(dictionary, cfg.ridge_lambda)
-    workers = default_workers()
     rows = []
     for name in classifiers:
         accuracy = rank1_identification(
@@ -309,7 +309,6 @@ def cmd_identify(args: argparse.Namespace) -> int:
             op=op,
             cfg=sacrc_cfg,
             enrolment=enrolment,
-            workers=workers,
         )
         rows.append((name, accuracy))
 

@@ -133,18 +133,6 @@ def _apply_raw(cfg: RunConfig, key: str, value: str) -> RunConfig:
     raise ConfigError(f"unknown configuration key {key!r}")
 
 
-def resolve_config(config_path: str | None, overrides: dict[str, str]) -> RunConfig:
-    """Defaults, then the config file, then command-line overrides."""
-    cfg = RunConfig()
-    if config_path is not None:
-        for key, value in read_config_file(config_path).items():
-            cfg = _apply_raw(cfg, key, value)
-    for key, value in overrides.items():
-        if value is not None:
-            cfg = _apply_raw(cfg, key, str(value))
-    return cfg
-
-
 def config_echo(cfg: RunConfig, **extras: object) -> list[tuple[str, str]]:
     """Flatten the resolved configuration (plus run-specific extras such as
     the resolved sparsity and component counts) into ordered pairs."""

@@ -65,6 +65,10 @@ class ConfigError(SparserecError):
     """Malformed configuration file or unknown configuration key."""
 
 
+class MalformedLine(SparserecError):
+    """A line of a text input (bundle manifest, CSV) that does not parse."""
+
+
 class FeatureFileError(SparserecError):
     """Base class for binary feature/model file problems."""
 
@@ -83,3 +87,7 @@ class TruncatedFile(FeatureFileError):
 
 class TrailingData(FeatureFileError):
     """File holds bytes beyond the declared payload."""
+
+
+class BadEncoding(FeatureFileError):
+    """A stored sample id is not valid UTF-8."""

@@ -10,33 +10,20 @@ fraction of genuine ones; FNMR = 1 - GMR.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .classifiers import (
-    CrcOperator,
-    SacrcConfig,
-    crc_class_scores,
-    knn1_class_scores,
-    knn1_classify,
-    omp_solve,
-    sacrc_classify,
-    src_residual_classify,
-)
+from .classifiers import CrcOperator, SacrcConfig, knn1_labels, score_matrix
 from .core import Dataset, Dictionary, dataset_from_arrays
 from .errors import (
-    ConfigError,
     DegenerateScoreSet,
     DimensionMismatch,
     InvalidParameters,
     NonFiniteValue,
     UnknownClass,
 )
-from .features import l2_normalize
 
 CLASSIFIER_ALIASES = {
     "sacrc": "sacrc",
@@ -95,28 +82,6 @@ class EvalReport:
     config_echo: tuple[tuple[str, str], ...]
 
 
-def default_workers() -> int:
-    """Worker count for probe scoring; SPARSEREC_THREADS caps it."""
-    n = os.cpu_count() or 1
-    limit = os.environ.get("SPARSEREC_THREADS")
-    if limit is not None:
-        try:
-            cap = int(limit)
-        except ValueError:
-            raise ConfigError(f"SPARSEREC_THREADS must be an integer, got {limit!r}") from None
-        n = min(n, max(1, cap))
-    return max(1, n)
-
-
-def _parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
-    # Per-item work is pure against immutable state, and map preserves input
-    # order, so results are independent of worker count and scheduling.
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _canonical_classifier(name: str) -> str:
     try:
         return CLASSIFIER_ALIASES[name]
@@ -124,40 +89,6 @@ def _canonical_classifier(name: str) -> str:
         raise InvalidParameters(
             f"unknown classifier {name!r}; choose from sacrc, crc, src, knn1"
         ) from None
-
-
-def _class_score_fn(
-    classifier: str,
-    dictionary: Dictionary,
-    op: CrcOperator | None,
-    cfg: SacrcConfig | None,
-    enrolment: Dataset | None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Per-probe function returning the length-c match-score vector."""
-    kind = _canonical_classifier(classifier)
-    if kind == "sacrc":
-        if op is None or cfg is None:
-            raise InvalidParameters("sacrc scoring needs a CrcOperator and a SacrcConfig")
-        return lambda y: sacrc_classify(y, dictionary, op, cfg).class_scores
-    if kind == "crc":
-        if op is None:
-            raise InvalidParameters("crc scoring needs a CrcOperator")
-        return lambda y: crc_class_scores(y, op)
-    if kind == "src":
-        if cfg is None:
-            raise InvalidParameters("src scoring needs a SacrcConfig")
-        k = cfg.resolve_k(dictionary.num_atoms)
-
-        def src_scores(y: np.ndarray) -> np.ndarray:
-            y_hat = l2_normalize(y)
-            alpha = omp_solve(y_hat, dictionary, k, cfg.residual_tol)
-            _, residuals = src_residual_classify(y_hat, dictionary, alpha)
-            return -residuals
-
-        return src_scores
-    if enrolment is None:
-        raise InvalidParameters("knn1 scoring needs the enrolment dataset")
-    return lambda y: knn1_class_scores(y, enrolment, dictionary.num_classes)
 
 
 def build_scoreset(
@@ -170,7 +101,6 @@ def build_scoreset(
     pairs: Sequence[tuple[str, int]] | None = None,
     classifier: str = "sacrc",
     enrolment: Dataset | None = None,
-    workers: int = 1,
 ) -> ScoreSet:
     """Score probe/claim comparisons against an enrolled dictionary.
 
@@ -184,47 +114,39 @@ def build_scoreset(
         raise DimensionMismatch(
             f"probes have dim {probes.dim}, dictionary has dim {dictionary.dim}"
         )
-    score_fn = _class_score_fn(classifier, dictionary, op, cfg, enrolment)
+    kind = _canonical_classifier(classifier)
     c = dictionary.num_classes
 
     if protocol == "all-vs-all":
-        wanted = list(range(probes.num_samples))
-    elif protocol == "pairs":
-        if pairs is None:
-            raise InvalidParameters("pairs protocol needs a pair list")
-        index_of: dict[str, int] = {}
-        for i, pid in enumerate(probes.ids):
-            if pid in index_of:
-                raise InvalidParameters(f"duplicate probe id {pid!r}; pairs would be ambiguous")
-            index_of[pid] = i
-        for pid, claim in pairs:
-            if pid not in index_of:
-                raise InvalidParameters(f"pair references unknown probe id {pid!r}")
-            if not 0 <= int(claim) < c:
-                raise UnknownClass(f"pair claims class {claim}, enrolled range is [0, {c})")
-        wanted = sorted({index_of[pid] for pid, _ in pairs})
-    else:
+        scores = score_matrix(kind, probes.features, dictionary, op, cfg, enrolment)
+        return ScoreSet(tuple(
+            ScoreRecord(pid, claim, score, claim == true_class)
+            for pid, true_class, row in zip(probes.ids, probes.labels.tolist(), scores.tolist())
+            for claim, score in enumerate(row)
+        ))
+    if protocol != "pairs":
         raise InvalidParameters(f"unknown protocol {protocol!r}; use all-vs-all or pairs")
-
-    score_rows = _parallel_map(lambda i: score_fn(probes.features[i]), wanted, workers)
-    scores_by_index = dict(zip(wanted, score_rows))
-
-    records: list[ScoreRecord] = []
-    if protocol == "all-vs-all":
-        for i in wanted:
-            row = scores_by_index[i]
-            true_class = int(probes.labels[i])
-            for claim in range(c):
-                records.append(
-                    ScoreRecord(probes.ids[i], claim, float(row[claim]), claim == true_class)
-                )
-    else:
-        for pid, claim in pairs:
-            i = index_of[pid]
-            claim = int(claim)
-            records.append(
-                ScoreRecord(pid, claim, float(scores_by_index[i][claim]), claim == int(probes.labels[i]))
-            )
+    if pairs is None:
+        raise InvalidParameters("pairs protocol needs a pair list")
+    index_of: dict[str, int] = {}
+    for i, pid in enumerate(probes.ids):
+        if pid in index_of:
+            raise InvalidParameters(f"duplicate probe id {pid!r}; pairs would be ambiguous")
+        index_of[pid] = i
+    for pid, claim in pairs:
+        if pid not in index_of:
+            raise InvalidParameters(f"pair references unknown probe id {pid!r}")
+        if not 0 <= int(claim) < c:
+            raise UnknownClass(f"pair claims class {claim}, enrolled range is [0, {c})")
+    wanted = sorted({index_of[pid] for pid, _ in pairs})
+    row_of = {i: r for r, i in enumerate(wanted)}
+    scores = score_matrix(kind, probes.features[wanted], dictionary, op, cfg, enrolment)
+    records = []
+    for pid, claim in pairs:
+        i, claim = index_of[pid], int(claim)
+        records.append(
+            ScoreRecord(pid, claim, float(scores[row_of[i], claim]), claim == int(probes.labels[i]))
+        )
     return ScoreSet(tuple(records))
 
 
@@ -314,7 +236,6 @@ def rank1_identification(
     op: CrcOperator | None = None,
     cfg: SacrcConfig | None = None,
     enrolment: Dataset | None = None,
-    workers: int = 1,
 ) -> float:
     """Fraction of probes whose top-ranked class is their true class.
 
@@ -330,16 +251,13 @@ def rank1_identification(
         )
     kind = _canonical_classifier(classifier)
     if kind == "knn1":
+        # the first nearest sample decides, not the lowest class among tied ones
         if enrolment is None:
             raise InvalidParameters("knn1 identification needs the enrolment dataset")
-        predict = lambda y: knn1_classify(y, enrolment)
+        predictions = knn1_labels(probes.features, enrolment)
     else:
-        score_fn = _class_score_fn(kind, dictionary, op, cfg, enrolment)
-        predict = lambda y: int(np.argmax(score_fn(y)))
-    predictions = _parallel_map(
-        lambda i: predict(probes.features[i]), list(range(probes.num_samples)), workers
-    )
-    return float(np.mean(np.asarray(predictions) == probes.labels))
+        predictions = score_matrix(kind, probes.features, dictionary, op, cfg, enrolment).argmax(axis=1)
+    return float(np.mean(predictions == probes.labels))
 
 
 def generate_synthetic(

@@ -30,8 +30,10 @@ import numpy as np
 
 from .core import Dataset, Dictionary, _frozen, dataset_from_arrays
 from .errors import (
+    BadEncoding,
     BadMagic,
     InvalidParameters,
+    MalformedLine,
     TrailingData,
     TruncatedFile,
     VersionMismatch,
@@ -78,7 +80,13 @@ class _ByteReader:
 
     def utf8(self, what: str) -> str:
         length = self.u32(f"{what} length")
-        return self.take(length, what).decode("utf-8")
+        start = self.offset
+        try:
+            return self.take(length, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BadEncoding(
+                f"{self._path}: {what} is not valid UTF-8 (byte offset {start + exc.start})"
+            ) from None
 
     def finish(self) -> None:
         if self.offset != len(self._data):
@@ -321,7 +329,16 @@ def read_pairs_csv(path: str | Path) -> list[tuple[str, int]]:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["probe_id", "claimed_class"]:
         raise InvalidParameters(f"{path}: expected header probe_id,claimed_class")
-    return [(row[0], int(row[1])) for row in rows[1:]]
+    pairs = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        try:
+            pid, claim = row
+            pairs.append((pid, int(claim)))
+        except ValueError:
+            raise MalformedLine(
+                f"{path}:{lineno}: expected probe_id,claimed_class with an integer class, got {row!r}"
+            ) from None
+    return pairs
 
 
 # ---------------------------------------------------------------------------

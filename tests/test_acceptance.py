@@ -209,11 +209,11 @@ def test_criterion_6_desk_scale_gap():
         d = build_dictionary(enrolment)
         op = CrcOperator(d, 0.01)
         cfg = SacrcConfig()
-        sacrc_acc = rank1_identification(probes, "sacrc", dictionary=d, op=op, cfg=cfg, workers=4)
+        sacrc_acc = rank1_identification(probes, "sacrc", dictionary=d, op=op, cfg=cfg)
         knn_acc = rank1_identification(probes, "knn1", dictionary=d, enrolment=enrolment)
-        sacrc_scores = build_scoreset(probes, d, op, cfg, workers=4)
+        sacrc_scores = build_scoreset(probes, d, op, cfg)
         knn_scores = build_scoreset(
-            probes, d, op, cfg, classifier="knn1", enrolment=enrolment, workers=4
+            probes, d, op, cfg, classifier="knn1", enrolment=enrolment
         )
         sacrc_eer = compute_eer(sacrc_scores)
         knn_eer = compute_eer(knn_scores)
@@ -240,7 +240,7 @@ def test_criterion_7_gmr_monotonicity_panel():
         cfg = SacrcConfig()
         for name in ("sacrc", "crc", "src", "knn1"):
             score_sets.append(
-                build_scoreset(probes, d, op, cfg, classifier=name, enrolment=enrolment, workers=4)
+                build_scoreset(probes, d, op, cfg, classifier=name, enrolment=enrolment)
             )
         for s in score_sets:
             g1 = compute_gmr_at_far(s, 0.1).gmr

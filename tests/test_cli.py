@@ -310,3 +310,61 @@ def test_config_file_layering(tmp_path):
     kv = (tmp_path / "ver" / "report.kv").read_text()
     assert "gmr_at_far_0.2 = " in kv and "gmr_at_far_0.02 = " in kv
     assert "gmr_at_far_0.001" not in kv
+
+
+def test_manifest_line_without_equals_fails_cleanly(tmp_path, capsys):
+    gen(tmp_path / "data", dim=20)
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
+    manifest = tmp_path / "bundle" / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "stray line\n")
+    code = run("verify", tmp_path / "data" / "probes.feat", tmp_path / "bundle",
+               "--out", tmp_path / "ver")
+    assert code == 2
+    lines = manifest.read_text().splitlines()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{manifest}:{len(lines)}:" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("row", ["p0,one", "p0"], ids=["non-integer", "missing"])
+def test_bad_claimed_class_in_pairs_fails_cleanly(tmp_path, capsys, row):
+    gen(tmp_path / "data", classes=3, samples=4, dim=20, seed=22)
+    probes = load_flat_dataset(tmp_path / "data" / "probes.feat")
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"probe_id,claimed_class\n{probes.ids[0]},1\n{row}\n")
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
+    code = run("verify", tmp_path / "data" / "probes.feat", tmp_path / "bundle",
+               "--protocol", f"pairs:{pairs}", "--out", tmp_path / "ver")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{pairs}:3:" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_non_utf8_id_fails_cleanly(tmp_path, capsys):
+    gen(tmp_path / "data", dim=20)
+    path = tmp_path / "data" / "enrolment.feat"
+    data = bytearray(path.read_bytes())
+    offset = len(data) - 1  # last byte of the last id
+    data[offset] = 0xFF
+    path.write_bytes(bytes(data))
+    code = run("fit", path, "--out", tmp_path / "bundle")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and f"byte offset {offset}" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, sparserec.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -88,29 +88,6 @@ def test_scoreset_dimension_mismatch():
         build_scoreset(bad, d, op, cfg)
 
 
-def test_scoreset_independent_of_worker_count():
-    enrolment, probes, d, op, cfg = _fitted(num_classes=4, per_class=3)
-    serial = build_scoreset(probes, d, op, cfg, workers=1)
-    parallel = build_scoreset(probes, d, op, cfg, workers=4)
-    assert serial.records == parallel.records
-
-
-def test_worker_count_env_cap(monkeypatch):
-    from sparserec.errors import ConfigError
-    from sparserec.evaluation import default_workers
-
-    monkeypatch.delenv("SPARSEREC_THREADS", raising=False)
-    unlimited = default_workers()
-    assert unlimited >= 1
-    monkeypatch.setenv("SPARSEREC_THREADS", "1")
-    assert default_workers() == 1
-    monkeypatch.setenv("SPARSEREC_THREADS", "2")
-    assert default_workers() <= 2
-    monkeypatch.setenv("SPARSEREC_THREADS", "banana")
-    with pytest.raises(ConfigError):
-        default_workers()
-
-
 # ---------------------------------------------------------------------------
 # ROC
 
@@ -313,13 +290,6 @@ def test_rank1_accepts_long_form_classifier_names():
     assert src == src_long
     with pytest.raises(InvalidParameters):
         rank1_identification(probes, "svm", dictionary=d, op=op, cfg=cfg)
-
-
-def test_rank1_worker_independence():
-    enrolment, probes, d, op, cfg = _fitted(num_classes=4, per_class=3, seed=9)
-    a = rank1_identification(probes, "sacrc", dictionary=d, op=op, cfg=cfg, workers=1)
-    b = rank1_identification(probes, "sacrc", dictionary=d, op=op, cfg=cfg, workers=4)
-    assert a == b
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,207 @@
+"""The batched score kernel: score_matrix against the one-row calls and the
+straight-line oracles in reference_impls.py."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from reference_impls import omp_reference, ridge_solve_reference, sacrc_reference
+from sparserec import classifiers
+from sparserec.classifiers import (
+    CrcOperator,
+    SacrcConfig,
+    _augment,
+    _omp_block,
+    crc_class_scores,
+    knn1_class_scores,
+    knn1_classify,
+    knn1_labels,
+    omp_solve,
+    sacrc_classify,
+    score_matrix,
+    src_residual_classify,
+)
+from sparserec.core import build_dictionary, dataset_from_arrays
+from sparserec.errors import DegenerateAugmentation, ZeroNormSample
+from sparserec.evaluation import build_scoreset, generate_synthetic, rank1_identification
+
+KINDS = ("sacrc", "crc", "src", "knn1")
+LAM, K, TOL = 0.01, 5, 1e-6
+
+
+def _fitted(num_classes, per_class, dim, probes_per_class, seed=0):
+    enrolment, probes = generate_synthetic(
+        num_classes, per_class, dim, 3, 0.2, seed=seed, probes_per_class=probes_per_class
+    )
+    d = build_dictionary(enrolment)
+    return enrolment, probes, d, CrcOperator(d, LAM), SacrcConfig(LAM, K, TOL)
+
+
+def _one_row(kind, y, d, op, cfg, enrolment):
+    if kind == "sacrc":
+        return sacrc_classify(y, d, op, cfg).class_scores
+    if kind == "crc":
+        return crc_class_scores(y, op)
+    if kind == "src":
+        y_hat = y / np.linalg.norm(y)
+        return -src_residual_classify(y_hat, d, omp_solve(y_hat, d, K, TOL))[1]
+    return knn1_class_scores(y, enrolment, d.num_classes)
+
+
+def _oracle(kind, y, d, enrolment):
+    if kind == "knn1":
+        best = np.full(d.num_classes, -np.inf)
+        for e, label in zip(enrolment.features, enrolment.labels):
+            best[label] = max(best[label], -np.linalg.norm(e - y))
+        return best
+    y_hat = y / np.linalg.norm(y)
+    if kind == "sacrc":
+        return sacrc_reference(d.atoms, d.label_matrix, y, LAM, K, TOL)[3]
+    if kind == "crc":
+        alpha = ridge_solve_reference(d.atoms, y_hat, LAM)
+        return d.label_matrix @ (alpha / np.linalg.norm(alpha))
+    alpha = omp_reference(d.atoms, y_hat, K, TOL)
+    return np.array([
+        -np.linalg.norm(y_hat - d.atoms @ np.where(d.column_labels == i, alpha, 0.0))
+        for i in range(d.num_classes)
+    ])
+
+
+def _assert_rows_match(kind, scores, probes, d, op, cfg, enrolment):
+    assert scores.shape == (probes.num_samples, d.num_classes)
+    for y, row in zip(probes.features, scores):
+        one = _one_row(kind, y, d, op, cfg, enrolment)
+        assert np.max(np.abs(row - one)) <= 1e-12
+        assert np.max(np.abs(row - _oracle(kind, y, d, enrolment))) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [20, 60], ids=["D<N", "D>=N"])
+def test_score_matrix_matches_rows_and_oracles(kind, dim):
+    enrolment, probes, d, op, cfg = _fitted(num_classes=8, per_class=5, dim=dim, probes_per_class=2)
+    assert (d.dim < d.num_atoms) == (dim == 20)
+    scores = score_matrix(kind, probes.features, d, op, cfg, enrolment)
+    _assert_rows_match(kind, scores, probes, d, op, cfg, enrolment)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_score_matrix_single_probe_and_block_boundary(kind):
+    p = classifiers._PROBE_BLOCK + 1
+    enrolment, probes, d, op, cfg = _fitted(num_classes=2, per_class=4, dim=12,
+                                            probes_per_class=p // 2 + 1, seed=3)
+    probes = dataset_from_arrays(probes.features[:p], probes.labels[:p], probes.ids[:p])
+    scores = score_matrix(kind, probes.features, d, op, cfg, enrolment)
+    _assert_rows_match(kind, scores, probes, d, op, cfg, enrolment)
+    single = score_matrix(kind, probes.features[:1], d, op, cfg, enrolment)
+    assert np.max(np.abs(single[0] - scores[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pairs_protocol_scores_equal_all_vs_all(kind):
+    enrolment, probes, d, op, cfg = _fitted(num_classes=5, per_class=4, dim=30, probes_per_class=2)
+    pairs = [(probes.ids[7], 1), (probes.ids[2], 0), (probes.ids[7], 4), (probes.ids[9], 3)]
+    subset = build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=pairs,
+                            classifier=kind, enrolment=enrolment)
+    full = build_scoreset(probes, d, op, cfg, classifier=kind, enrolment=enrolment)
+    by_key = {(r.probe_id, r.claimed_class): r for r in full.records}
+    assert [(r.probe_id, r.claimed_class) for r in subset.records] == pairs
+    for r in subset.records:
+        assert abs(r.score - by_key[(r.probe_id, r.claimed_class)].score) <= 1e-12
+        assert r.is_genuine == by_key[(r.probe_id, r.claimed_class)].is_genuine
+
+
+def test_zero_norm_probe_raises():
+    enrolment, probes, d, op, cfg = _fitted(num_classes=3, per_class=3, dim=10, probes_per_class=1)
+    features = probes.features.copy()
+    features[1] = 0.0
+    with_zero = dataset_from_arrays(features, probes.labels, probes.ids)
+    for kind in ("sacrc", "crc", "src"):
+        with pytest.raises(ZeroNormSample):
+            score_matrix(kind, features, d, op, cfg)
+        with pytest.raises(ZeroNormSample):
+            build_scoreset(with_zero, d, op, cfg, classifier=kind)
+    # nearest neighbor needs no normalization: the zero probe is scored
+    scores = score_matrix("knn1", features, d, enrolment=enrolment)
+    assert np.allclose(scores[1], _oracle("knn1", features[1], d, enrolment))
+
+
+def test_collaborative_fallback_rows():
+    rng = np.random.default_rng(0)
+    collab = rng.standard_normal((3, 4))
+    sparse = rng.standard_normal((3, 4))
+    sparse[1] = -collab[1]  # the two solutions cancel on row 1 only
+    alpha, fell_back = _augment(collab, sparse)
+    assert fell_back.tolist() == [False, True, False]
+    for i in range(3):
+        row_alpha, row_flag = _augment(collab[i], sparse[i])
+        assert bool(row_flag) == fell_back[i]
+        assert np.max(np.abs(alpha[i] - row_alpha)) <= 1e-15
+    assert np.allclose(alpha[1], collab[1] / np.linalg.norm(collab[1]))
+    sparse[2] = 0.0
+    collab[2] = 0.0
+    with pytest.raises(DegenerateAugmentation):
+        _augment(collab, sparse)
+
+
+def test_probe_orthogonal_to_every_atom_is_degenerate():
+    # atoms span the first two coordinates; a probe along the third has zero
+    # collaborative and zero sparse coefficients
+    d = build_dictionary(dataset_from_arrays(np.array([[1.0, 0, 0], [0, 1.0, 0]]), [0, 1], ["a", "b"]))
+    op = CrcOperator(d, LAM)
+    probes = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    with pytest.raises(DegenerateAugmentation):
+        score_matrix("sacrc", probes, d, op, SacrcConfig(LAM, 2, TOL))
+
+
+def test_lockstep_omp_rows_stop_independently():
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    d = build_dictionary(dataset_from_arrays(q.T, [i % 4 for i in range(8)], [str(i) for i in range(8)]))
+    y = np.vstack([
+        d.atoms[:, 2],  # residual reaches 0 after one atom: tol stop
+        d.atoms @ np.where(np.arange(8) < 3, 1.0, 0.0),  # three atoms then tol stop
+        rng.standard_normal(8),  # runs to the budget
+        np.zeros(8),  # zero probe: stops before any atom
+    ])
+    batched = _omp_block(d.atoms, y, 5, 1e-9)
+    for row, alpha in zip(y, batched):
+        expected = omp_reference(d.atoms, row, 5, 1e-9)
+        assert np.array_equal(np.flatnonzero(alpha), np.flatnonzero(expected))
+        assert np.max(np.abs(alpha - expected)) <= 1e-12
+        assert np.max(np.abs(alpha - omp_solve(row, d, 5, 1e-9))) <= 1e-12
+    assert [np.count_nonzero(a) for a in batched] == [1, 3, 5, 0]
+
+
+def test_knn1_identification_takes_first_nearest_sample():
+    # the probe is equidistant from a class-1 sample (first) and a class-0
+    # sample: the class scores tie, and the earlier sample decides the label
+    enrolment = dataset_from_arrays(np.array([[0.0, 1.0], [2.0, 1.0]]), [1, 0], ["a", "b"])
+    probes = np.array([[1.0, 1.0], [0.1, 1.0]])
+    assert knn1_labels(probes, enrolment).tolist() == [1, 1]
+    assert [knn1_classify(y, enrolment) for y in probes] == [1, 1]
+    d = build_dictionary(enrolment)
+    as_class_1 = dataset_from_arrays(probes, [1, 1], ["p", "q"])
+    assert rank1_identification(as_class_1, "knn1", dictionary=d, enrolment=enrolment) == 1.0
+    scores = score_matrix("knn1", probes, d, enrolment=enrolment)
+    assert scores[0, 0] == scores[0, 1]
+
+
+def test_no_n_by_n_matrix_when_atoms_outnumber_dimensions():
+    rng = np.random.default_rng(2)
+    n, dim = 1500, 16
+    d = build_dictionary(dataset_from_arrays(rng.standard_normal((n, dim)), [i % 300 for i in range(n)],
+                                             [str(i) for i in range(n)]))
+    n_by_n = n * n * 8
+    tracemalloc.start()
+    try:
+        op = CrcOperator(d, LAM)
+        crc_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        score_matrix("src", rng.standard_normal((4, dim)), d, op, SacrcConfig(LAM, 10, TOL))
+        omp_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.gram_inverse.shape == (dim, dim)
+    assert crc_peak < n_by_n / 4
+    assert omp_peak < n_by_n / 4
