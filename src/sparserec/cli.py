@@ -24,7 +24,7 @@ from .config import (
     read_config_file,
 )
 from .core import Dataset, build_dictionary, dataset_from_arrays
-from .errors import DimensionMismatch, InvalidParameters, MalformedLine, SparserecError
+from .errors import DimensionMismatch, InconsistentBundle, InvalidParameters, MalformedLine, SparserecError
 from .evaluation import (
     build_scoreset,
     evaluate_verification,
@@ -118,6 +118,24 @@ def _load_bundle(bundle_dir: str):
     dictionary = read_dictionary(bundle / DICTIONARY_NAME)
     model = read_pca_model(bundle / PCA_NAME) if (bundle / PCA_NAME).exists() else None
     enrolment = load_flat_dataset(bundle / ENROLMENT_NAME)
+    # Check every file against the manifest, so a file copied in from another
+    # fit is named here instead of being blamed on the probes later.
+    dim_key = "dim_input" if model is None else "pca_components"
+    checks = [(PCA_NAME, "components", 0 if model is None else model.num_components, "pca_components")]
+    if model is not None:
+        checks.append((PCA_NAME, "input dim", model.dim_in, "dim_input"))
+    checks += [
+        (DICTIONARY_NAME, "dim", dictionary.dim, dim_key),
+        (DICTIONARY_NAME, "atoms", dictionary.num_atoms, "num_atoms"),
+        (DICTIONARY_NAME, "classes", dictionary.num_classes, "num_classes"),
+        (ENROLMENT_NAME, "dim", enrolment.dim, dim_key),
+        (ENROLMENT_NAME, "samples", enrolment.num_samples, "num_atoms"),
+    ]
+    for name, what, got, key in checks:
+        if str(got) != manifest.get(key):
+            raise InconsistentBundle(
+                f"{bundle / name}: {what} {got}, but {MANIFEST_NAME} says {key} = {manifest.get(key)}"
+            )
     return dictionary, model, enrolment, manifest
 
 

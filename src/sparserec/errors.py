@@ -69,6 +69,10 @@ class MalformedLine(SparserecError):
     """A line of a text input (bundle manifest, CSV) that does not parse."""
 
 
+class InconsistentBundle(SparserecError):
+    """A model bundle whose files disagree with its manifest or each other."""
+
+
 class FeatureFileError(SparserecError):
     """Base class for binary feature/model file problems."""
 

@@ -1,6 +1,7 @@
-"""Verification and identification evaluation: score-set construction,
-ROC/EER/GMR-at-FAR metrics, rank-1 accuracy, and the union-of-subspaces
-synthetic generator used for desk-scale experiments.
+"""Verification and identification evaluation: columnar score sets, one
+threshold sweep (compute_roc) that the EER and GMR-at-FAR metrics read,
+rank-1 accuracy, and the union-of-subspaces synthetic generator used for
+desk-scale experiments.
 
 Thresholding convention, used everywhere: a comparison is accepted at
 threshold t when its score is >= t.  FAR (false accept rate) is the accepted
@@ -11,12 +12,13 @@ fraction of genuine ones; FNMR = 1 - GMR.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .classifiers import CrcOperator, SacrcConfig, knn1_labels, score_matrix
-from .core import Dataset, Dictionary, dataset_from_arrays
+from .core import Dataset, Dictionary, _frozen, dataset_from_arrays
 from .errors import (
     DegenerateScoreSet,
     DimensionMismatch,
@@ -35,32 +37,40 @@ CLASSIFIER_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    probe_id: str
-    claimed_class: int
-    score: float
-    is_genuine: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreSet:
-    """Genuine/impostor match scores from a verification run."""
+    """Genuine/impostor match scores from a verification run, one read-only
+    column per field: row r is probe `ids[probe[r]]` claiming class `claim[r]`
+    with `score[r]`, genuine when the claim is the probe's own class."""
 
-    records: tuple[ScoreRecord, ...]
+    ids: tuple[str, ...]
+    probe: np.ndarray
+    claim: np.ndarray
+    score: np.ndarray
+    is_genuine: np.ndarray
+
+    def __post_init__(self) -> None:
+        columns = {"probe": np.int64, "claim": np.int64, "score": np.float64, "is_genuine": bool}
+        for name, dtype in columns.items():
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=dtype)))
+        if self.score.ndim != 1 or len({getattr(self, name).shape for name in columns}) != 1:
+            raise DimensionMismatch("score set columns must be 1-D and of equal length")
 
     def genuine_scores(self) -> np.ndarray:
-        return np.array([r.score for r in self.records if r.is_genuine], dtype=np.float64)
+        return self.score[self.is_genuine]
 
     def impostor_scores(self) -> np.ndarray:
-        return np.array([r.score for r in self.records if not r.is_genuine], dtype=np.float64)
+        return self.score[~self.is_genuine]
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    far: float
-    gmr: float
+@dataclass(frozen=True, eq=False)
+class Roc:
+    """Accepted impostor (`far`) and genuine (`gmr`) fractions at -inf, each
+    distinct observed score and +inf, in increasing-threshold order."""
+
+    threshold: np.ndarray
+    far: np.ndarray
+    gmr: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,7 +87,7 @@ class EvalReport:
 
     eer: float
     gmr_at_far: tuple[GmrAtFar, ...]
-    roc_points: tuple[RocPoint, ...]
+    roc: Roc
     rank1_accuracy: float | None
     config_echo: tuple[tuple[str, str], ...]
 
@@ -119,11 +129,9 @@ def build_scoreset(
 
     if protocol == "all-vs-all":
         scores = score_matrix(kind, probes.features, dictionary, op, cfg, enrolment)
-        return ScoreSet(tuple(
-            ScoreRecord(pid, claim, score, claim == true_class)
-            for pid, true_class, row in zip(probes.ids, probes.labels.tolist(), scores.tolist())
-            for claim, score in enumerate(row)
-        ))
+        probe = np.repeat(np.arange(probes.num_samples), c)
+        claim = np.tile(np.arange(c), probes.num_samples)
+        return ScoreSet(probes.ids, probe, claim, scores.ravel(), claim == probes.labels[probe])
     if protocol != "pairs":
         raise InvalidParameters(f"unknown protocol {protocol!r}; use all-vs-all or pairs")
     if pairs is None:
@@ -133,24 +141,22 @@ def build_scoreset(
         if pid in index_of:
             raise InvalidParameters(f"duplicate probe id {pid!r}; pairs would be ambiguous")
         index_of[pid] = i
-    for pid, claim in pairs:
-        if pid not in index_of:
-            raise InvalidParameters(f"pair references unknown probe id {pid!r}")
-        if not 0 <= int(claim) < c:
-            raise UnknownClass(f"pair claims class {claim}, enrolled range is [0, {c})")
-    wanted = sorted({index_of[pid] for pid, _ in pairs})
-    row_of = {i: r for r, i in enumerate(wanted)}
+    pair_ids, claims = zip(*pairs) if pairs else ((), ())
+    probe = np.fromiter(map(index_of.get, pair_ids, repeat(-1)), dtype=np.int64, count=len(pair_ids))
+    claim = np.asarray(claims, dtype=np.int64)
+    bad = np.flatnonzero((probe < 0) | (claim < 0) | (claim >= c))
+    if bad.size and probe[bad[0]] < 0:
+        raise InvalidParameters(f"pair references unknown probe id {pair_ids[bad[0]]!r}")
+    if bad.size:
+        raise UnknownClass(f"pair claims class {claims[bad[0]]}, enrolled range is [0, {c})")
+    wanted, row = np.unique(probe, return_inverse=True)
     scores = score_matrix(kind, probes.features[wanted], dictionary, op, cfg, enrolment)
-    records = []
-    for pid, claim in pairs:
-        i, claim = index_of[pid], int(claim)
-        records.append(
-            ScoreRecord(pid, claim, float(scores[row_of[i], claim]), claim == int(probes.labels[i]))
-        )
-    return ScoreSet(tuple(records))
+    return ScoreSet(probes.ids, probe, claim, scores[row, claim], claim == probes.labels[probe])
 
 
-def _split_sorted(scoreset: ScoreSet) -> tuple[np.ndarray, np.ndarray]:
+def compute_roc(scoreset: ScoreSet) -> Roc:
+    """Sweep thresholds over the sorted unique scores plus -inf/+inf
+    sentinels; FAR and GMR are non-increasing along the result."""
     genuine = np.sort(scoreset.genuine_scores())
     impostor = np.sort(scoreset.impostor_scores())
     if genuine.size == 0 or impostor.size == 0:
@@ -159,30 +165,34 @@ def _split_sorted(scoreset: ScoreSet) -> tuple[np.ndarray, np.ndarray]:
         )
     if not (np.all(np.isfinite(genuine)) and np.all(np.isfinite(impostor))):
         raise NonFiniteValue("score set contains a non-finite score")
-    return genuine, impostor
+    thresholds = np.concatenate([[-np.inf], np.unique(np.concatenate([genuine, impostor])), [np.inf]])
+    # fraction of each sorted side at or above every threshold
+    far, gmr = ((s.size - np.searchsorted(s, thresholds, side="left")) / s.size for s in (impostor, genuine))
+    return Roc(_frozen(thresholds), _frozen(far), _frozen(gmr))
 
 
-def _accept_rates(thresholds: np.ndarray, sorted_scores: np.ndarray) -> np.ndarray:
-    """Fraction of scores >= each threshold (scores pre-sorted ascending)."""
-    below = np.searchsorted(sorted_scores, thresholds, side="left")
-    return (sorted_scores.size - below) / sorted_scores.size
+def _eer(roc: Roc) -> float:
+    fmr = roc.far
+    fnmr = 1.0 - roc.gmr
+    diff = fmr - fnmr  # non-increasing: 1 at -inf, -1 at +inf
+    idx = int(np.nonzero(diff >= 0.0)[0][-1])
+    if diff[idx] == 0.0:
+        return float(fmr[idx])
+    theta = diff[idx] / (diff[idx] - diff[idx + 1])
+    return float(fnmr[idx] + theta * (fnmr[idx + 1] - fnmr[idx]))
 
 
-def compute_roc(scoreset: ScoreSet) -> tuple[RocPoint, ...]:
-    """Sweep thresholds over the sorted unique scores plus -inf/+inf sentinels.
-
-    Emitted in increasing-threshold order, so FAR and GMR are non-increasing
-    along the result.
-    """
-    genuine, impostor = _split_sorted(scoreset)
-    thresholds = np.concatenate(
-        [[-np.inf], np.unique(np.concatenate([genuine, impostor])), [np.inf]]
-    )
-    far = _accept_rates(thresholds, impostor)
-    gmr = _accept_rates(thresholds, genuine)
-    return tuple(
-        RocPoint(float(t), float(f), float(g)) for t, f, g in zip(thresholds, far, gmr)
-    )
+def _gmr_at_far(roc: Roc, far_target: float, num_impostors: int) -> GmrAtFar:
+    if not 0.0 < far_target < 1.0:
+        raise InvalidParameters(f"FAR target must be in (0, 1), got {far_target}")
+    # observed thresholds only: drop the -inf/+inf sentinels
+    thresholds, far, gmr = roc.threshold[1:-1], roc.far[1:-1], roc.gmr[1:-1]
+    ok = far <= far_target  # far is non-increasing, so ok is a suffix
+    if np.any(ok):
+        i = int(np.argmax(ok))
+        return GmrAtFar(far_target, float(gmr[i]), float(thresholds[i]), False)
+    flag = num_impostors < 1.0 / far_target
+    return GmrAtFar(far_target, float(gmr[-1]), float(thresholds[-1]), flag)
 
 
 def compute_eer(scoreset: ScoreSet) -> float:
@@ -192,18 +202,7 @@ def compute_eer(scoreset: ScoreSet) -> float:
     otherwise the crossing falls between two adjacent sweep points and the
     rates are interpolated linearly between them.
     """
-    genuine, impostor = _split_sorted(scoreset)
-    thresholds = np.concatenate(
-        [[-np.inf], np.unique(np.concatenate([genuine, impostor])), [np.inf]]
-    )
-    fmr = _accept_rates(thresholds, impostor)
-    fnmr = 1.0 - _accept_rates(thresholds, genuine)
-    diff = fmr - fnmr  # non-increasing: 1 at -inf, -1 at +inf
-    idx = int(np.nonzero(diff >= 0.0)[0][-1])
-    if diff[idx] == 0.0:
-        return float(fmr[idx])
-    theta = diff[idx] / (diff[idx] - diff[idx + 1])
-    return float(fnmr[idx] + theta * (fnmr[idx + 1] - fnmr[idx]))
+    return _eer(compute_roc(scoreset))
 
 
 def compute_gmr_at_far(scoreset: ScoreSet, far_target: float) -> GmrAtFar:
@@ -214,18 +213,7 @@ def compute_gmr_at_far(scoreset: ScoreSet, far_target: float) -> GmrAtFar:
     impostor's and impostors are too few), the strictest threshold is used
     and the result is flagged when the impostor count is below 1/target.
     """
-    if not 0.0 < far_target < 1.0:
-        raise InvalidParameters(f"FAR target must be in (0, 1), got {far_target}")
-    genuine, impostor = _split_sorted(scoreset)
-    thresholds = np.unique(np.concatenate([genuine, impostor]))
-    far = _accept_rates(thresholds, impostor)
-    gmr = _accept_rates(thresholds, genuine)
-    ok = far <= far_target  # far is non-increasing, so ok is a suffix
-    if np.any(ok):
-        i = int(np.argmax(ok))
-        return GmrAtFar(far_target, float(gmr[i]), float(thresholds[i]), False)
-    flag = impostor.size < 1.0 / far_target
-    return GmrAtFar(far_target, float(gmr[-1]), float(thresholds[-1]), flag)
+    return _gmr_at_far(compute_roc(scoreset), far_target, scoreset.impostor_scores().size)
 
 
 def rank1_identification(
@@ -319,12 +307,14 @@ def evaluate_verification(
     config_echo: Sequence[tuple[str, str]] = (),
     rank1_accuracy: float | None = None,
 ) -> EvalReport:
-    """Assemble the standard verification panel: EER, GMR at each FAR target
-    and the full ROC sweep."""
+    """Assemble the standard verification panel from one threshold sweep:
+    EER, GMR at each FAR target and the full ROC."""
+    roc = compute_roc(scoreset)
+    num_impostors = scoreset.impostor_scores().size
     return EvalReport(
-        eer=compute_eer(scoreset),
-        gmr_at_far=tuple(compute_gmr_at_far(scoreset, t) for t in far_targets),
-        roc_points=compute_roc(scoreset),
+        eer=_eer(roc),
+        gmr_at_far=tuple(_gmr_at_far(roc, t, num_impostors) for t in far_targets),
+        roc=roc,
         rank1_accuracy=rank1_accuracy,
         config_echo=tuple(config_echo),
     )

@@ -22,6 +22,7 @@ TruncatedFile with the failing byte offset, extra bytes raise TrailingData.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from pathlib import Path
 from typing import Sequence
@@ -38,7 +39,7 @@ from .errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from .evaluation import EvalReport, ScoreRecord, ScoreSet
+from .evaluation import EvalReport, ScoreSet
 from .pca import PcaModel
 
 FEATURE_MAGIC = b"CSRC"
@@ -47,6 +48,7 @@ DICT_MAGIC = b"CDIC"
 FORMAT_VERSION = 1
 FLAG_FLAT = 0
 FLAG_TENSOR = 1
+SCORES_HEADER = ["probe_id", "claimed_class", "score", "is_genuine"]
 
 
 class _ByteReader:
@@ -213,29 +215,55 @@ def load_tensor_set(path: str | Path) -> TensorFeatureSet:
 # CSV interchange (small hand-written fixtures)
 
 
-def write_features_csv(path: str | Path, dataset: Dataset) -> None:
+def _csv_field(text: str) -> str:
+    """`text` escaped the way csv.writer writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _write_rows(path: str | Path, header: str, template: str, *columns: list) -> None:
+    """Write a header line, then one `template` line per row of `columns`."""
+    cells: list = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        cells[k :: len(columns)] = column
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "class_label"] + [f"v{i}" for i in range(dataset.dim)])
-        for i in range(dataset.num_samples):
-            row = [dataset.ids[i], int(dataset.labels[i])]
-            row += [f"{v:.17g}" for v in dataset.features[i]]
-            writer.writerow(row)
+        fh.write(header + (template * len(columns[0])) % tuple(cells))
+
+
+def write_features_csv(path: str | Path, dataset: Dataset) -> None:
+    header = ",".join(["id", "class_label"] + [f"v{i}" for i in range(dataset.dim)]) + "\n"
+    ids = [_csv_field(pid) for pid in dataset.ids]
+    _write_rows(path, header, "%s,%d" + ",%.17g" * dataset.dim + "\n",
+                ids, dataset.labels.tolist(), *dataset.features.T.tolist())
+
+
+def _read_csv(path: str | Path, header_ok, header_text: str, convert, row_text: str) -> list:
+    """Data rows of a CSV file, each passed through `convert`.  A row of another
+    width than the header, or one `convert` rejects, raises MalformedLine naming path:line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not header_ok(header):
+            raise InvalidParameters(f"{path}: expected header {header_text}")
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError
+                rows.append(convert(row))
+            except ValueError:
+                raise MalformedLine(f"{path}:{reader.line_num}: expected {row_text}, got {row!r}") from None
+    return rows
 
 
 def read_features_csv(path: str | Path) -> Dataset:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) < 3 or rows[0][:2] != ["id", "class_label"]:
-        raise InvalidParameters(f"{path}: expected header id,class_label,v0,...")
-    dim = len(rows[0]) - 2
-    ids, labels, values = [], [], []
-    for row in rows[1:]:
-        if len(row) != dim + 2:
-            raise InvalidParameters(f"{path}: row for id {row[0]!r} has {len(row) - 2} values, expected {dim}")
-        ids.append(row[0])
-        labels.append(int(row[1]))
-        values.append([float(v) for v in row[2:]])
+    rows = _read_csv(
+        path, lambda h: len(h) >= 3 and h[:2] == ["id", "class_label"], "id,class_label,v0,...",
+        lambda r: (r[0], int(r[1]), [float(v) for v in r[2:]]),
+        "an id, an integer class label and one number per value column",
+    )
+    ids, labels, values = zip(*rows) if rows else ((),) * 3
     return dataset_from_arrays(np.asarray(values, dtype=np.float64), labels, ids)
 
 
@@ -297,48 +325,38 @@ def read_dictionary(path: str | Path) -> Dictionary:
 
 def write_scores_csv(path: str | Path, scoreset: ScoreSet) -> None:
     # 17 significant digits keep the float64 scores lossless across the round trip.
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["probe_id", "claimed_class", "score", "is_genuine"])
-        for r in scoreset.records:
-            writer.writerow([r.probe_id, r.claimed_class, f"{r.score:.17g}", int(r.is_genuine)])
+    ids = np.array([_csv_field(pid) for pid in scoreset.ids], dtype=object)
+    _write_rows(
+        path, ",".join(SCORES_HEADER) + "\n", "%s,%d,%.17g,%d\n",
+        ids[scoreset.probe].tolist(), scoreset.claim.tolist(),
+        scoreset.score.tolist(), scoreset.is_genuine.tolist(),
+    )
 
 
 def read_scores_csv(path: str | Path) -> ScoreSet:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["probe_id", "claimed_class", "score", "is_genuine"]:
-        raise InvalidParameters(f"{path}: expected header probe_id,claimed_class,score,is_genuine")
-    records = tuple(
-        ScoreRecord(pid, int(claim), float(score), bool(int(genuine)))
-        for pid, claim, score, genuine in rows[1:]
+    rows = _read_csv(
+        path, SCORES_HEADER.__eq__, ",".join(SCORES_HEADER),
+        lambda r: (r[0], int(r[1]), float(r[2]), ("0", "1").index(r[3])),
+        "a probe id, an integer claimed class, a score and is_genuine 0 or 1",
     )
-    return ScoreSet(records)
+    pids, claim, score, genuine = zip(*rows) if rows else ((),) * 4
+    index_of = {pid: i for i, pid in enumerate(dict.fromkeys(pids))}
+    return ScoreSet(tuple(index_of), list(map(index_of.__getitem__, pids)), claim, score, genuine)
 
 
 def write_roc_csv(path: str | Path, report: EvalReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "far", "gmr"])
-        for p in report.roc_points:
-            writer.writerow([f"{p.threshold:.17g}", f"{p.far:.17g}", f"{p.gmr:.17g}"])
+    roc = report.roc
+    _write_rows(
+        path, "threshold,far,gmr\n", "%.17g,%.17g,%.17g\n",
+        roc.threshold.tolist(), roc.far.tolist(), roc.gmr.tolist(),
+    )
 
 
 def read_pairs_csv(path: str | Path) -> list[tuple[str, int]]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["probe_id", "claimed_class"]:
-        raise InvalidParameters(f"{path}: expected header probe_id,claimed_class")
-    pairs = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        try:
-            pid, claim = row
-            pairs.append((pid, int(claim)))
-        except ValueError:
-            raise MalformedLine(
-                f"{path}:{lineno}: expected probe_id,claimed_class with an integer class, got {row!r}"
-            ) from None
-    return pairs
+    return _read_csv(
+        path, ["probe_id", "claimed_class"].__eq__, "probe_id,claimed_class",
+        lambda r: (r[0], int(r[1])), "probe_id,claimed_class with an integer class",
+    )
 
 
 # ---------------------------------------------------------------------------

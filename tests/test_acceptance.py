@@ -25,7 +25,6 @@ from sparserec.classifiers import CrcOperator, SacrcConfig, crc_solve, omp_solve
 from sparserec.cli import main
 from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.evaluation import (
-    ScoreRecord,
     ScoreSet,
     build_scoreset,
     compute_eer,
@@ -58,9 +57,11 @@ def _labeled(rng, m, d, classes):
 
 
 def _scoreset(genuine, impostor):
-    records = [ScoreRecord(f"g{i}", 0, float(s), True) for i, s in enumerate(genuine)]
-    records += [ScoreRecord(f"i{i}", 1, float(s), False) for i, s in enumerate(impostor)]
-    return ScoreSet(tuple(records))
+    """Probes g0.. make genuine claims on class 0, probes i0.. impostor claims on class 1."""
+    g, i = len(genuine), len(impostor)
+    ids = tuple(f"g{k}" for k in range(g)) + tuple(f"i{k}" for k in range(i))
+    return ScoreSet(ids, np.arange(g + i), [0] * g + [1] * i, np.concatenate([genuine, impostor]),
+                    [True] * g + [False] * i)
 
 
 def test_criterion_1_pca_gram_trick_equivalence():
@@ -176,9 +177,9 @@ def test_criterion_5_metric_brute_force_equivalence():
 
             roc = compute_roc(s)
             recounted = roc_recount(genuine, impostor)
-            assert len(roc) == len(recounted)
-            for point, (t, far, gmr) in zip(roc, recounted):
-                assert point.threshold == t and point.far == far and point.gmr == gmr
+            assert len(roc.threshold) == len(recounted)
+            for point, (t, far, gmr) in zip(zip(roc.threshold, roc.far, roc.gmr), recounted):
+                assert point == (t, far, gmr)
 
             assert compute_eer(s) == eer_recount(genuine, impostor)
 

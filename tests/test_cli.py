@@ -3,7 +3,7 @@ import pytest
 
 from sparserec.classifiers import CrcOperator, SacrcConfig
 from sparserec.cli import _parse_k_list, main
-from sparserec.core import build_dictionary
+from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.errors import InvalidParameters
 from sparserec.evaluation import build_scoreset, rank1_identification
 from sparserec.fileio import load_flat_dataset, read_scores_csv
@@ -151,7 +151,9 @@ def test_verify_scores_csv_matches_library(tmp_path):
     probes = load_flat_dataset(tmp_path / "data" / "probes.feat")
     d = build_dictionary(enrolment)
     expected = build_scoreset(probes, d, CrcOperator(d, 0.01), SacrcConfig())
-    assert scores.records == expected.records
+    assert scores.ids == expected.ids
+    for column in ("probe", "claim", "score", "is_genuine"):
+        assert np.array_equal(getattr(scores, column), getattr(expected, column))
 
 
 def test_verify_pairs_protocol(tmp_path):
@@ -166,8 +168,8 @@ def test_verify_pairs_protocol(tmp_path):
     assert run("verify", tmp_path / "data" / "probes.feat", tmp_path / "bundle",
                "--protocol", f"pairs:{pairs}", "--out", tmp_path / "ver") == 0
     scores = read_scores_csv(tmp_path / "ver" / "scores.csv")
-    assert len(scores.records) == 6
-    assert [r.probe_id for r in scores.records] == [pid for pid in probes.ids[:3] for _ in (0, 1)]
+    assert scores.score.size == 6
+    assert [scores.ids[p] for p in scores.probe] == [pid for pid in probes.ids[:3] for _ in (0, 1)]
 
 
 def test_identify_perfect_on_enrolment_probes(tmp_path):
@@ -368,3 +370,73 @@ def test_cli_import_leaves_scipy_unloaded():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("row", ["b,x,1.0,0.5", "b,1,zz,0.5", "", "b,1,1.0"],
+                         ids=["non-integer-label", "non-numeric-value", "blank-line", "field-count"])
+def test_bad_features_csv_row_fails_cleanly(tmp_path, capsys, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"id,class_label,v0,v1\na,0,0.5,1.0\n{row}\nc,1,1.0,0.25\n")
+    code = run("fit", path, "--out", tmp_path / "bundle")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{path}:3:" in err
+    assert len(err.splitlines()) == 1
+
+
+# A bundle file replaced by the same file from another fit:
+# (bundle --pca, donor data, donor --pca, replaced file).  The error must name that file.
+SWAPPED_FILE_CASES = {
+    "pca-components": ("10", "data", "8", "pca.bin"),
+    "pca-input-dim": ("10", "wide", "10", "pca.bin"),
+    "dictionary-dim": ("10", "data", "8", "dictionary.bin"),
+    "enrolment-dim": ("10", "data", "8", "enrolment.feat"),
+    "enrolment-samples": ("10", "fewer", "10", "enrolment.feat"),
+    "pca-off-dictionary-dim": ("off", "wide", "off", "dictionary.bin"),
+    "pca-off-stray-pca-file": ("off", "data", "10", "pca.bin"),
+}
+# A manifest entry that disagrees with the stored files: (key, value, file named).
+MANIFEST_EDIT_CASES = {
+    "manifest-num-atoms": ("num_atoms", "21", "dictionary.bin"),
+    "manifest-num-classes": ("num_classes", "5", "dictionary.bin"),
+    "manifest-pca-components": ("pca_components", "8", "pca.bin"),
+}
+
+
+def _verify_fails_naming(tmp_path, capsys, bundle, named):
+    code = run("verify", tmp_path / "data" / "probes.feat", bundle, "--out", tmp_path / "ver")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bundle / named) in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", sorted(SWAPPED_FILE_CASES))
+def test_bundle_with_swapped_file_names_it(tmp_path, capsys, case):
+    from sparserec.fileio import write_flat_features
+
+    pca, donor_data, donor_pca, name = SWAPPED_FILE_CASES[case]
+    gen(tmp_path / "data", dim=30)  # 4 classes x 5 samples
+    gen(tmp_path / "wide", dim=36)
+    enrol = load_flat_dataset(tmp_path / "data" / "enrolment.feat")
+    (tmp_path / "fewer").mkdir()
+    write_flat_features(tmp_path / "fewer" / "enrolment.feat", dataset_from_arrays(
+        enrol.features[:-1], enrol.labels[:-1], enrol.ids[:-1]))
+    bundle, donor = tmp_path / "bundle", tmp_path / "donor"
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--pca", pca, "--out", bundle) == 0
+    assert run("fit", tmp_path / donor_data / "enrolment.feat", "--pca", donor_pca, "--out", donor) == 0
+    (bundle / name).write_bytes((donor / name).read_bytes())
+    _verify_fails_naming(tmp_path, capsys, bundle, name)
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_EDIT_CASES))
+def test_bundle_manifest_mismatch_names_the_file(tmp_path, capsys, case):
+    key, value, named = MANIFEST_EDIT_CASES[case]
+    gen(tmp_path / "data", dim=30)
+    bundle = tmp_path / "bundle"
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--pca", "10", "--out", bundle) == 0
+    manifest = bundle / "manifest.txt"
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+             for line in manifest.read_text().splitlines()]
+    manifest.write_text("\n".join(lines) + "\n")
+    _verify_fails_naming(tmp_path, capsys, bundle, named)

@@ -124,3 +124,9 @@ def test_unit_columns():
                              [str(i) for i in range(10)])
     d = build_dictionary(ds)
     assert np.max(np.abs(np.linalg.norm(d.atoms, axis=0) - 1.0)) < 1e-9
+
+
+def test_package_exports_resolve():
+    import sparserec
+
+    assert [name for name in sparserec.__all__ if not hasattr(sparserec, name)] == []

@@ -11,7 +11,6 @@ from sparserec.errors import (
     UnknownClass,
 )
 from sparserec.evaluation import (
-    ScoreRecord,
     ScoreSet,
     build_scoreset,
     compute_eer,
@@ -24,9 +23,11 @@ from sparserec.evaluation import (
 
 
 def _scoreset(genuine, impostor):
-    records = [ScoreRecord(f"g{i}", 0, float(s), True) for i, s in enumerate(genuine)]
-    records += [ScoreRecord(f"i{i}", 1, float(s), False) for i, s in enumerate(impostor)]
-    return ScoreSet(tuple(records))
+    """Probes g0.. make genuine claims on class 0, probes i0.. impostor claims on class 1."""
+    g, i = len(genuine), len(impostor)
+    ids = tuple(f"g{k}" for k in range(g)) + tuple(f"i{k}" for k in range(i))
+    return ScoreSet(ids, np.arange(g + i), [0] * g + [1] * i, np.concatenate([genuine, impostor]),
+                    [True] * g + [False] * i)
 
 
 def _fitted(num_classes=3, per_class=4, dim=20, seed=0):
@@ -44,37 +45,43 @@ def test_all_vs_all_counting():
     enrolment, probes, d, op, cfg = _fitted(num_classes=3)
     two = dataset_from_arrays(probes.features[:2], probes.labels[:2], probes.ids[:2])
     scoreset = build_scoreset(two, d, op, cfg)
-    assert len(scoreset.records) == 6
-    assert sum(r.is_genuine for r in scoreset.records) == 2
+    assert scoreset.score.size == 6
+    assert scoreset.is_genuine.sum() == 2
+    assert not scoreset.score.flags.writeable and not scoreset.is_genuine.flags.writeable
 
 
 def test_probe_with_unenrolled_class_is_all_impostor():
     enrolment, probes, d, op, cfg = _fitted(num_classes=3)
     alien = dataset_from_arrays(probes.features[:1], [7], ["alien"])
     scoreset = build_scoreset(alien, d, op, cfg)
-    assert len(scoreset.records) == 3
-    assert not any(r.is_genuine for r in scoreset.records)
+    assert scoreset.score.size == 3
+    assert not scoreset.is_genuine.any()
 
 
 def test_counts_match_combinatorial_formula():
     enrolment, probes, d, op, cfg = _fitted(num_classes=5, per_class=3)
     scoreset = build_scoreset(probes, d, op, cfg)
     m, c = probes.num_samples, d.num_classes
-    assert len(scoreset.records) == m * c
-    assert sum(r.is_genuine for r in scoreset.records) == m
-    assert sum(not r.is_genuine for r in scoreset.records) == m * (c - 1)
+    assert scoreset.score.size == m * c
+    assert scoreset.is_genuine.sum() == m
+    assert (~scoreset.is_genuine).sum() == m * (c - 1)
+    # probe-major rows: every class claimed once per probe, in class order
+    assert scoreset.ids == probes.ids
+    assert np.array_equal(scoreset.probe, np.repeat(np.arange(m), c))
+    assert np.array_equal(scoreset.claim, np.tile(np.arange(c), m))
+    assert np.array_equal(scoreset.is_genuine, scoreset.claim == probes.labels[scoreset.probe])
 
 
 def test_pairs_protocol():
     enrolment, probes, d, op, cfg = _fitted(num_classes=3)
     pairs = [(probes.ids[0], 0), (probes.ids[0], 2), (probes.ids[3], 1)]
     scoreset = build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=pairs)
-    assert len(scoreset.records) == 3
+    assert scoreset.score.size == 3
+    assert [(scoreset.ids[p], c) for p, c in zip(scoreset.probe, scoreset.claim)] == pairs
     full = build_scoreset(probes, d, op, cfg)
-    by_key = {(r.probe_id, r.claimed_class): r for r in full.records}
-    for r in scoreset.records:
-        assert r.score == by_key[(r.probe_id, r.claimed_class)].score
-        assert r.is_genuine == by_key[(r.probe_id, r.claimed_class)].is_genuine
+    rows = scoreset.probe * d.num_classes + scoreset.claim  # all-vs-all row of each pair
+    assert np.array_equal(scoreset.score, full.score[rows])
+    assert np.array_equal(scoreset.is_genuine, full.is_genuine[rows])
     with pytest.raises(UnknownClass):
         build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=[(probes.ids[0], 9)])
     with pytest.raises(InvalidParameters):
@@ -94,12 +101,12 @@ def test_scoreset_dimension_mismatch():
 
 def test_roc_separable_contains_perfect_point():
     roc = compute_roc(_scoreset([0.9, 0.8], [0.1, 0.2]))
-    assert any(p.far == 0.0 and p.gmr == 1.0 for p in roc)
+    assert np.any((roc.far == 0.0) & (roc.gmr == 1.0))
 
 
 def test_roc_all_scores_identical():
     roc = compute_roc(_scoreset([0.5, 0.5], [0.5]))
-    assert {(p.far, p.gmr) for p in roc} == {(1.0, 1.0), (0.0, 0.0)}
+    assert set(zip(roc.far.tolist(), roc.gmr.tolist())) == {(1.0, 1.0), (0.0, 0.0)}
 
 
 def test_roc_matches_quadratic_recount():
@@ -108,27 +115,26 @@ def test_roc_matches_quadratic_recount():
     impostor = rng.normal(0.0, 1.0, size=700)
     roc = compute_roc(_scoreset(genuine, impostor))
     recounted = roc_recount(list(genuine), list(impostor))
-    assert len(roc) == len(recounted)
-    for point, (t, far, gmr) in zip(roc, recounted):
-        assert point.threshold == t
-        assert point.far == far
-        assert point.gmr == gmr
+    assert len(roc.threshold) == len(recounted)
+    for threshold, far, gmr, (t, far_ref, gmr_ref) in zip(roc.threshold, roc.far, roc.gmr, recounted):
+        assert threshold == t
+        assert far == far_ref
+        assert gmr == gmr_ref
 
 
 def test_roc_monotone_in_threshold():
     rng = np.random.default_rng(1)
     roc = compute_roc(_scoreset(rng.normal(1, 1, 50), rng.normal(0, 1, 80)))
-    fars = [p.far for p in roc]
-    gmrs = [p.gmr for p in roc]
-    assert all(a >= b for a, b in zip(fars, fars[1:]))
-    assert all(a >= b for a, b in zip(gmrs, gmrs[1:]))
-    for p in roc:  # gmr = 1 - fnmr by definition of the accept rule
-        assert 0.0 <= p.far <= 1.0 and 0.0 <= p.gmr <= 1.0
+    assert np.all(np.diff(roc.far) <= 0.0)
+    assert np.all(np.diff(roc.gmr) <= 0.0)
+    assert np.all(np.diff(roc.threshold) > 0.0)
+    # gmr = 1 - fnmr by definition of the accept rule
+    assert np.all((0.0 <= roc.far) & (roc.far <= 1.0) & (0.0 <= roc.gmr) & (roc.gmr <= 1.0))
 
 
 def test_roc_degenerate():
     with pytest.raises(DegenerateScoreSet):
-        compute_roc(ScoreSet(tuple([ScoreRecord("g", 0, 1.0, True)])))
+        compute_roc(ScoreSet(("g",), [0], [0], [1.0], [True]))
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +176,16 @@ def test_eer_order_independence():
     rng = np.random.default_rng(4)
     genuine = list(rng.normal(1, 1, 30))
     impostor = list(rng.normal(0, 1, 30))
-    records = [ScoreRecord(f"g{i}", 0, s, True) for i, s in enumerate(genuine)]
-    records += [ScoreRecord(f"i{i}", 1, s, False) for i, s in enumerate(impostor)]
-    ordered = ScoreSet(tuple(records))
+    ordered = _scoreset(genuine, impostor)
     base = compute_eer(ordered)
-    perm = rng.permutation(len(records))
-    shuffled = ScoreSet(tuple(records[i] for i in perm))
+    perm = rng.permutation(ordered.score.size)
+    shuffled = ScoreSet(ordered.ids, ordered.probe[perm], ordered.claim[perm],
+                        ordered.score[perm], ordered.is_genuine[perm])
     assert compute_eer(shuffled) == base
     assert compute_gmr_at_far(shuffled, 0.1) == compute_gmr_at_far(ordered, 0.1)
-    assert compute_roc(shuffled) == compute_roc(ordered)
+    a, b = compute_roc(shuffled), compute_roc(ordered)
+    for column in ("threshold", "far", "gmr"):
+        assert np.array_equal(getattr(a, column), getattr(b, column))
 
 
 # ---------------------------------------------------------------------------
@@ -344,4 +351,6 @@ def test_evaluate_verification_panel():
     gmrs = [g.gmr for g in report.gmr_at_far]
     assert gmrs[0] >= gmrs[1] >= gmrs[2]
     assert report.config_echo == (("classifier", "sacrc"),)
-    assert len(report.roc_points) == len(compute_roc(s))
+    roc = compute_roc(s)
+    for column in ("threshold", "far", "gmr"):
+        assert np.array_equal(getattr(report.roc, column), getattr(roc, column))

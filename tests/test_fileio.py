@@ -1,11 +1,19 @@
+import csv
 import struct
 
 import numpy as np
 import pytest
 
 from sparserec.core import build_dictionary, dataset_from_arrays
-from sparserec.errors import BadMagic, InvalidParameters, TrailingData, TruncatedFile, VersionMismatch
-from sparserec.evaluation import ScoreRecord, ScoreSet, generate_synthetic
+from sparserec.errors import (
+    BadMagic,
+    InvalidParameters,
+    MalformedLine,
+    TrailingData,
+    TruncatedFile,
+    VersionMismatch,
+)
+from sparserec.evaluation import ScoreSet, evaluate_verification, generate_synthetic
 from sparserec.fileio import (
     load_flat_dataset,
     load_tensor_set,
@@ -19,6 +27,7 @@ from sparserec.fileio import (
     write_features_csv,
     write_flat_features,
     write_pca_model,
+    write_roc_csv,
     write_scores_csv,
     write_tensor_features,
 )
@@ -146,14 +155,72 @@ def test_dictionary_round_trip(tmp_path):
 
 def test_scores_csv_round_trip(tmp_path):
     rng = np.random.default_rng(7)
-    records = tuple(
-        ScoreRecord(f"p{i}", i % 3, float(rng.standard_normal()), bool(i % 2))
-        for i in range(20)
-    )
+    scoreset = ScoreSet(tuple(f"p{i}" for i in range(20)), np.arange(20), [i % 3 for i in range(20)],
+                        rng.standard_normal(20), [bool(i % 2) for i in range(20)])
     path = tmp_path / "scores.csv"
-    write_scores_csv(path, ScoreSet(records))
+    write_scores_csv(path, scoreset)
     loaded = read_scores_csv(path)
-    assert loaded.records == records  # float scores survive exactly
+    assert loaded.ids == scoreset.ids
+    for column in ("probe", "claim", "score", "is_genuine"):  # float scores survive exactly
+        assert np.array_equal(getattr(loaded, column), getattr(scoreset, column))
+
+
+def _reference_csv(path, header, rows):
+    """Straight-line writer: csv.writer with every float as f"{x:.17g}"."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+def _awkward_scoreset():
+    # ids that need quoting, a non-ASCII id, an empty id; extreme and signed-zero scores
+    ids = ("a,b", 'q"x', "zé", "", "line\nbreak", "plain")
+    probe = [0, 0, 1, 1, 2, 3, 4, 5, 5]
+    claim = [0, 1, 0, 1, 1, 0, 1, 0, 1]
+    score = [-0.0, 5e-324, 1e300, -1e300, 0.1, 2.0 / 3.0, -2.5, 1.0, 0.1]
+    genuine = [c == p % 2 for p, c in zip(probe, claim)]
+    return ScoreSet(ids, probe, claim, score, genuine)
+
+
+def test_csv_writers_match_reference_writer(tmp_path):
+    s = _awkward_scoreset()
+    write_scores_csv(tmp_path / "scores.csv", s)
+    _reference_csv(tmp_path / "scores_ref.csv", ["probe_id", "claimed_class", "score", "is_genuine"],
+                   [(s.ids[p], c, v, int(g)) for p, c, v, g in
+                    zip(s.probe.tolist(), s.claim.tolist(), s.score.tolist(), s.is_genuine.tolist())])
+    assert (tmp_path / "scores.csv").read_bytes() == (tmp_path / "scores_ref.csv").read_bytes()
+
+    report = evaluate_verification(s)
+    write_roc_csv(tmp_path / "roc.csv", report)
+    roc = report.roc
+    _reference_csv(tmp_path / "roc_ref.csv", ["threshold", "far", "gmr"],
+                   zip(roc.threshold.tolist(), roc.far.tolist(), roc.gmr.tolist()))
+    written = (tmp_path / "roc.csv").read_bytes()
+    assert written == (tmp_path / "roc_ref.csv").read_bytes()
+    lines = written.decode().splitlines()
+    assert lines[1].startswith("-inf,1,1") and lines[-1] == "inf,0,0"
+    assert any(line.startswith("-0,") for line in lines)
+
+
+def test_scores_csv_round_trips_awkward_ids_and_scores(tmp_path):
+    s = _awkward_scoreset()
+    write_scores_csv(tmp_path / "scores.csv", s)
+    loaded = read_scores_csv(tmp_path / "scores.csv")
+    assert loaded.ids == s.ids
+    assert loaded.score.tobytes() == s.score.tobytes()  # bit-exact, -0.0 included
+    for column in ("probe", "claim", "is_genuine"):
+        assert np.array_equal(getattr(loaded, column), getattr(s, column))
+
+
+@pytest.mark.parametrize("row", ["p0,1,0.5", "p0,x,0.5,1", "p0,1,zz,1", "p0,1,0.5,2", ""],
+                         ids=["field-count", "claimed-class", "score", "is-genuine", "blank-line"])
+def test_scores_csv_bad_row_names_the_line(tmp_path, row):
+    path = tmp_path / "scores.csv"
+    path.write_text(f"probe_id,claimed_class,score,is_genuine\np0,0,0.25,1\n{row}\np1,1,0.5,0\n")
+    with pytest.raises(MalformedLine, match=f"{path}:3:"):
+        read_scores_csv(path)
 
 
 def test_pairs_csv(tmp_path):

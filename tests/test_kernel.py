@@ -104,11 +104,10 @@ def test_pairs_protocol_scores_equal_all_vs_all(kind):
     subset = build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=pairs,
                             classifier=kind, enrolment=enrolment)
     full = build_scoreset(probes, d, op, cfg, classifier=kind, enrolment=enrolment)
-    by_key = {(r.probe_id, r.claimed_class): r for r in full.records}
-    assert [(r.probe_id, r.claimed_class) for r in subset.records] == pairs
-    for r in subset.records:
-        assert abs(r.score - by_key[(r.probe_id, r.claimed_class)].score) <= 1e-12
-        assert r.is_genuine == by_key[(r.probe_id, r.claimed_class)].is_genuine
+    assert [(subset.ids[p], c) for p, c in zip(subset.probe, subset.claim)] == pairs
+    rows = subset.probe * d.num_classes + subset.claim  # all-vs-all row of each pair
+    assert np.max(np.abs(subset.score - full.score[rows])) <= 1e-12
+    assert np.array_equal(subset.is_genuine, full.is_genuine[rows])
 
 
 def test_zero_norm_probe_raises():
