@@ -371,9 +371,15 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
     models = pca_sweep(enrolment, k_values)
     header = ["num_components", "eer"] + [f"gmr_at_far_{t:g}" for t in cfg.far_targets]
     lines = [",".join(header)]
+    # Every model holds the leading columns of the widest one, so one
+    # projection serves every row: a row slices its leading K columns.
+    widest = max(models, key=lambda model: model.num_components)
+    enrol_all = transform_dataset(enrolment, widest)
+    probes_all = transform_dataset(probes, widest)
     for model in models:
-        reduced_enrol = transform_dataset(enrolment, model)
-        reduced_probes = transform_dataset(probes, model)
+        k = model.num_components
+        reduced_enrol = dataset_from_arrays(enrol_all.features[:, :k].copy(), enrolment.labels, enrolment.ids)
+        reduced_probes = dataset_from_arrays(probes_all.features[:, :k].copy(), probes.labels, probes.ids)
         dictionary = build_dictionary(reduced_enrol)
         scoreset, _, _ = _scoreset_for(cfg, reduced_probes, dictionary, reduced_enrol)
         report = evaluate_verification(scoreset, cfg.far_targets)

@@ -95,3 +95,7 @@ class TrailingData(FeatureFileError):
 
 class BadEncoding(FeatureFileError):
     """A stored sample id is not valid UTF-8."""
+
+
+class BadLabel(FeatureFileError):
+    """Stored class labels that disagree with the class count the file declares."""

@@ -32,6 +32,7 @@ import numpy as np
 from .core import Dataset, Dictionary, _frozen, dataset_from_arrays
 from .errors import (
     BadEncoding,
+    BadLabel,
     BadMagic,
     InvalidParameters,
     MalformedLine,
@@ -52,12 +53,14 @@ SCORES_HEADER = ["probe_id", "claimed_class", "score", "is_genuine"]
 
 
 class _ByteReader:
-    def __init__(self, data: bytes, path: str):
-        self._data = data
+    """Reads a whole file once; `take` hands out views into that one buffer."""
+
+    def __init__(self, path: str):
+        self._data = memoryview(Path(path).read_bytes())
         self._path = path
         self.offset = 0
 
-    def take(self, count: int, what: str) -> bytes:
+    def take(self, count: int, what: str) -> memoryview:
         end = self.offset + count
         if end > len(self._data):
             raise TruncatedFile(
@@ -75,6 +78,8 @@ class _ByteReader:
         return struct.unpack("<I", self.take(4, what))[0]
 
     def f64_array(self, count: int, what: str) -> np.ndarray:
+        # One copy into an aligned array: a view at the header's odd offset
+        # would be misaligned, and BLAS may round such operands differently.
         return np.frombuffer(self.take(8 * count, what), dtype="<f8").astype(np.float64)
 
     def u32_array(self, count: int, what: str) -> np.ndarray:
@@ -84,7 +89,7 @@ class _ByteReader:
         length = self.u32(f"{what} length")
         start = self.offset
         try:
-            return self.take(length, what).decode("utf-8")
+            return bytes(self.take(length, what)).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise BadEncoding(
                 f"{self._path}: {what} is not valid UTF-8 (byte offset {start + exc.start})"
@@ -99,7 +104,7 @@ class _ByteReader:
 
 
 def _check_header(reader: _ByteReader, magic: bytes, path: str) -> None:
-    got = reader.take(4, "magic")
+    got = bytes(reader.take(4, "magic"))
     if got != magic:
         raise BadMagic(f"{path}: bad magic {got!r}, expected {magic!r}")
     version = reader.u32("format version")
@@ -107,12 +112,20 @@ def _check_header(reader: _ByteReader, magic: bytes, path: str) -> None:
         raise VersionMismatch(f"{path}: unsupported format version {version}, expected {FORMAT_VERSION}")
 
 
-def _f64_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+def _f64(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype="<f8")
 
 
-def _u32_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<u4").tobytes()
+def _u32(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype="<u4")
+
+
+def _write_parts(path: str | Path, *parts) -> None:
+    """Write each bytes-like part in turn: arrays go to the file from their own
+    buffers instead of through one joined copy of the whole file."""
+    with open(path, "wb") as fh:
+        for part in parts:
+            fh.write(part)
 
 
 def _id_block(ids: Sequence[str]) -> bytes:
@@ -132,8 +145,7 @@ def write_flat_features(path: str | Path, dataset: Dataset) -> None:
     header = FEATURE_MAGIC + struct.pack(
         "<IBII", FORMAT_VERSION, FLAG_FLAT, dataset.dim, dataset.num_samples
     )
-    body = _f64_bytes(dataset.features) + _u32_bytes(dataset.labels) + _id_block(dataset.ids)
-    Path(path).write_bytes(header + body)
+    _write_parts(path, header, _f64(dataset.features), _u32(dataset.labels), _id_block(dataset.ids))
 
 
 def write_tensor_features(
@@ -148,8 +160,7 @@ def write_tensor_features(
     m, n, n1, n2 = tensors.shape
     labels = np.asarray(labels, dtype=np.int64)
     header = FEATURE_MAGIC + struct.pack("<IBIIII", FORMAT_VERSION, FLAG_TENSOR, n1, n2, n, m)
-    body = _f64_bytes(tensors) + _u32_bytes(labels) + _id_block(list(ids))
-    Path(path).write_bytes(header + body)
+    _write_parts(path, header, _f64(tensors), _u32(labels), _id_block(list(ids)))
 
 
 class TensorFeatureSet:
@@ -168,7 +179,7 @@ class TensorFeatureSet:
 def read_feature_file(path: str | Path) -> Dataset | TensorFeatureSet:
     """Read a binary feature file; the flag byte decides flat vs tensor."""
     path = str(path)
-    reader = _ByteReader(Path(path).read_bytes(), path)
+    reader = _ByteReader(path)
     _check_header(reader, FEATURE_MAGIC, path)
     flag = reader.u8("layout flag")
     if flag == FLAG_FLAT:
@@ -273,8 +284,7 @@ def read_features_csv(path: str | Path) -> Dataset:
 
 def write_pca_model(path: str | Path, model: PcaModel) -> None:
     header = PCA_MAGIC + struct.pack("<III", FORMAT_VERSION, model.dim_in, model.num_components)
-    body = _f64_bytes(model.mean) + _f64_bytes(model.eigenvalues) + _f64_bytes(model.projection)
-    Path(path).write_bytes(header + body)
+    _write_parts(path, header, _f64(model.mean), _f64(model.eigenvalues), _f64(model.projection))
 
 
 def read_pca_model(path: str | Path) -> PcaModel:
@@ -284,7 +294,7 @@ def read_pca_model(path: str | Path) -> PcaModel:
     recomputed relative to the stored (possibly truncated) spectrum.
     """
     path = str(path)
-    reader = _ByteReader(Path(path).read_bytes(), path)
+    reader = _ByteReader(path)
     _check_header(reader, PCA_MAGIC, path)
     d = reader.u32("input dimension")
     k = reader.u32("component count")
@@ -300,13 +310,12 @@ def write_dictionary(path: str | Path, dictionary: Dictionary) -> None:
     header = DICT_MAGIC + struct.pack(
         "<IIII", FORMAT_VERSION, dictionary.dim, dictionary.num_atoms, dictionary.num_classes
     )
-    body = _f64_bytes(dictionary.atoms) + _u32_bytes(dictionary.column_labels)
-    Path(path).write_bytes(header + body)
+    _write_parts(path, header, _f64(dictionary.atoms), _u32(dictionary.column_labels))
 
 
 def read_dictionary(path: str | Path) -> Dictionary:
     path = str(path)
-    reader = _ByteReader(Path(path).read_bytes(), path)
+    reader = _ByteReader(path)
     _check_header(reader, DICT_MAGIC, path)
     k = reader.u32("atom dimension")
     n = reader.u32("atom count")
@@ -314,6 +323,18 @@ def read_dictionary(path: str | Path) -> Dictionary:
     atoms = reader.f64_array(k * n, "atoms").reshape(k, n)
     column_labels = reader.u32_array(n, "column labels")
     reader.finish()
+    bad = np.flatnonzero(column_labels >= c)
+    if bad.size:
+        j = int(bad[0])
+        raise BadLabel(
+            f"{path}: column {j} has class label {column_labels[j]}, but the file declares {c} classes"
+        )
+    # Every class needs a column, as build_dictionary ensures.  c <= N is checked
+    # first, so the count and the c x N label matrix stay bounded by the payload.
+    if c == 0:
+        raise BadLabel(f"{path}: declares 0 classes")
+    if c > n or not np.bincount(column_labels, minlength=c).all():
+        raise BadLabel(f"{path}: declares {c} classes, but some class has no column")
     label_matrix = np.zeros((c, n), dtype=np.float64)
     label_matrix[column_labels, np.arange(n)] = 1.0
     return Dictionary(_frozen(atoms), _frozen(column_labels), _frozen(label_matrix))

@@ -1,9 +1,13 @@
-"""PCA for high-dimensional, few-sample data via the Gram-matrix trick.
+"""PCA by the smaller of two equivalent eigenproblems.
 
-Fitting eigendecomposes the M x M inner-product matrix of the centered
-samples instead of the D x D covariance, then maps each Gram eigenvector v
-with eigenvalue mu to the principal direction X_c v / sqrt(mu).  Peak memory
-scales with M^2 + D*K; the D x D covariance is never materialized.
+The centered samples X_c (M x D) have the same nonzero eigenvalues in the
+M x M Gram matrix X_c X_c^T and in the D x D scatter X_c^T X_c, and fitting
+decomposes whichever is smaller.  For D >= M (the Gram, or snapshot, route)
+each Gram eigenvector v with eigenvalue mu maps to the principal direction
+X_c v / sqrt(mu), so the D x D covariance is never materialized; for D < M
+the scatter's eigenvectors are the directions.  The component count K is
+read off the eigenvalues first and only those K directions are built, so
+cost and peak memory scale with min(M, D)^2 + D*K.
 """
 
 from __future__ import annotations
@@ -28,12 +32,15 @@ EIGENVALUE_FLOOR_RATIO = 1e-10
 # Component count used when no selection is given and the data permits it.
 DEFAULT_NUM_COMPONENTS = 1300
 
+# Most columns per product when mapping Gram eigenvectors to directions.
+_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class PcaModel:
     """Mean vector plus an orthonormal D x K projection.
 
-    `eigenvalues` are the retained Gram eigenvalues (sums of squared
+    `eigenvalues` are the retained eigenvalues (sums of squared
     centered values along each direction), sorted non-increasing.
     `variance_fractions` is the cumulative share of the total retained-able
     variance explained by the leading columns; it reaches 1.0 at K = rank.
@@ -53,16 +60,20 @@ class PcaModel:
         return int(self.projection.shape[1])
 
 
-def _fit_all_directions(enrolment: Dataset) -> PcaModel:
-    """Fit every direction above the eigenvalue floor (K = numerical rank)."""
-    m = enrolment.num_samples
-    if m < 2:
-        raise InsufficientSamples(f"PCA needs at least 2 samples, got {m}")
+def _fit(enrolment: Dataset, choose_k) -> PcaModel:
+    """Fit the leading directions; `choose_k(variance_fractions)` says how many.
+
+    The fractions cover every direction above the eigenvalue floor, so a
+    model's fractions do not depend on how many directions were built.
+    """
     x = enrolment.features
+    m, d = x.shape
     mean = x.mean(axis=0)
     centered = x - mean
-    gram = centered @ centered.T  # (M, M); never the D x D covariance
-    evals, evecs = np.linalg.eigh(gram)
+    # The M x M Gram and the D x D scatter share their nonzero eigenvalues;
+    # decompose the smaller one.
+    use_gram = d >= m
+    evals, evecs = np.linalg.eigh(centered @ centered.T if use_gram else centered.T @ centered)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
     if evals[0] <= 0.0:
@@ -70,13 +81,39 @@ def _fit_all_directions(enrolment: Dataset) -> PcaModel:
     floor = EIGENVALUE_FLOOR_RATIO * evals[0]
     rank = int(np.count_nonzero(evals > floor))
     evals = np.ascontiguousarray(evals[:rank])
-    directions = centered.T @ (evecs[:, :rank] / np.sqrt(evals))  # (D, rank)
-    # Sign convention: largest-magnitude entry of each direction is positive.
-    peak = np.argmax(np.abs(directions), axis=0)
-    flip = directions[peak, np.arange(rank)] < 0.0
-    directions[:, flip] *= -1.0
     fractions = np.cumsum(evals) / evals.sum()
-    return PcaModel(_frozen(mean), _frozen(directions), _frozen(evals), _frozen(fractions))
+    k = choose_k(fractions)
+    if use_gram:
+        directions = _gram_directions(centered, evecs[:, :k] / np.sqrt(evals[:k]), min(_BLOCK, rank))
+    else:
+        directions = np.ascontiguousarray(evecs[:, :k])
+    # Sign convention: largest-magnitude entry of each direction is positive.
+    peak = np.argmax(np.abs(directions.T), axis=1)
+    flip = directions[peak, np.arange(k)] < 0.0
+    directions[:, flip] *= -1.0
+    return PcaModel(
+        _frozen(mean), _frozen(directions), _frozen(evals[:k].copy()), _frozen(fractions[:k].copy())
+    )
+
+
+def _gram_directions(centered: np.ndarray, weights: np.ndarray, block_width: int) -> np.ndarray:
+    """X_c^T @ weights, computed in zero-padded blocks of `block_width` columns.
+
+    BLAS may round a column differently depending on how many columns are
+    multiplied with it (numpy takes a matrix-vector path for one column).
+    With every product the same shape, and that shape independent of K,
+    column j comes out the same bits whatever the total K, so a K-column fit
+    equals the leading columns of a wider one.
+    """
+    m, k = weights.shape
+    directions = np.empty((centered.shape[1], k))
+    block = np.zeros((m, block_width))
+    for start in range(0, k, block_width):
+        width = min(block_width, k - start)
+        block[:, :width] = weights[:, start : start + width]
+        block[:, width:] = 0.0
+        directions[:, start : start + width] = (centered.T @ block)[:, :width]
+    return directions
 
 
 def _truncate(full: PcaModel, k: int) -> PcaModel:
@@ -125,13 +162,9 @@ def pca_fit(
         raise InsufficientSamples(f"PCA needs at least 2 samples, got {enrolment.num_samples}")
     if num_components is not None:
         _check_fixed_k(num_components, enrolment.dim, enrolment.num_samples)
-    full = _fit_all_directions(enrolment)
-    if num_components is not None:
-        k = min(num_components, full.num_components)
-    else:
-        k = int(np.searchsorted(full.variance_fractions, retain, side="left")) + 1
-        k = min(k, full.num_components)
-    return _truncate(full, k)
+        return _fit(enrolment, lambda fractions: min(num_components, len(fractions)))
+    return _fit(enrolment, lambda fractions: min(
+        int(np.searchsorted(fractions, retain, side="left")) + 1, len(fractions)))
 
 
 def pca_transform(x: np.ndarray, model: PcaModel) -> np.ndarray:
@@ -151,7 +184,7 @@ def transform_dataset(ds: Dataset, model: PcaModel) -> Dataset:
 
 
 def pca_sweep(enrolment: Dataset, k_values: list[int]) -> list[PcaModel]:
-    """Fit once, truncate to each requested component count.
+    """Fit once for the largest requested count, truncate to each of them.
 
     All returned models share the mean and their leading columns exactly;
     the model at K equals pca_fit(num_components=K) bit for bit.
@@ -162,5 +195,6 @@ def pca_sweep(enrolment: Dataset, k_values: list[int]) -> list[PcaModel]:
         raise InsufficientSamples(f"PCA needs at least 2 samples, got {enrolment.num_samples}")
     for k in k_values:
         _check_fixed_k(int(k), enrolment.dim, enrolment.num_samples)
-    full = _fit_all_directions(enrolment)
+    widest = max(int(k) for k in k_values)
+    full = _fit(enrolment, lambda fractions: min(widest, len(fractions)))
     return [_truncate(full, min(int(k), full.num_components)) for k in k_values]

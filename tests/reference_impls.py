@@ -114,11 +114,22 @@ def eer_recount(genuine, impostor) -> float:
 
 
 def gmr_at_far_recount(genuine, impostor, target: float):
-    """GMR at the most permissive threshold meeting the FAR target, recounted."""
+    """GMR at the most permissive threshold meeting the FAR target, recounted.
+
+    The recounted accept rate never rises as the threshold rises, so the
+    first threshold meeting the target is found by bisection over the sorted
+    thresholds, with a full recount at each probe.
+    """
     thresholds = sorted(set(list(genuine) + list(impostor)))
-    for t in thresholds:
-        if accept_rate_recount(impostor, t) <= target:
-            return accept_rate_recount(genuine, t), False
+    lo, hi = 0, len(thresholds)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if accept_rate_recount(impostor, thresholds[mid]) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo < len(thresholds):
+        return accept_rate_recount(genuine, thresholds[lo]), False
     flag = len(impostor) < 1.0 / target
     return accept_rate_recount(genuine, thresholds[-1]), flag
 

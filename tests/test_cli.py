@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -440,3 +442,31 @@ def test_bundle_manifest_mismatch_names_the_file(tmp_path, capsys, case):
              for line in manifest.read_text().splitlines()]
     manifest.write_text("\n".join(lines) + "\n")
     _verify_fails_naming(tmp_path, capsys, bundle, named)
+
+
+# dictionary.bin edits: (byte offset from the start, or negative from the end;
+# u32 written there; text the error must carry).  The header is magic, version,
+# atom dim, atom count and class count; the column labels end the file.
+DICTIONARY_LABEL_CASES = {
+    "label-past-class-count": (-4, 1005, "class label 1005"),
+    "zero-classes": (16, 0, "declares 0 classes"),
+    "class-without-column": (16, 5, "declares 5 classes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DICTIONARY_LABEL_CASES))
+def test_dictionary_with_bad_labels_fails_cleanly(tmp_path, capsys, case):
+    offset, value, text = DICTIONARY_LABEL_CASES[case]
+    gen(tmp_path / "data", dim=30)
+    bundle = tmp_path / "bundle"
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--pca", "10", "--out", bundle) == 0
+    path = bundle / "dictionary.bin"
+    data = bytearray(path.read_bytes())
+    start = offset % len(data)
+    data[start : start + 4] = struct.pack("<I", value)
+    path.write_bytes(bytes(data))
+    code = run("verify", tmp_path / "data" / "probes.feat", bundle, "--out", tmp_path / "ver")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and text in err
+    assert len(err.splitlines()) == 1

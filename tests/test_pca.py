@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,3 +187,67 @@ def test_high_dimensional_fit_stays_cheap():
     assert model.projection.shape == (20000, 5)
     gram = model.projection.T @ model.projection
     assert np.max(np.abs(gram - np.eye(5))) < 1e-8
+
+
+# Shapes that take each eigenproblem: (samples M, dimension D).  The Gram
+# shape has rank above 256, so its directions are built in more than one block.
+GRAM_SHAPE = (300, 320)
+SCATTER_SHAPE = (60, 20)
+
+
+def test_scatter_branch_matches_direct_covariance_decomposition():
+    rng = np.random.default_rng(15)
+    ds = _random_ds(rng, 40, 6)  # D < M: the D x D scatter is the smaller problem
+    model = pca_fit(ds, num_components=6)
+    mean, evals, evecs = covariance_pca_reference(ds.features)
+    assert np.allclose(model.mean, mean)
+    assert np.max(np.abs(model.projection.T @ model.projection - np.eye(6))) < 1e-12
+    for j in range(6):
+        assert abs(model.projection[:, j] @ evecs[:, j]) > 1 - 1e-8
+        assert abs(model.eigenvalues[j] - evals[j]) < 1e-8 * evals[0]
+
+
+@pytest.mark.parametrize("shape", [GRAM_SHAPE, SCATTER_SHAPE], ids=["gram", "scatter"])
+def test_largest_entry_of_each_direction_is_positive(shape):
+    model = pca_fit(_random_ds(np.random.default_rng(16), *shape), num_components=10)
+    peak = np.argmax(np.abs(model.projection), axis=0)
+    assert np.all(model.projection[peak, np.arange(10)] > 0)
+
+
+@pytest.mark.parametrize("shape,pairs", [
+    (GRAM_SHAPE, [(1, 299), (37, 260), (256, 257)]),
+    (SCATTER_SHAPE, [(1, 20), (7, 15)]),
+], ids=["gram", "scatter"])
+def test_sweep_head_equals_fit_bitwise(shape, pairs):
+    ds = _random_ds(np.random.default_rng(17), *shape)
+    for k, k_big in pairs:
+        swept, _ = pca_sweep(ds, [k, k_big])
+        fitted = pca_fit(ds, num_components=k)
+        for field in ("mean", "projection", "eigenvalues", "variance_fractions"):
+            assert getattr(swept, field).tobytes() == getattr(fitted, field).tobytes(), (k, k_big, field)
+
+
+@pytest.mark.parametrize("shape", [GRAM_SHAPE, SCATTER_SHAPE], ids=["gram", "scatter"])
+def test_retain_picks_the_smallest_k_reaching_the_fraction(shape):
+    ds = _random_ds(np.random.default_rng(18), *shape)
+    full = pca_fit(ds, num_components=min(shape[0] - 1, shape[1]))
+    fractions = full.variance_fractions
+    for rho in (float(fractions[3]), float(fractions[3]) + 1e-12, 0.5, 0.9, 1.0):
+        model = pca_fit(ds, retain=rho)
+        reached = np.flatnonzero(fractions >= rho)  # none when rounding keeps the last below 1.0
+        expected = int(reached[0]) + 1 if reached.size else full.num_components
+        assert model.num_components == expected, rho
+        assert model.projection.tobytes() == np.ascontiguousarray(full.projection[:, :expected]).tobytes()
+
+
+def test_many_sample_fit_never_builds_the_sample_gram():
+    # M = 3000 samples in D = 20: an M x M Gram alone would be 72 MB.
+    ds = _random_ds(np.random.default_rng(19), 3000, 20)
+    tracemalloc.start()
+    try:
+        model = pca_fit(ds, num_components=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.projection.shape == (20, 5)
+    assert peak < 3000 * 3000 * 8
