@@ -364,15 +364,6 @@ def sacrc_classify(
     )
 
 
-def crc_class_scores(y: np.ndarray, op: CrcOperator) -> np.ndarray:
-    """Per-class evidence from the collaborative solution alone.
-
-    The coefficient vector is l2-normalized (when nonzero) so scores are
-    comparable across probes, mirroring the augmented rule.
-    """
-    return _crc_scores(_unit_rows(_probe(y, op.dictionary.dim)), op)[0]
-
-
 def src_residual_classify(
     y: np.ndarray, dictionary: Dictionary, alpha: np.ndarray
 ) -> tuple[int, np.ndarray]:
@@ -390,12 +381,6 @@ def src_residual_classify(
 def knn1_classify(y: np.ndarray, enrolment: Dataset) -> int:
     """Class of the Euclidean nearest enrolment sample (first on ties)."""
     return int(knn1_labels(_probe(y, enrolment.dim, "enrolment"), enrolment)[0])
-
-
-def knn1_class_scores(y: np.ndarray, enrolment: Dataset, num_classes: int) -> np.ndarray:
-    """Per-class nearest-neighbor match scores: minus the smallest Euclidean
-    distance from y to any sample of the class (-inf for absent classes)."""
-    return _knn1_scores(_probe(y, enrolment.dim, "enrolment"), enrolment, num_classes)[0]
 
 
 def match_score(

@@ -369,27 +369,29 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
     k_values = _parse_k_list(args.k_list)
 
     models = pca_sweep(enrolment, k_values)
-    header = ["num_components", "eer"] + [f"gmr_at_far_{t:g}" for t in cfg.far_targets]
-    lines = [",".join(header)]
+    counts = [model.num_components for model in models]
     # Every model holds the leading columns of the widest one, so one
-    # projection serves every row: a row slices its leading K columns.
-    widest = max(models, key=lambda model: model.num_components)
+    # projection serves every row: a row slices its leading K columns.  The
+    # per-K copies are dropped before the projection is made.
+    widest = models[counts.index(max(counts))]
+    del models
     enrol_all = transform_dataset(enrolment, widest)
     probes_all = transform_dataset(probes, widest)
-    for model in models:
-        k = model.num_components
+    header = ["num_components", "eer"] + [f"gmr_at_far_{t:g}" for t in cfg.far_targets]
+    lines = [",".join(header)]
+    for k in counts:
         reduced_enrol = dataset_from_arrays(enrol_all.features[:, :k].copy(), enrolment.labels, enrolment.ids)
         reduced_probes = dataset_from_arrays(probes_all.features[:, :k].copy(), probes.labels, probes.ids)
         dictionary = build_dictionary(reduced_enrol)
         scoreset, _, _ = _scoreset_for(cfg, reduced_probes, dictionary, reduced_enrol)
         report = evaluate_verification(scoreset, cfg.far_targets)
-        row = [str(model.num_components), f"{report.eer:.17g}"]
+        row = [str(k), f"{report.eer:.17g}"]
         row += [f"{g.gmr:.17g}" for g in report.gmr_at_far]
         lines.append(",".join(row))
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     echo = config_echo(cfg, k_list=",".join(str(k) for k in k_values))
     (out / "sweep.kv").write_text("".join(f"config.{k} = {v}\n" for k, v in echo))
-    print(f"wrote {out / 'sweep.csv'} ({len(models)} rows)")
+    print(f"wrote {out / 'sweep.csv'} ({len(counts)} rows)")
     return 0
 
 

@@ -24,6 +24,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every value is finite.  A NaN or infinity makes the sum
+    non-finite, so a finite sum settles it without an elementwise mask; only
+    a sum that overflows needs the mask."""
+    return bool(np.isfinite(a.sum()) or np.isfinite(a).all())
+
+
 @dataclass(frozen=True)
 class FeatureVector:
     """One sample: opaque id, non-negative class index, real-valued descriptor."""
@@ -135,7 +142,7 @@ def dataset_from_arrays(
     ids = tuple(str(s) for s in ids)
     if len(ids) != m:
         raise DimensionMismatch(f"expected {m} ids, got {len(ids)}")
-    if not np.all(np.isfinite(features)):
+    if not _all_finite(features):
         bad = int(np.nonzero(~np.isfinite(features).all(axis=1))[0][0])
         raise NonFiniteValue(f"sample {ids[bad]!r} contains a NaN or infinity")
     if labels.min() < 0:

@@ -149,9 +149,19 @@ def build_scoreset(
         raise InvalidParameters(f"pair references unknown probe id {pair_ids[bad[0]]!r}")
     if bad.size:
         raise UnknownClass(f"pair claims class {claims[bad[0]]}, enrolled range is [0, {c})")
-    wanted, row = np.unique(probe, return_inverse=True)
+    wanted = _sorted_unique(probe)
+    row = np.searchsorted(wanted, probe)
     scores = score_matrix(kind, probes.features[wanted], dictionary, op, cfg, enrolment)
     return ScoreSet(probes.ids, probe, claim, scores[row, claim], claim == probes.labels[probe])
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) by the same sort and neighbour test, without the
+    numpy.ma import that np.unique's first call in a process costs."""
+    ordered = np.sort(values)
+    keep = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def compute_roc(scoreset: ScoreSet) -> Roc:
@@ -165,7 +175,7 @@ def compute_roc(scoreset: ScoreSet) -> Roc:
         )
     if not (np.all(np.isfinite(genuine)) and np.all(np.isfinite(impostor))):
         raise NonFiniteValue("score set contains a non-finite score")
-    thresholds = np.concatenate([[-np.inf], np.unique(np.concatenate([genuine, impostor])), [np.inf]])
+    thresholds = np.concatenate([[-np.inf], _sorted_unique(np.concatenate([genuine, impostor])), [np.inf]])
     # fraction of each sorted side at or above every threshold
     far, gmr = ((s.size - np.searchsorted(s, thresholds, side="left")) / s.size for s in (impostor, genuine))
     return Roc(_frozen(thresholds), _frozen(far), _frozen(gmr))

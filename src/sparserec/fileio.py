@@ -17,25 +17,35 @@ Binary layout (all integers and floats little-endian):
 
 Declared sizes must match the payload exactly; short files raise
 TruncatedFile with the failing byte offset, extra bytes raise TrailingData.
+Files are read front to back: each declared size is checked against the
+file's size before anything is allocated for it, and float payloads are
+read in place, straight into their aligned arrays, so loading a file holds
+no copy of it beside the result.  A NaN or infinity in a payload raises
+NonFiniteValue naming the file.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+import os
 import struct
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, Dictionary, _frozen, dataset_from_arrays
+from .core import Dataset, Dictionary, _all_finite, _frozen, dataset_from_arrays
 from .errors import (
     BadEncoding,
     BadLabel,
     BadMagic,
+    DegenerateData,
     InvalidParameters,
     MalformedLine,
+    NonFiniteValue,
+    SparserecError,
     TrailingData,
     TruncatedFile,
     VersionMismatch,
@@ -53,23 +63,38 @@ SCORES_HEADER = ["probe_id", "claimed_class", "score", "is_genuine"]
 
 
 class _ByteReader:
-    """Reads a whole file once; `take` hands out views into that one buffer."""
+    """Reads an open file front to back.
+
+    Every declared size is checked against the file's size before anything
+    is allocated for it, so a damaged count cannot ask for gigabytes, and
+    float payloads are read straight into fresh aligned arrays.
+    """
 
     def __init__(self, path: str):
-        self._data = memoryview(Path(path).read_bytes())
         self._path = path
+        self._file = open(path, "rb")
+        self._size = os.fstat(self._file.fileno()).st_size
         self.offset = 0
 
-    def take(self, count: int, what: str) -> memoryview:
-        end = self.offset + count
-        if end > len(self._data):
+    def __enter__(self) -> "_ByteReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def _check(self, count: int, what: str, left: int) -> None:
+        if count > left:
             raise TruncatedFile(
                 f"{self._path}: truncated while reading {what} at byte offset {self.offset}"
-                f" (need {count} bytes, {len(self._data) - self.offset} left)"
+                f" (need {count} bytes, {left} left)"
             )
-        chunk = self._data[self.offset : end]
-        self.offset = end
-        return chunk
+
+    def take(self, count: int, what: str) -> bytes:
+        self._check(count, what, self._size - self.offset)
+        data = self._file.read(count)
+        self._check(count, what, len(data))  # the file may have shrunk since it was opened
+        self.offset += count
+        return data
 
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
@@ -78,9 +103,13 @@ class _ByteReader:
         return struct.unpack("<I", self.take(4, what))[0]
 
     def f64_array(self, count: int, what: str) -> np.ndarray:
-        # One copy into an aligned array: a view at the header's odd offset
-        # would be misaligned, and BLAS may round such operands differently.
-        return np.frombuffer(self.take(8 * count, what), dtype="<f8").astype(np.float64)
+        # A fresh array is aligned; a view at the header's odd offset would
+        # not be, and BLAS may round such operands differently.
+        self._check(8 * count, what, self._size - self.offset)
+        values = np.empty(count, dtype="<f8")
+        self._check(8 * count, what, self._file.readinto(values.view(np.uint8)))
+        self.offset += 8 * count
+        return values.astype(np.float64, copy=False)
 
     def u32_array(self, count: int, what: str) -> np.ndarray:
         return np.frombuffer(self.take(4 * count, what), dtype="<u4").astype(np.int64)
@@ -89,27 +118,34 @@ class _ByteReader:
         length = self.u32(f"{what} length")
         start = self.offset
         try:
-            return bytes(self.take(length, what)).decode("utf-8")
+            return self.take(length, what).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise BadEncoding(
                 f"{self._path}: {what} is not valid UTF-8 (byte offset {start + exc.start})"
             ) from None
 
     def finish(self) -> None:
-        if self.offset != len(self._data):
+        if self.offset != self._size:
             raise TrailingData(
-                f"{self._path}: {len(self._data) - self.offset} unexpected bytes"
+                f"{self._path}: {self._size - self.offset} unexpected bytes"
                 f" after declared payload (offset {self.offset})"
             )
 
 
 def _check_header(reader: _ByteReader, magic: bytes, path: str) -> None:
-    got = bytes(reader.take(4, "magic"))
+    got = reader.take(4, "magic")
     if got != magic:
         raise BadMagic(f"{path}: bad magic {got!r}, expected {magic!r}")
     version = reader.u32("format version")
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"{path}: unsupported format version {version}, expected {FORMAT_VERSION}")
+
+
+def _finite(values: np.ndarray, path: str, what: str) -> np.ndarray:
+    """`values`, or NonFiniteValue naming the file and the field."""
+    if not _all_finite(values):
+        raise NonFiniteValue(f"{path}: {what} contains a NaN or infinity")
+    return values
 
 
 def _f64(a: np.ndarray) -> np.ndarray:
@@ -164,43 +200,51 @@ def write_tensor_features(
 
 
 class TensorFeatureSet:
-    """Activation tensors for M samples: stack of shape (M, n, n1, n2)."""
+    """Activation tensors for M samples: stack of shape (M, n, n1, n2), with
+    the validated labels and ids of their flattened rows."""
 
-    def __init__(self, tensors: np.ndarray, labels: np.ndarray, ids: tuple[str, ...]):
+    def __init__(self, tensors: np.ndarray, flat: Dataset):
         self.tensors = _frozen(tensors)
-        self.labels = _frozen(labels)
-        self.ids = ids
+        self.labels = flat.labels
+        self.ids = flat.ids
+        self._flat = flat
 
     def flatten(self) -> Dataset:
-        m = self.tensors.shape[0]
-        return dataset_from_arrays(self.tensors.reshape(m, -1), self.labels, self.ids)
+        """One row per sample, each map row-major in channel order (a view of
+        the tensors, checked when the file was read)."""
+        return self._flat
 
 
 def read_feature_file(path: str | Path) -> Dataset | TensorFeatureSet:
     """Read a binary feature file; the flag byte decides flat vs tensor."""
     path = str(path)
-    reader = _ByteReader(path)
-    _check_header(reader, FEATURE_MAGIC, path)
-    flag = reader.u8("layout flag")
+    with _ByteReader(path) as reader:
+        _check_header(reader, FEATURE_MAGIC, path)
+        flag = reader.u8("layout flag")
+        if flag == FLAG_FLAT:
+            shape = (reader.u32("feature dimension"),)
+            m = reader.u32("sample count")
+            what = "feature payload"
+        elif flag == FLAG_TENSOR:
+            n1 = reader.u32("map rows")
+            n2 = reader.u32("map cols")
+            n = reader.u32("map count")
+            m = reader.u32("sample count")
+            shape, what = (n, n1, n2), "tensor payload"
+        else:
+            raise InvalidParameters(f"{path}: unknown layout flag {flag}")
+        dim = math.prod(shape)
+        values = reader.f64_array(m * dim, what).reshape(m, *shape)
+        labels = reader.u32_array(m, "class labels")
+        ids = tuple(reader.utf8(f"id {i}") for i in range(m))
+        reader.finish()
+    try:
+        flat = dataset_from_arrays(values.reshape(m, dim), labels, ids)
+    except SparserecError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     if flag == FLAG_FLAT:
-        d = reader.u32("feature dimension")
-        m = reader.u32("sample count")
-        values = reader.f64_array(d * m, "feature payload").reshape(m, d)
-        labels = reader.u32_array(m, "class labels")
-        ids = tuple(reader.utf8(f"id {i}") for i in range(m))
-        reader.finish()
-        return dataset_from_arrays(values, labels, ids)
-    if flag == FLAG_TENSOR:
-        n1 = reader.u32("map rows")
-        n2 = reader.u32("map cols")
-        n = reader.u32("map count")
-        m = reader.u32("sample count")
-        values = reader.f64_array(m * n * n1 * n2, "tensor payload").reshape(m, n, n1, n2)
-        labels = reader.u32_array(m, "class labels")
-        ids = tuple(reader.utf8(f"id {i}") for i in range(m))
-        reader.finish()
-        return TensorFeatureSet(values, labels, ids)
-    raise InvalidParameters(f"{path}: unknown layout flag {flag}")
+        return flat
+    return TensorFeatureSet(values, flat)
 
 
 def load_flat_dataset(path: str | Path) -> Dataset:
@@ -251,28 +295,49 @@ def write_features_csv(path: str | Path, dataset: Dataset) -> None:
 
 def _read_csv(path: str | Path, header_ok, header_text: str, convert, row_text: str) -> list:
     """Data rows of a CSV file, each passed through `convert`.  A row of another
-    width than the header, or one `convert` rejects, raises MalformedLine naming path:line."""
+    width than the header, or one `convert` or the csv module rejects, raises
+    MalformedLine naming path:line; undecodable bytes raise BadEncoding."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        if not header_ok(header):
-            raise InvalidParameters(f"{path}: expected header {header_text}")
         rows = []
-        for row in reader:
-            try:
-                if len(row) != len(header):
-                    raise ValueError
-                rows.append(convert(row))
-            except ValueError:
-                raise MalformedLine(f"{path}:{reader.line_num}: expected {row_text}, got {row!r}") from None
+        try:
+            header = next(reader, [])
+            if not header_ok(header):
+                raise InvalidParameters(f"{path}: expected header {header_text}")
+            for row in reader:
+                try:
+                    if len(row) != len(header):
+                        raise ValueError
+                    rows.append(convert(row))
+                except ValueError:
+                    raise MalformedLine(f"{path}:{reader.line_num}: expected {row_text}, got {row!r}") from None
+        except csv.Error as exc:
+            raise MalformedLine(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise BadEncoding(f"{path}: not valid text in the file encoding") from None
     return rows
+
+
+def _class_index(text: str) -> int:
+    """A class label or claim: an integer in the u32 range the binary files store."""
+    value = int(text)
+    if not 0 <= value < 2**32:
+        raise ValueError(text)
+    return value
+
+
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def read_features_csv(path: str | Path) -> Dataset:
     rows = _read_csv(
         path, lambda h: len(h) >= 3 and h[:2] == ["id", "class_label"], "id,class_label,v0,...",
-        lambda r: (r[0], int(r[1]), [float(v) for v in r[2:]]),
-        "an id, an integer class label and one number per value column",
+        lambda r: (r[0], _class_index(r[1]), [_finite_number(v) for v in r[2:]]),
+        "an id, a class label from 0 and one finite number per value column",
     )
     ids, labels, values = zip(*rows) if rows else ((),) * 3
     return dataset_from_arrays(np.asarray(values, dtype=np.float64), labels, ids)
@@ -294,14 +359,20 @@ def read_pca_model(path: str | Path) -> PcaModel:
     recomputed relative to the stored (possibly truncated) spectrum.
     """
     path = str(path)
-    reader = _ByteReader(path)
-    _check_header(reader, PCA_MAGIC, path)
-    d = reader.u32("input dimension")
-    k = reader.u32("component count")
-    mean = reader.f64_array(d, "mean vector")
-    eigenvalues = reader.f64_array(k, "eigenvalues")
-    projection = reader.f64_array(d * k, "projection matrix").reshape(d, k)
-    reader.finish()
+    with _ByteReader(path) as reader:
+        _check_header(reader, PCA_MAGIC, path)
+        d = reader.u32("input dimension")
+        k = reader.u32("component count")
+        mean = _finite(reader.f64_array(d, "mean vector"), path, "mean vector")
+        eigenvalues = _finite(reader.f64_array(k, "eigenvalues"), path, "eigenvalues")
+        projection = reader.f64_array(d * k, "projection matrix").reshape(d, k)
+        _finite(projection, path, "projection matrix")
+        reader.finish()
+    if not np.all(eigenvalues > 0.0):
+        j = int(np.argmax(eigenvalues <= 0.0))
+        raise DegenerateData(
+            f"{path}: eigenvalue {j} is {eigenvalues[j]:g}; a stored component needs positive variance"
+        )
     fractions = np.cumsum(eigenvalues) / eigenvalues.sum()
     return PcaModel(_frozen(mean), _frozen(projection), _frozen(eigenvalues), _frozen(fractions))
 
@@ -315,14 +386,14 @@ def write_dictionary(path: str | Path, dictionary: Dictionary) -> None:
 
 def read_dictionary(path: str | Path) -> Dictionary:
     path = str(path)
-    reader = _ByteReader(path)
-    _check_header(reader, DICT_MAGIC, path)
-    k = reader.u32("atom dimension")
-    n = reader.u32("atom count")
-    c = reader.u32("class count")
-    atoms = reader.f64_array(k * n, "atoms").reshape(k, n)
-    column_labels = reader.u32_array(n, "column labels")
-    reader.finish()
+    with _ByteReader(path) as reader:
+        _check_header(reader, DICT_MAGIC, path)
+        k = reader.u32("atom dimension")
+        n = reader.u32("atom count")
+        c = reader.u32("class count")
+        atoms = _finite(reader.f64_array(k * n, "atoms"), path, "atoms").reshape(k, n)
+        column_labels = reader.u32_array(n, "column labels")
+        reader.finish()
     bad = np.flatnonzero(column_labels >= c)
     if bad.size:
         j = int(bad[0])
@@ -357,8 +428,8 @@ def write_scores_csv(path: str | Path, scoreset: ScoreSet) -> None:
 def read_scores_csv(path: str | Path) -> ScoreSet:
     rows = _read_csv(
         path, SCORES_HEADER.__eq__, ",".join(SCORES_HEADER),
-        lambda r: (r[0], int(r[1]), float(r[2]), ("0", "1").index(r[3])),
-        "a probe id, an integer claimed class, a score and is_genuine 0 or 1",
+        lambda r: (r[0], _class_index(r[1]), _finite_number(r[2]), ("0", "1").index(r[3])),
+        "a probe id, a claimed class from 0, a finite score and is_genuine 0 or 1",
     )
     pids, claim, score, genuine = zip(*rows) if rows else ((),) * 4
     index_of = {pid: i for i, pid in enumerate(dict.fromkeys(pids))}
@@ -376,7 +447,7 @@ def write_roc_csv(path: str | Path, report: EvalReport) -> None:
 def read_pairs_csv(path: str | Path) -> list[tuple[str, int]]:
     return _read_csv(
         path, ["probe_id", "claimed_class"].__eq__, "probe_id,claimed_class",
-        lambda r: (r[0], int(r[1])), "probe_id,claimed_class with an integer class",
+        lambda r: (r[0], _class_index(r[1])), "probe_id,claimed_class with a class from 0",
     )
 
 

@@ -6,8 +6,11 @@ decomposes whichever is smaller.  For D >= M (the Gram, or snapshot, route)
 each Gram eigenvector v with eigenvalue mu maps to the principal direction
 X_c v / sqrt(mu), so the D x D covariance is never materialized; for D < M
 the scatter's eigenvectors are the directions.  The component count K is
-read off the eigenvalues first and only those K directions are built, so
-cost and peak memory scale with min(M, D)^2 + D*K.
+read off the eigenvalues first and only those K directions are built.
+
+Beyond the M x D input a fit holds one centred copy, the min(M, D)^2
+eigenproblem and the D x K directions.  Directions and the sign rule are
+built through fixed-size chunks, never a D-sized temporary.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ DEFAULT_NUM_COMPONENTS = 1300
 
 # Most columns per product when mapping Gram eigenvectors to directions.
 _BLOCK = 256
+
+# Values per temporary when building directions and applying the sign rule
+# (2 MB of float64), so neither holds a D-sized copy.
+_CHUNK_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -87,10 +94,7 @@ def _fit(enrolment: Dataset, choose_k) -> PcaModel:
         directions = _gram_directions(centered, evecs[:, :k] / np.sqrt(evals[:k]), min(_BLOCK, rank))
     else:
         directions = np.ascontiguousarray(evecs[:, :k])
-    # Sign convention: largest-magnitude entry of each direction is positive.
-    peak = np.argmax(np.abs(directions.T), axis=1)
-    flip = directions[peak, np.arange(k)] < 0.0
-    directions[:, flip] *= -1.0
+    _make_peaks_positive(directions)
     return PcaModel(
         _frozen(mean), _frozen(directions), _frozen(evals[:k].copy()), _frozen(fractions[:k].copy())
     )
@@ -104,16 +108,44 @@ def _gram_directions(centered: np.ndarray, weights: np.ndarray, block_width: int
     With every product the same shape, and that shape independent of K,
     column j comes out the same bits whatever the total K, so a K-column fit
     equals the leading columns of a wider one.
+
+    Each block's product is taken over row chunks of at most `_CHUNK_VALUES`
+    values, so the only temporary is one chunk.  The rows are split evenly,
+    so when there is more than one chunk each holds over half that many
+    values: OpenBLAS then rounds every row as it does in one D-row product,
+    whereas a chunk of a few rows can take its small-matrix or matrix-vector
+    path and round differently.  The split depends on D and the block width
+    only, never on K.
     """
     m, k = weights.shape
-    directions = np.empty((centered.shape[1], k))
+    d = centered.shape[1]
+    directions = np.empty((d, k))
     block = np.zeros((m, block_width))
+    chunks = -(-d // max(1, _CHUNK_VALUES // block_width))
+    bounds = [d * i // chunks for i in range(chunks + 1)]
+    product = np.empty((-(-d // chunks), block_width))
     for start in range(0, k, block_width):
         width = min(block_width, k - start)
         block[:, :width] = weights[:, start : start + width]
         block[:, width:] = 0.0
-        directions[:, start : start + width] = (centered.T @ block)[:, :width]
+        for lo, hi in zip(bounds, bounds[1:]):
+            out = product[: hi - lo]
+            np.matmul(centered[:, lo:hi].T, block, out=out)
+            directions[lo:hi, start : start + width] = out[:, :width]
     return directions
+
+
+def _make_peaks_positive(directions: np.ndarray) -> None:
+    """Sign convention, in place: the largest-magnitude entry of each column
+    (the first on ties) is positive.  Columns are taken a few at a time, so
+    the |value| temporary stays near `_CHUNK_VALUES` values."""
+    d, k = directions.shape
+    step = max(1, _CHUNK_VALUES // d)
+    for start in range(0, k, step):
+        cols = directions[:, start : start + step]
+        peak = np.argmax(np.abs(cols.T, order="C"), axis=1)
+        flip = cols[peak, np.arange(cols.shape[1])] < 0.0
+        cols[:, flip] *= -1.0
 
 
 def _truncate(full: PcaModel, k: int) -> PcaModel:

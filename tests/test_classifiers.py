@@ -6,13 +6,12 @@ from sparserec.classifiers import (
     CrcOperator,
     SacrcConfig,
     _augment,
-    crc_class_scores,
     crc_solve,
-    knn1_class_scores,
     knn1_classify,
     match_score,
     omp_solve,
     sacrc_classify,
+    score_matrix,
     src_residual_classify,
 )
 from sparserec.core import build_dictionary, dataset_from_arrays
@@ -341,7 +340,8 @@ def test_knn_matches_event_by_event_scan():
 
 def test_knn_class_scores_are_negative_min_distances():
     ds = dataset_from_arrays(np.array([[0.0], [4.0], [10.0]]), [0, 0, 1], ["a", "b", "c"])
-    scores = knn1_class_scores(np.array([1.0]), ds, 2)
+    d = _dictionary([[1.0, 1.0]], [0, 1])  # dimension 1, two classes
+    scores = score_matrix("knn1", np.array([[1.0]]), d, enrolment=ds)[0]
     assert np.allclose(scores, [-1.0, -9.0])
 
 
@@ -387,6 +387,6 @@ def test_crc_class_scores_normalized():
     d = build_dictionary(ds)
     op = CrcOperator(d, 0.01)
     y = rng.standard_normal(10)
-    scores = crc_class_scores(y, op)
+    scores = score_matrix("crc", y[None, :], d, op)[0]
     alpha = crc_solve(y / np.linalg.norm(y), op)
     assert np.max(np.abs(scores - d.label_matrix @ (alpha / np.linalg.norm(alpha)))) < 1e-12

@@ -1,4 +1,9 @@
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,23 +364,57 @@ def test_non_utf8_id_fails_cleanly(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def _fresh_python(code: str) -> str:
+    """Standard output of `code` run in a new interpreter importing this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, sparserec.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True).stdout
 
 
-@pytest.mark.parametrize("row", ["b,x,1.0,0.5", "b,1,zz,0.5", "", "b,1,1.0"],
-                         ids=["non-integer-label", "non-numeric-value", "blank-line", "field-count"])
+def test_cli_import_leaves_scipy_unloaded():
+    assert _fresh_python("import sys, sparserec.cli; print('scipy' in sys.modules)").strip() == "False"
+
+
+@pytest.mark.parametrize("protocol", ["all-vs-all", "pairs"])
+def test_verify_leaves_numpy_ma_unimported(tmp_path, protocol):
+    # np.unique's first call in a process imports numpy.ma, about 15 ms.
+    gen(tmp_path / "data", dim=20)
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
+    probes = load_flat_dataset(tmp_path / "data" / "probes.feat")
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"probe_id,claimed_class\n{probes.ids[1]},0\n{probes.ids[0]},1\n{probes.ids[1]},1\n")
+    argv = ["verify", str(tmp_path / "data" / "probes.feat"), str(tmp_path / "bundle"),
+            "--protocol", protocol if protocol != "pairs" else f"pairs:{pairs}", "--out", str(tmp_path / "ver")]
+    out = _fresh_python(f"import sys; from sparserec.cli import main; code = main({argv!r});"
+                        f" print(code, 'numpy.ma' in sys.modules)")
+    assert out.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep-pcs"])
+def test_pca_commands_hold_one_centred_copy(tmp_path, command):
+    # D >> M: beside the loaded M x D enrolment a PCA command may hold one
+    # centred copy and the D x K directions, and only small temporaries.
+    m, d, k_max = 40, 100_000, 20
+    gen(tmp_path / "data", classes=4, samples=10, probes=1, dim=d, subspace=3)
+    enrol, probes = tmp_path / "data" / "enrolment.feat", tmp_path / "data" / "probes.feat"
+    argv = {
+        "fit": ["fit", enrol, "--pca", k_max],
+        "sweep-pcs": ["sweep-pcs", enrol, probes, "--classifier", "crc", "--k-list", f"5,{k_max},10"],
+    }[command]
+    tracemalloc.start()
+    try:
+        assert run(*argv, "--out", tmp_path / "out") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * d * 8 + d * k_max * 8 + 8 * 2**20
+
+
+@pytest.mark.parametrize("row", ["b,x,1.0,0.5", "b,1,zz,0.5", "", "b,1,1.0", "b,-1,1.0,0.5", "b,1,nan,0.5",
+                                 "b,1,1e999,0.5", "b,1,1.0," + "9" * 200_000],
+                         ids=["non-integer-label", "non-numeric-value", "blank-line", "field-count",
+                              "negative-label", "nan-value", "overflowing-value", "field-too-long"])
 def test_bad_features_csv_row_fails_cleanly(tmp_path, capsys, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"id,class_label,v0,v1\na,0,0.5,1.0\n{row}\nc,1,1.0,0.25\n")
@@ -469,4 +508,37 @@ def test_dictionary_with_bad_labels_fails_cleanly(tmp_path, capsys, case):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err and text in err
+    assert len(err.splitlines()) == 1
+
+
+# Damaged payloads: (file under tmp_path, byte offset, bytes written there,
+# command, text the error must carry).  The bundle is fit with --pca 10 on
+# dim 30: pca.bin holds a 16-byte header, the mean (30 f64), the eigenvalues
+# (10 f64) and the projection; dictionary.bin's atoms follow a 20-byte header
+# and a flat feature file's payload a 17-byte one.
+NAN, INF = struct.pack("<d", float("nan")), struct.pack("<d", float("inf"))
+DAMAGED_PAYLOAD_CASES = {
+    "pca-nan-projection": ("bundle/pca.bin", 16 + 8 * 40, NAN, "verify", "projection matrix contains a NaN"),
+    "pca-nan-mean": ("bundle/pca.bin", 16, NAN, "identify", "mean vector contains a NaN"),
+    "pca-zero-eigenvalues": ("bundle/pca.bin", 16 + 8 * 30, bytes(8 * 10), "verify", "eigenvalue 0 is 0"),
+    "dictionary-inf-atom-verify": ("bundle/dictionary.bin", 20, INF, "verify", "atoms contains a NaN or infinity"),
+    "dictionary-inf-atom-identify": ("bundle/dictionary.bin", 20, INF, "identify", "atoms contains"),
+    "probes-nan": ("data/probes.feat", 17, NAN, "verify", "contains a NaN or infinity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_PAYLOAD_CASES))
+def test_damaged_payload_names_its_file(tmp_path, capsys, case):
+    name, offset, value, command, text = DAMAGED_PAYLOAD_CASES[case]
+    gen(tmp_path / "data", dim=30)
+    bundle = tmp_path / "bundle"
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--pca", "10", "--out", bundle) == 0
+    path = tmp_path / name
+    data = bytearray(path.read_bytes())
+    data[offset : offset + len(value)] = value
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run(command, tmp_path / "data" / "probes.feat", bundle, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and text in err
     assert len(err.splitlines()) == 1

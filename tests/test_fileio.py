@@ -1,5 +1,6 @@
 import csv
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,38 @@ def test_truncated_payload_reports_offset(tmp_path):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(TruncatedFile, match="byte offset"):
         read_feature_file(path)
+
+
+def test_reading_a_flat_file_allocates_only_its_payload(tmp_path):
+    # D >> M, a 16 MB payload: the file is read straight into the array, with
+    # no copy of the file beside it and no per-value temporary.
+    m, d = 8, 250_000
+    ds = dataset_from_arrays(np.random.default_rng(5).standard_normal((m, d)), [0] * m,
+                             [f"s{i}" for i in range(m)])
+    path = tmp_path / "wide.feat"
+    write_flat_features(path, ds)
+    del ds
+    tracemalloc.start()
+    try:
+        loaded = read_feature_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.features.shape == (m, d)
+    assert peak < m * d * 8 + 256 * 1024
+
+
+def test_declared_sizes_are_checked_before_allocating(tmp_path):
+    path = tmp_path / "huge.feat"
+    path.write_bytes(b"CSRC" + struct.pack("<IBII", 1, 0, 2**32 - 1, 2**32 - 1) + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedFile, match=r"feature payload at byte offset 17 \(need \d+ bytes, 64 left\)"):
+            read_feature_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_trailing_bytes_rejected(tmp_path):

@@ -1,6 +1,10 @@
-"""Property tests for the binary readers: a damaged file either loads or
-raises a SparserecError, never another exception."""
+"""Property tests for the file readers: a damaged file either loads or
+raises a SparserecError, never another exception.  A CSV error also names
+the file and the line."""
 
+import csv
+import io
+import re
 from pathlib import Path
 
 import pytest
@@ -9,14 +13,19 @@ from hypothesis import strategies as st
 
 from sparserec.core import build_dictionary
 from sparserec.errors import SparserecError
-from sparserec.evaluation import generate_synthetic
+from sparserec.evaluation import ScoreSet, generate_synthetic
 from sparserec.fileio import (
     read_dictionary,
     read_feature_file,
+    read_features_csv,
+    read_pairs_csv,
     read_pca_model,
+    read_scores_csv,
     write_dictionary,
+    write_features_csv,
     write_flat_features,
     write_pca_model,
+    write_scores_csv,
     write_tensor_features,
 )
 from sparserec.pca import pca_fit
@@ -26,6 +35,11 @@ READERS = {
     "tensor": read_feature_file,
     "pca": read_pca_model,
     "dictionary": read_dictionary,
+}
+CSV_READERS = {
+    "features.csv": read_features_csv,
+    "scores.csv": read_scores_csv,
+    "pairs.csv": read_pairs_csv,
 }
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -41,6 +55,10 @@ def scratch(tmp_path_factory) -> Path:
     write_tensor_features(directory / "tensor", tensors, enrolment.labels, ids)
     write_pca_model(directory / "pca", pca_fit(enrolment, num_components=3))
     write_dictionary(directory / "dictionary", build_dictionary(enrolment))
+    write_features_csv(directory / "features.csv", enrolment)
+    write_scores_csv(directory / "scores.csv",
+                     ScoreSet(("p0", "p,1"), [0, 0, 1], [0, 1, 2], [0.5, -1.25e-3, 2.0], [1, 0, 0]))
+    (directory / "pairs.csv").write_text("probe_id,claimed_class\np0,1\np1,0\n\"p,2\",2\n")
     return directory
 
 
@@ -74,3 +92,35 @@ def test_any_single_byte_change_loads_or_raises_a_declared_error(scratch, kind, 
         _load_damaged(scratch, kind, bytes(data))
     except SparserecError:
         pass
+
+
+# A field value a number parser treats specially, or free text.
+FIELD = st.one_of(st.text(max_size=8), st.sampled_from(
+    ["", "nan", "-inf", "1e999", "-1", "0", "1", "4294967296", "9" * 25, "1_0", " 2 ", "0x1"]))
+
+
+def _with_field(row: str, column: int, value: str) -> str:
+    fields = next(csv.reader([row]))
+    fields[column % len(fields)] = value
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", sorted(CSV_READERS))
+@PROPERTY_SETTINGS
+@given(line=st.integers(min_value=1), column=st.integers(min_value=0),
+       change=st.one_of(st.tuples(st.just("row"), st.text(max_size=40)), st.tuples(st.just("field"), FIELD)))
+def test_any_csv_row_change_loads_or_names_the_line(scratch, kind, line, column, change):
+    """One data row replaced by free text (quotes, separators, NUL and line
+    breaks included), or one of its fields replaced by another value."""
+    lines = (scratch / kind).read_text().splitlines()
+    line = 1 + line % (len(lines) - 1)
+    how, text = change
+    lines[line] = text if how == "row" else _with_field(lines[line], column, text)
+    path = scratch / f"{kind}.damaged"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        CSV_READERS[kind](path)
+    except SparserecError as exc:
+        assert re.search(re.escape(str(path)) + r":\d+: ", str(exc)), str(exc)

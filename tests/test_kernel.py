@@ -13,8 +13,6 @@ from sparserec.classifiers import (
     SacrcConfig,
     _augment,
     _omp_block,
-    crc_class_scores,
-    knn1_class_scores,
     knn1_classify,
     knn1_labels,
     omp_solve,
@@ -42,11 +40,11 @@ def _one_row(kind, y, d, op, cfg, enrolment):
     if kind == "sacrc":
         return sacrc_classify(y, d, op, cfg).class_scores
     if kind == "crc":
-        return crc_class_scores(y, op)
+        return score_matrix("crc", y[None, :], d, op)[0]
     if kind == "src":
         y_hat = y / np.linalg.norm(y)
         return -src_residual_classify(y_hat, d, omp_solve(y_hat, d, K, TOL))[1]
-    return knn1_class_scores(y, enrolment, d.num_classes)
+    return score_matrix("knn1", y[None, :], d, enrolment=enrolment)[0]
 
 
 def _oracle(kind, y, d, enrolment):

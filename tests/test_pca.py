@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from reference_impls import covariance_pca_reference
+from sparserec import pca
 from sparserec.core import dataset_from_arrays
 from sparserec.errors import DegenerateData, InsufficientSamples, InvalidParameters, KTooLarge
 from sparserec.pca import (
@@ -193,6 +194,9 @@ def test_high_dimensional_fit_stays_cheap():
 # shape has rank above 256, so its directions are built in more than one block.
 GRAM_SHAPE = (300, 320)
 SCATTER_SHAPE = (60, 20)
+# A Gram shape whose 256-column blocks are multiplied in several row chunks,
+# with a remainder that fixed-size chunks would leave as a one-row tail.
+CHUNKED_SHAPE = (300, 2 * (pca._CHUNK_VALUES // 256) + 1)
 
 
 def test_scatter_branch_matches_direct_covariance_decomposition():
@@ -217,7 +221,8 @@ def test_largest_entry_of_each_direction_is_positive(shape):
 @pytest.mark.parametrize("shape,pairs", [
     (GRAM_SHAPE, [(1, 299), (37, 260), (256, 257)]),
     (SCATTER_SHAPE, [(1, 20), (7, 15)]),
-], ids=["gram", "scatter"])
+    (CHUNKED_SHAPE, [(1, 299), (37, 260)]),
+], ids=["gram", "scatter", "chunked"])
 def test_sweep_head_equals_fit_bitwise(shape, pairs):
     ds = _random_ds(np.random.default_rng(17), *shape)
     for k, k_big in pairs:
@@ -251,3 +256,14 @@ def test_many_sample_fit_never_builds_the_sample_gram():
         tracemalloc.stop()
     assert model.projection.shape == (20, 5)
     assert peak < 3000 * 3000 * 8
+
+
+def test_row_chunks_give_the_bits_of_one_product(monkeypatch):
+    # 260 directions: a full 256-column block and a zero-padded one.
+    ds = _random_ds(np.random.default_rng(21), *CHUNKED_SHAPE)
+    chunked = pca_fit(ds, num_components=260)
+    monkeypatch.setattr(pca, "_CHUNK_VALUES", 1 << 40)  # one product, one sign pass
+    whole = pca_fit(ds, num_components=260)
+    assert chunked.projection.tobytes() == whole.projection.tobytes()
+    peak = np.argmax(np.abs(chunked.projection), axis=0)
+    assert np.all(chunked.projection[peak, np.arange(260)] > 0)
