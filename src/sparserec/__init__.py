@@ -4,21 +4,16 @@ from .classifiers import (
     CrcOperator,
     SacrcConfig,
     crc_solve,
-    knn1_classify,
-    match_score,
     omp_solve,
     sacrc_classify,
     score_matrix,
-    src_residual_classify,
 )
 from .core import (
     Dataset,
     Dictionary,
-    FeatureVector,
     RepresentationResult,
     build_dictionary,
     dataset_from_arrays,
-    validate_dataset,
 )
 from .evaluation import (
     EvalReport,
@@ -41,7 +36,7 @@ from .features import (
     l2_normalize,
     standardize,
 )
-from .pca import PcaModel, pca_fit, pca_sweep, pca_transform, transform_dataset
+from .pca import PcaModel, pca_fit, pca_sweep, transform_dataset
 
 __version__ = "0.1.0"
 
@@ -51,7 +46,6 @@ __all__ = [
     "Dataset",
     "Dictionary",
     "EvalReport",
-    "FeatureVector",
     "PcaModel",
     "RepresentationResult",
     "Roc",
@@ -70,18 +64,13 @@ __all__ = [
     "flatten_activations",
     "fuse",
     "generate_synthetic",
-    "knn1_classify",
     "l2_normalize",
-    "match_score",
     "omp_solve",
     "pca_fit",
     "pca_sweep",
-    "pca_transform",
     "rank1_identification",
     "sacrc_classify",
     "score_matrix",
-    "src_residual_classify",
     "standardize",
     "transform_dataset",
-    "validate_dataset",
 ]

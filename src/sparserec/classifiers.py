@@ -2,9 +2,11 @@
 l0-constrained sparse solve, their normalized augmentation with label-matrix
 classification, and the residual / nearest-neighbor baselines.
 
-Every solver works on a block of probes at once, one probe per row.
-`score_matrix` maps a P x D probe array to its P x c per-class scores, and
-the single-probe functions below are one-row calls into the same code.
+`score_matrix` is the one place that knows how each classifier in
+`CLASSIFIERS` scores: it maps a P x D probe block to P x c per-class scores,
+one probe per row.  A probe's decision is the argmax of its row, so equal
+scores go to the lowest class index for every classifier.  `crc_solve`,
+`omp_solve` and `sacrc_classify` are one-row calls into the same kernels.
 
 The collaborative solve uses the squared-l2 ridge penalty, whose closed form
 (Phi^T Phi + lambda I)^-1 Phi^T y is a fixed linear map of y: the inverse of
@@ -22,12 +24,13 @@ from .core import Dataset, Dictionary, RepresentationResult, _frozen
 from .errors import (
     DegenerateAugmentation,
     DimensionMismatch,
-    EmptyDataset,
     InvalidParameters,
     SingularSystem,
-    UnknownClass,
     ZeroNormSample,
 )
+
+# The classifier names score_matrix, the configuration and the CLI accept.
+CLASSIFIERS = ("sacrc", "crc", "src", "knn1")
 
 DEFAULT_RIDGE_LAMBDA = 0.01
 DEFAULT_SPARSITY_CAP = 50
@@ -238,6 +241,11 @@ def _blockwise(fn, y: np.ndarray, per_row: int) -> np.ndarray:
     return np.concatenate([fn(y[start : start + step]) for start in range(0, y.shape[0], step)])
 
 
+def check_classifier(kind: str) -> None:
+    if kind not in CLASSIFIERS:
+        raise InvalidParameters(f"unknown classifier {kind!r}; choose from {', '.join(CLASSIFIERS)}")
+
+
 def _probe_rows(probes: np.ndarray, dim: int) -> np.ndarray:
     y = np.asarray(probes, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != dim:
@@ -259,8 +267,10 @@ def score_matrix(
     evidence), src (minus each class's reconstruction residual of the sparse
     code) or knn1 (minus the distance to the class's nearest enrolment
     sample, -inf for classes without samples).  Probes are l2-normalized
-    first, except for knn1.  Each row's scores depend on that row alone.
+    first, except for knn1.  Each row's scores depend on that row alone, and
+    its argmax is the probe's decision (the lowest class index on ties).
     """
+    check_classifier(kind)
     y = _probe_rows(probes, dictionary.dim)
     c = dictionary.num_classes
     if y.shape[0] == 0:
@@ -288,34 +298,20 @@ def score_matrix(
                                         dictionary),
             _unit_rows(y), k * (d + k) + 2 * n + c,
         )
-    if kind == "knn1":
-        if enrolment is None:
-            raise InvalidParameters("knn1 scoring needs the enrolment dataset")
-        _probe_rows(y, enrolment.dim)
-        return _blockwise(lambda b: _knn1_scores(b, enrolment, c), y, 2 * enrolment.num_samples + c)
-    raise InvalidParameters(f"unknown classifier {kind!r}; choose from sacrc, crc, src, knn1")
-
-
-def knn1_labels(probes: np.ndarray, enrolment: Dataset) -> np.ndarray:
-    """Class of each probe row's Euclidean nearest enrolment sample (the
-    first such sample on ties)."""
-    if enrolment.num_samples == 0:
-        raise EmptyDataset("nearest-neighbor needs a non-empty enrolment set")
-    y = _probe_rows(probes, enrolment.dim)
-    return _blockwise(
-        lambda b: enrolment.labels[_knn1_distances(b, enrolment).argmin(axis=1)],
-        y, 2 * enrolment.num_samples,
-    )
+    if enrolment is None:  # knn1
+        raise InvalidParameters("knn1 scoring needs the enrolment dataset")
+    _probe_rows(y, enrolment.dim)
+    return _blockwise(lambda b: _knn1_scores(b, enrolment, c), y, 2 * enrolment.num_samples + c)
 
 
 # ---------------------------------------------------------------------------
 # single-probe calls
 
 
-def _probe(y: np.ndarray, dim: int, what: str = "dictionary") -> np.ndarray:
+def _probe(y: np.ndarray, dim: int) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (dim,):
-        raise DimensionMismatch(f"probe has shape {y.shape}, {what} dim is {dim}")
+        raise DimensionMismatch(f"probe has shape {y.shape}, dictionary dim is {dim}")
     return y[None, :]
 
 
@@ -362,39 +358,3 @@ def sacrc_classify(
         predicted_class=int(np.argmax(class_scores)),  # argmax takes the lowest index on ties
         used_collab_fallback=bool(fell_back[0]),
     )
-
-
-def src_residual_classify(
-    y: np.ndarray, dictionary: Dictionary, alpha: np.ndarray
-) -> tuple[int, np.ndarray]:
-    """Classical residual rule: keep only class i's coefficients, reconstruct,
-    and pick the class with the smallest reconstruction error."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (dictionary.num_atoms,):
-        raise DimensionMismatch(
-            f"alpha has shape {alpha.shape}, dictionary holds {dictionary.num_atoms} atoms"
-        )
-    residuals = _class_residuals(_probe(y, dictionary.dim), alpha[None, :], dictionary)[0]
-    return int(np.argmin(residuals)), residuals
-
-
-def knn1_classify(y: np.ndarray, enrolment: Dataset) -> int:
-    """Class of the Euclidean nearest enrolment sample (first on ties)."""
-    return int(knn1_labels(_probe(y, enrolment.dim, "enrolment"), enrolment)[0])
-
-
-def match_score(
-    y: np.ndarray,
-    dictionary: Dictionary,
-    op: CrcOperator,
-    cfg: SacrcConfig,
-    claimed_class: int,
-) -> float:
-    """Verification score for a claimed identity: the claimed class's entry
-    of the augmented per-class evidence vector (higher means more genuine)."""
-    if not 0 <= claimed_class < dictionary.num_classes:
-        raise UnknownClass(
-            f"claimed class {claimed_class} outside enrolled range [0, {dictionary.num_classes})"
-        )
-    result = sacrc_classify(y, dictionary, op, cfg)
-    return float(result.class_scores[claimed_class])

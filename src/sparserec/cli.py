@@ -13,9 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .classifiers import CrcOperator, SacrcConfig
+from .classifiers import CLASSIFIERS, CrcOperator, SacrcConfig, check_classifier
 from .config import (
-    CLASSIFIER_CHOICES,
     RunConfig,
     _apply_raw,
     config_echo,
@@ -136,6 +135,9 @@ def _load_bundle(bundle_dir: str):
             raise InconsistentBundle(
                 f"{bundle / name}: {what} {got}, but {MANIFEST_NAME} says {key} = {manifest.get(key)}"
             )
+    # the dictionary's columns are the enrolment's samples, ordered class-major
+    if sorted(enrolment.labels.tolist()) != dictionary.column_labels.tolist():
+        raise InconsistentBundle(f"{bundle / ENROLMENT_NAME}: class labels differ from {DICTIONARY_NAME}'s")
     return dictionary, model, enrolment, manifest
 
 
@@ -295,8 +297,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_classifier_list(text: str) -> list[str]:
+    names = [part.strip() for part in text.split(",") if part.strip()]
+    if not names:
+        raise InvalidParameters(f"classifier list {text!r} names no classifier")
+    for name in names:
+        check_classifier(name)
+    return names
+
+
 def cmd_identify(args: argparse.Namespace) -> int:
-    classifier_arg = args.classifier  # may be a comma list; resolved outside the config
+    # a comma list, checked whole before any work and kept out of the config
+    classifiers = None if args.classifier is None else _parse_classifier_list(args.classifier)
     args.classifier = None
     dictionary, model, enrolment, manifest = _load_bundle(args.bundle)
     cfg = _resolve_config(args, base=_bundle_base_config(manifest))
@@ -315,7 +327,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
             [pid for pid, keep in zip(probes.ids, enrolled) if keep],
         )
 
-    classifiers = [c.strip() for c in (classifier_arg or cfg.classifier).split(",") if c.strip()]
+    classifiers = classifiers or [cfg.classifier]
     sacrc_cfg = SacrcConfig(cfg.ridge_lambda, cfg.sparsity_k, cfg.residual_tol)
     op = CrcOperator(dictionary, cfg.ridge_lambda)
     rows = []
@@ -442,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="score probes against a bundle and report EER/GMR/ROC")
     p.add_argument("probes", help="flat probe feature file")
     p.add_argument("bundle", help="model bundle directory from fit")
-    p.add_argument("--classifier", choices=CLASSIFIER_CHOICES, default=None)
+    p.add_argument("--classifier", choices=CLASSIFIERS, default=None)
     p.add_argument("--protocol", default=None, help="all-vs-all or pairs:<file>")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -451,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("probes", help="flat probe feature file")
     p.add_argument("bundle", help="model bundle directory from fit")
     p.add_argument("--classifier", default=None,
-                   help="comma-separated list from sacrc, crc, src, knn1 (default sacrc)")
+                   help=f"comma-separated list from {', '.join(CLASSIFIERS)} (default sacrc)")
     _add_common(p)
     p.set_defaults(func=cmd_identify)
 
@@ -459,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("enrolment", help="flat enrolment feature file")
     p.add_argument("probes", help="flat probe feature file")
     p.add_argument("--k-list", required=True, help="comma-separated component counts")
-    p.add_argument("--classifier", choices=CLASSIFIER_CHOICES, default=None)
+    p.add_argument("--classifier", choices=CLASSIFIERS, default=None)
     p.add_argument("--protocol", default=None, help="all-vs-all or pairs:<file>")
     _add_common(p)
     p.set_defaults(func=cmd_sweep_pcs)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .classifiers import CLASSIFIERS
 from .errors import ConfigError
 
 KNOWN_KEYS = (
@@ -22,8 +23,6 @@ KNOWN_KEYS = (
     "far_targets",
     "seed",
 )
-
-CLASSIFIER_CHOICES = ("sacrc", "crc", "src", "knn1")
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,8 @@ def _apply_raw(cfg: RunConfig, key: str, value: str) -> RunConfig:
         parse_pca_selection(value)  # validate only; stored as written
         return replace(cfg, pca=value.strip())
     if key == "classifier":
-        if value not in CLASSIFIER_CHOICES:
-            raise ConfigError(f"unknown classifier {value!r}; choose from {', '.join(CLASSIFIER_CHOICES)}")
+        if value not in CLASSIFIERS:
+            raise ConfigError(f"unknown classifier {value!r}; choose from {', '.join(CLASSIFIERS)}")
         return replace(cfg, classifier=value)
     if key == "protocol":
         parse_protocol(value)

@@ -1,11 +1,12 @@
-"""Shared domain types: labeled feature vectors, validated datasets and the
+"""Shared domain types: the validated dataset (samples as rows, with
+row-aligned labels and ids, built by `dataset_from_arrays`) and the
 class-labeled, column-normalized dictionary every classifier solves against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +20,11 @@ from .errors import (
 )
 
 
+# Values per temporary (2 MB of float64) where a D-sized array is built in
+# chunks: the dictionary atoms, and the PCA directions and sign rule.
+_CHUNK_VALUES = 1 << 18
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -29,15 +35,6 @@ def _all_finite(a: np.ndarray) -> bool:
     non-finite, so a finite sum settles it without an elementwise mask; only
     a sum that overflows needs the mask."""
     return bool(np.isfinite(a.sum()) or np.isfinite(a).all())
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One sample: opaque id, non-negative class index, real-valued descriptor."""
-
-    id: str
-    class_label: int
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -65,13 +62,6 @@ class Dataset:
     @property
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1
-
-    @property
-    def samples(self) -> tuple[FeatureVector, ...]:
-        return tuple(
-            FeatureVector(self.ids[i], int(self.labels[i]), self.features[i])
-            for i in range(self.num_samples)
-        )
 
 
 @dataclass(frozen=True)
@@ -125,8 +115,9 @@ def dataset_from_arrays(
 ) -> Dataset:
     """Build a validated Dataset from row-stacked features.
 
-    Checks the same invariants as validate_dataset: non-empty, one shared
-    dimension, finite values, non-negative integer labels.
+    Checks that it is non-empty, with one label and one id per row, finite
+    values and non-negative integer labels; the class index space is
+    [0, max label + 1).
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -151,29 +142,6 @@ def dataset_from_arrays(
     return Dataset(_frozen(features), _frozen(labels), ids)
 
 
-def validate_dataset(samples: Iterable[FeatureVector]) -> Dataset:
-    """Validate a list of feature vectors into a Dataset.
-
-    Rejects empty input, inconsistent dimensions and non-finite values; the
-    resulting class index space is [0, max label + 1).
-    """
-    samples = list(samples)
-    if not samples:
-        raise EmptyDataset("dataset has no samples")
-    dim = len(np.atleast_1d(np.asarray(samples[0].values)))
-    rows = np.empty((len(samples), dim), dtype=np.float64)
-    for i, s in enumerate(samples):
-        v = np.atleast_1d(np.asarray(s.values, dtype=np.float64))
-        if v.ndim != 1 or v.shape[0] != dim:
-            raise DimensionMismatch(
-                f"sample {s.id!r} has dimension {v.shape[0] if v.ndim == 1 else v.shape}, expected {dim}"
-            )
-        rows[i] = v
-    labels = [int(s.class_label) for s in samples]
-    ids = [s.id for s in samples]
-    return dataset_from_arrays(rows, labels, ids)
-
-
 def build_dictionary(enrolment: Dataset) -> Dictionary:
     """Stack l2-normalized enrolment features as dictionary columns.
 
@@ -190,14 +158,23 @@ def build_dictionary(enrolment: Dataset) -> Dictionary:
         raise MissingClass(f"class {missing} has no enrolment samples")
 
     order = np.argsort(labels, kind="stable")  # class-major, input order preserved
-    ordered = enrolment.features[order]
-    norms = np.linalg.norm(ordered, axis=1)
+    features = enrolment.features
+    m, d = features.shape
+    # norms and atoms go through row chunks: no M x D temporary beside the atoms
+    step = max(1, _CHUNK_VALUES // d)
+    norms = np.concatenate([
+        np.linalg.norm(features[start : start + step], axis=1) for start in range(0, m, step)
+    ])[order]
     if np.any(norms == 0.0):
         bad = int(np.nonzero(norms == 0.0)[0][0])
         raise ZeroNormSample(f"sample {enrolment.ids[int(order[bad])]!r} has zero norm")
 
-    atoms = np.ascontiguousarray((ordered / norms[:, None]).T)
+    atoms = np.empty((d, m))
+    for start in range(0, m, step):
+        block = features[order[start : start + step]]
+        block /= norms[start : start + step, None]
+        atoms[:, start : start + step] = block.T
     column_labels = labels[order].copy()
-    label_matrix = np.zeros((c, atoms.shape[1]), dtype=np.float64)
-    label_matrix[column_labels, np.arange(atoms.shape[1])] = 1.0
+    label_matrix = np.zeros((c, m), dtype=np.float64)
+    label_matrix[column_labels, np.arange(m)] = 1.0
     return Dictionary(_frozen(atoms), _frozen(column_labels), _frozen(label_matrix))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import CrcOperator, SacrcConfig, knn1_labels, score_matrix
+from .classifiers import CrcOperator, SacrcConfig, score_matrix
 from .core import Dataset, Dictionary, _frozen, dataset_from_arrays
 from .errors import (
     DegenerateScoreSet,
@@ -26,16 +26,6 @@ from .errors import (
     NonFiniteValue,
     UnknownClass,
 )
-
-CLASSIFIER_ALIASES = {
-    "sacrc": "sacrc",
-    "crc": "crc",
-    "crc-only": "crc",
-    "src": "src",
-    "src-residual": "src",
-    "knn1": "knn1",
-}
-
 
 @dataclass(frozen=True, eq=False)
 class ScoreSet:
@@ -92,15 +82,6 @@ class EvalReport:
     config_echo: tuple[tuple[str, str], ...]
 
 
-def _canonical_classifier(name: str) -> str:
-    try:
-        return CLASSIFIER_ALIASES[name]
-    except KeyError:
-        raise InvalidParameters(
-            f"unknown classifier {name!r}; choose from sacrc, crc, src, knn1"
-        ) from None
-
-
 def build_scoreset(
     probes: Dataset,
     dictionary: Dictionary,
@@ -124,11 +105,10 @@ def build_scoreset(
         raise DimensionMismatch(
             f"probes have dim {probes.dim}, dictionary has dim {dictionary.dim}"
         )
-    kind = _canonical_classifier(classifier)
     c = dictionary.num_classes
 
     if protocol == "all-vs-all":
-        scores = score_matrix(kind, probes.features, dictionary, op, cfg, enrolment)
+        scores = score_matrix(classifier, probes.features, dictionary, op, cfg, enrolment)
         probe = np.repeat(np.arange(probes.num_samples), c)
         claim = np.tile(np.arange(c), probes.num_samples)
         return ScoreSet(probes.ids, probe, claim, scores.ravel(), claim == probes.labels[probe])
@@ -151,7 +131,7 @@ def build_scoreset(
         raise UnknownClass(f"pair claims class {claims[bad[0]]}, enrolled range is [0, {c})")
     wanted = _sorted_unique(probe)
     row = np.searchsorted(wanted, probe)
-    scores = score_matrix(kind, probes.features[wanted], dictionary, op, cfg, enrolment)
+    scores = score_matrix(classifier, probes.features[wanted], dictionary, op, cfg, enrolment)
     return ScoreSet(probes.ids, probe, claim, scores[row, claim], claim == probes.labels[probe])
 
 
@@ -235,7 +215,8 @@ def rank1_identification(
     cfg: SacrcConfig | None = None,
     enrolment: Dataset | None = None,
 ) -> float:
-    """Fraction of probes whose top-ranked class is their true class.
+    """Fraction of probes whose top-ranked class is their true class: the
+    argmax of each probe's `score_matrix` row, the lowest class index on ties.
 
     Callers filter probes to enrolled classes beforehand; a probe with a
     label outside the dictionary's class space is an error.
@@ -247,15 +228,8 @@ def rank1_identification(
             f"probe {probes.ids[bad]!r} has class {int(probes.labels[bad])},"
             f" enrolled range is [0, {c})"
         )
-    kind = _canonical_classifier(classifier)
-    if kind == "knn1":
-        # the first nearest sample decides, not the lowest class among tied ones
-        if enrolment is None:
-            raise InvalidParameters("knn1 identification needs the enrolment dataset")
-        predictions = knn1_labels(probes.features, enrolment)
-    else:
-        predictions = score_matrix(kind, probes.features, dictionary, op, cfg, enrolment).argmax(axis=1)
-    return float(np.mean(predictions == probes.labels))
+    scores = score_matrix(classifier, probes.features, dictionary, op, cfg, enrolment)
+    return float(np.mean(scores.argmax(axis=1) == probes.labels))
 
 
 def generate_synthetic(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _frozen, dataset_from_arrays
+from .core import _CHUNK_VALUES, Dataset, _frozen, dataset_from_arrays
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -37,11 +37,6 @@ DEFAULT_NUM_COMPONENTS = 1300
 
 # Most columns per product when mapping Gram eigenvectors to directions.
 _BLOCK = 256
-
-# Values per temporary when building directions and applying the sign rule
-# (2 MB of float64), so neither holds a D-sized copy.
-_CHUNK_VALUES = 1 << 18
-
 
 @dataclass(frozen=True)
 class PcaModel:
@@ -197,14 +192,6 @@ def pca_fit(
         return _fit(enrolment, lambda fractions: min(num_components, len(fractions)))
     return _fit(enrolment, lambda fractions: min(
         int(np.searchsorted(fractions, retain, side="left")) + 1, len(fractions)))
-
-
-def pca_transform(x: np.ndarray, model: PcaModel) -> np.ndarray:
-    """Project one vector: projection^T (x - mean)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim_in,):
-        raise DimensionMismatch(f"vector has shape {x.shape}, model expects ({model.dim_in},)")
-    return model.projection.T @ (x - model.mean)
 
 
 def transform_dataset(ds: Dataset, model: PcaModel) -> Dataset:

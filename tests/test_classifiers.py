@@ -6,15 +6,14 @@ from sparserec.classifiers import (
     CrcOperator,
     SacrcConfig,
     _augment,
+    _class_residuals,
     crc_solve,
-    knn1_classify,
-    match_score,
     omp_solve,
     sacrc_classify,
     score_matrix,
-    src_residual_classify,
 )
 from sparserec.core import build_dictionary, dataset_from_arrays
+from sparserec.evaluation import build_scoreset
 from sparserec.errors import (
     DegenerateAugmentation,
     DimensionMismatch,
@@ -289,14 +288,19 @@ def test_augmentation_fallback_and_error():
 # residual baseline
 
 
+def _residuals(y, d, alpha):
+    return _class_residuals(np.asarray(y)[None, :], np.asarray(alpha)[None, :], d)[0]
+
+
 def test_src_residual_examples():
+    # the src score row is minus these residuals; its argmax is the decision
     d = _identity_dictionary(2, [0, 1])
     y = d.atoms[:, 0]
-    cls, residuals = src_residual_classify(y, d, np.array([1.0, 0.0]))
-    assert cls == 0
+    residuals = _residuals(y, d, [1.0, 0.0])
+    assert int(np.argmax(-residuals)) == 0
     assert np.allclose(residuals, [0.0, 1.0])
-    cls, residuals = src_residual_classify(y, d, np.zeros(2))
-    assert cls == 0  # all residuals equal ||y|| = 1, tie to class 0
+    residuals = _residuals(y, d, np.zeros(2))
+    assert int(np.argmax(-residuals)) == 0  # all residuals equal ||y|| = 1, tie to class 0
     assert np.allclose(residuals, [1.0, 1.0])
 
 
@@ -307,7 +311,7 @@ def test_src_residual_matches_masked_reconstruction():
     d = build_dictionary(ds)
     y = rng.standard_normal(7)
     alpha = rng.standard_normal(9)
-    _, residuals = src_residual_classify(y, d, alpha)
+    residuals = _residuals(y, d, alpha)
     for i in range(3):
         masked = alpha * (d.column_labels == i)
         assert abs(residuals[i] - np.linalg.norm(y - d.atoms @ masked)) < 1e-12
@@ -317,11 +321,16 @@ def test_src_residual_matches_masked_reconstruction():
 # nearest neighbor baseline
 
 
+def _knn1_decision(y, ds):
+    return int(np.argmax(score_matrix("knn1", y[None, :], build_dictionary(ds), enrolment=ds)[0]))
+
+
 def test_knn_exact_match_and_tie_break():
     ds = dataset_from_arrays(np.array([[0.0, 1.0], [2.0, 1.0]]), [1, 0], ["a", "b"])
-    assert knn1_classify(np.array([0.0, 1.0]), ds) == 1
-    # equidistant between the two samples: earlier sample wins
-    assert knn1_classify(np.array([1.0, 1.0]), ds) == 1
+    assert _knn1_decision(np.array([0.0, 1.0]), ds) == 1
+    # equidistant between the two samples: the class scores tie and the
+    # lowest class wins, as for every classifier
+    assert _knn1_decision(np.array([1.0, 1.0]), ds) == 0
 
 
 def test_knn_matches_event_by_event_scan():
@@ -335,7 +344,7 @@ def test_knn_matches_event_by_event_scan():
             dist = float(np.linalg.norm(ds.features[i] - y))
             if dist < best_dist:
                 best_label, best_dist = int(ds.labels[i]), dist
-        assert knn1_classify(y, ds) == best_label
+        assert _knn1_decision(y, ds) == best_label
 
 
 def test_knn_class_scores_are_negative_min_distances():
@@ -349,19 +358,26 @@ def test_knn_class_scores_are_negative_min_distances():
 # verification scoring
 
 
+def _claimed_scores(probes, d, op, cfg, pairs):
+    """The sacrc match score of each (probe id, claimed class) pair."""
+    return build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=pairs).score
+
+
 def test_match_score_claimed_atom():
     d = _identity_dictionary(2, [0, 1])
     op = CrcOperator(d, 0.0)
     cfg = SacrcConfig(ridge_lambda=0.0, sparsity_k=1)
-    assert match_score(d.atoms[:, 0], d, op, cfg, 0) == pytest.approx(1.0)
-    assert match_score(d.atoms[:, 1], d, op, cfg, 0) == pytest.approx(0.0)
+    probes = dataset_from_arrays(d.atoms.T, [0, 1], ["a0", "a1"])
+    scores = _claimed_scores(probes, d, op, cfg, [("a0", 0), ("a1", 0)])
+    assert scores.tolist() == pytest.approx([1.0, 0.0])
 
 
 def test_match_score_unknown_class():
     d = _identity_dictionary(2, [0, 1])
     op = CrcOperator(d, 0.0)
+    probes = dataset_from_arrays(np.array([[1.0, 0.0]]), [0], ["p"])
     with pytest.raises(UnknownClass):
-        match_score(np.array([1.0, 0.0]), d, op, SacrcConfig(), 2)
+        _claimed_scores(probes, d, op, SacrcConfig(), [("p", 2)])
 
 
 def test_genuine_scores_dominate_impostor_scores():
@@ -371,13 +387,11 @@ def test_genuine_scores_dominate_impostor_scores():
     d = build_dictionary(enrolment)
     op = CrcOperator(d, 0.01)
     cfg = SacrcConfig()
-    genuine, impostor = [], []
-    for i in range(probes.num_samples):
-        true = int(probes.labels[i])
-        for claim in range(d.num_classes):
-            s = match_score(probes.features[i], d, op, cfg, claim)
-            (genuine if claim == true else impostor).append(s)
-    assert np.median(genuine) > np.median(impostor)
+    pairs = [(pid, claim) for pid in probes.ids for claim in range(d.num_classes)]
+    scores = _claimed_scores(probes, d, op, cfg, pairs)
+    true = dict(zip(probes.ids, probes.labels))
+    genuine = np.array([claim == true[pid] for pid, claim in pairs])
+    assert np.median(scores[genuine]) > np.median(scores[~genuine])
 
 
 def test_crc_class_scores_normalized():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparserec.classifiers import CrcOperator, SacrcConfig
+from sparserec.classifiers import CLASSIFIERS, CrcOperator, SacrcConfig
 from sparserec.cli import _parse_k_list, main
 from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.errors import InvalidParameters
@@ -232,6 +232,38 @@ def test_identify_filters_unenrolled_probe_classes(tmp_path):
     text = (tmp_path / "ident" / "rank1.txt").read_text()
     assert f"probes_used = {probes.num_samples - 1}" in text
     assert "probes_dropped = 1" in text
+
+
+@pytest.mark.parametrize("names", [",", "crc,svm", "crc-only"])
+def test_identify_refuses_a_bad_classifier_list(tmp_path, capsys, names):
+    gen(tmp_path / "data", classes=3, samples=4, dim=20, seed=33)
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
+    capsys.readouterr()
+    code = run("identify", tmp_path / "data" / "probes.feat", tmp_path / "bundle",
+               "--classifier", names, "--out", tmp_path / "ident")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("error:") == 1
+    assert not (tmp_path / "ident").exists()  # refused before any output or scoring
+
+
+def _exit_code(*args):
+    try:
+        return run(*args)
+    except SystemExit as exc:  # argparse refuses a name outside its choices
+        return exc.code
+
+
+def test_verify_and_identify_take_the_same_classifier_names(tmp_path, capsys):
+    gen(tmp_path / "data", classes=3, samples=4, dim=20, seed=34)
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
+    probes = tmp_path / "data" / "probes.feat"
+    for name in CLASSIFIERS + ("crc-only", "src-residual", "svm", ""):
+        codes = [_exit_code(command, probes, tmp_path / "bundle", "--classifier", name,
+                            "--out", tmp_path / command / (name or "empty"))
+                 for command in ("verify", "identify")]
+        assert codes == ([0, 0] if name in CLASSIFIERS else [2, 2]), name
+    capsys.readouterr()
 
 
 def test_verify_single_class_has_no_impostors(tmp_path, capsys):
@@ -468,6 +500,25 @@ def test_bundle_with_swapped_file_names_it(tmp_path, capsys, case):
     assert run("fit", tmp_path / donor_data / "enrolment.feat", "--pca", donor_pca, "--out", donor) == 0
     (bundle / name).write_bytes((donor / name).read_bytes())
     _verify_fails_naming(tmp_path, capsys, bundle, name)
+
+
+@pytest.mark.parametrize("label", [7, 1], ids=["past-class-count", "moved-class"])
+@pytest.mark.parametrize("command", ["verify", "identify"])
+def test_bundle_enrolment_labels_must_match_the_dictionary(tmp_path, capsys, label, command):
+    from sparserec.fileio import write_flat_features
+
+    gen(tmp_path / "data", dim=30)
+    bundle = tmp_path / "bundle"
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", bundle) == 0
+    enrol = load_flat_dataset(bundle / "enrolment.feat")
+    labels = enrol.labels.copy()
+    labels[0] = label  # sample 0 is class 0
+    write_flat_features(bundle / "enrolment.feat", dataset_from_arrays(enrol.features, labels, enrol.ids))
+    code = run(command, tmp_path / "data" / "probes.feat", bundle, "--classifier", "knn1",
+               "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and str(bundle / "enrolment.feat") in err
 
 
 @pytest.mark.parametrize("case", sorted(MANIFEST_EDIT_CASES))

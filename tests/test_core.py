@@ -1,12 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sparserec.core import (
-    FeatureVector,
-    build_dictionary,
-    dataset_from_arrays,
-    validate_dataset,
-)
+from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -17,12 +14,14 @@ from sparserec.errors import (
 )
 
 
-def fv(label, values, ident="s"):
-    return FeatureVector(ident, label, np.asarray(values, dtype=float))
+def rows(labels, values, ids=None):
+    """A dataset of the given rows, one label per row."""
+    return dataset_from_arrays(np.asarray(values, dtype=float), labels,
+                               ids or [f"s{i}" for i in range(len(labels))])
 
 
 def test_validate_wellformed():
-    ds = validate_dataset([fv(0, [1, 2, 3], "a"), fv(1, [4, 5, 6], "b")])
+    ds = rows([0, 1], [[1, 2, 3], [4, 5, 6]], ["a", "b"])
     assert ds.dim == 3
     assert ds.num_classes == 2
     assert ds.num_samples == 2
@@ -31,36 +30,41 @@ def test_validate_wellformed():
 
 def test_validate_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        validate_dataset([fv(0, [1, 2, 3]), fv(1, [1, 2, 3, 4])])
+        dataset_from_arrays(np.array([1.0, 2.0, 3.0]), [0], ["a"])  # not one row per sample
+    with pytest.raises(DimensionMismatch):
+        dataset_from_arrays(np.empty((2, 0)), [0, 1], ["a", "b"])  # no feature
+    with pytest.raises(DimensionMismatch):
+        dataset_from_arrays(np.ones((2, 3)), [0, 1, 1], ["a", "b"])  # labels not row-aligned
+    with pytest.raises(DimensionMismatch):
+        dataset_from_arrays(np.ones((2, 3)), [0, 1], ["a"])  # ids not row-aligned
 
 
 def test_validate_nonfinite():
     with pytest.raises(NonFiniteValue):
-        validate_dataset([fv(0, [1, np.nan])])
+        rows([0], [[1, np.nan]])
     with pytest.raises(NonFiniteValue):
-        validate_dataset([fv(0, [1, np.inf])])
+        rows([0], [[1, np.inf]])
 
 
 def test_validate_empty():
     with pytest.raises(EmptyDataset):
-        validate_dataset([])
+        dataset_from_arrays(np.empty((0, 3)), [], [])
 
 
 def test_validate_negative_label():
     with pytest.raises(InvalidParameters):
-        validate_dataset([fv(-1, [1.0])])
+        rows([-1], [[1.0]])
 
 
 def test_samples_round_trip():
-    ds = validate_dataset([fv(0, [1, 2], "a"), fv(1, [3, 4], "b")])
-    samples = ds.samples
-    assert samples[1].id == "b"
-    assert samples[1].class_label == 1
-    assert np.array_equal(samples[1].values, [3.0, 4.0])
+    ds = rows([0, 1], [[1, 2], [3, 4]], ["a", "b"])
+    assert ds.ids[1] == "b"
+    assert ds.labels[1] == 1
+    assert np.array_equal(ds.features[1], [3.0, 4.0])
 
 
 def test_build_dictionary_345_normalization():
-    ds = validate_dataset([fv(0, [3, 4], "a"), fv(1, [0, 5], "b")])
+    ds = rows([0, 1], [[3, 4], [0, 5]], ["a", "b"])
     d = build_dictionary(ds)
     assert np.allclose(d.atoms[:, 0], [0.6, 0.8])
     assert np.allclose(d.atoms[:, 1], [0.0, 1.0])
@@ -68,13 +72,13 @@ def test_build_dictionary_345_normalization():
 
 
 def test_build_dictionary_zero_norm():
-    ds = validate_dataset([fv(0, [0.0, 0.0], "z"), fv(1, [1.0, 0.0], "b")])
+    ds = rows([0, 1], [[0.0, 0.0], [1.0, 0.0]], ["z", "b"])
     with pytest.raises(ZeroNormSample):
         build_dictionary(ds)
 
 
 def test_label_matrix_shape_and_counts():
-    ds = validate_dataset([fv(0, [1, 0], "a"), fv(0, [0, 1], "b"), fv(1, [1, 1], "c")])
+    ds = rows([0, 0, 1], [[1, 0], [0, 1], [1, 1]], ["a", "b", "c"])
     d = build_dictionary(ds)
     assert d.num_atoms == 3
     assert np.array_equal(d.label_matrix, [[1, 1, 0], [0, 0, 1]])
@@ -83,9 +87,7 @@ def test_label_matrix_shape_and_counts():
 
 
 def test_column_order_class_major_then_input_order():
-    ds = validate_dataset(
-        [fv(1, [0, 2], "x"), fv(0, [3, 0], "y"), fv(1, [2, 0], "z")]
-    )
+    ds = rows([1, 0, 1], [[0, 2], [3, 0], [2, 0]], ["x", "y", "z"])
     d = build_dictionary(ds)
     assert np.array_equal(d.column_labels, [0, 1, 1])
     assert np.allclose(d.atoms[:, 0], [1, 0])  # "y"
@@ -94,7 +96,7 @@ def test_column_order_class_major_then_input_order():
 
 
 def test_missing_class_rejected():
-    ds = validate_dataset([fv(0, [1.0]), fv(2, [2.0])])
+    ds = rows([0, 2], [[1.0], [2.0]])
     with pytest.raises(MissingClass):
         build_dictionary(ds)
 
@@ -124,6 +126,21 @@ def test_unit_columns():
                              [str(i) for i in range(10)])
     d = build_dictionary(ds)
     assert np.max(np.abs(np.linalg.norm(d.atoms, axis=0) - 1.0)) < 1e-9
+
+
+def test_build_dictionary_holds_no_copy_beside_the_atoms():
+    m, d, c = 40, 100_000, 8
+    rng = np.random.default_rng(3)
+    ds = rows([i % c for i in range(m)], rng.standard_normal((m, d)))
+    tracemalloc.start()
+    try:
+        dictionary = build_dictionary(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dictionary.atoms.flags.c_contiguous
+    # the D x M atoms and the c x M label matrix, plus chunks of at most 4 MB
+    assert peak < m * d * 8 + c * m * 8 + 4e6
 
 
 def test_package_exports_resolve():

@@ -287,16 +287,11 @@ def test_rank1_unknown_class_rejected():
         rank1_identification(bad, "sacrc", dictionary=d, op=op, cfg=cfg)
 
 
-def test_rank1_accepts_long_form_classifier_names():
+def test_rank1_rejects_unknown_classifier_names():
     enrolment, probes, d, op, cfg = _fitted(num_classes=3, per_class=3, seed=11)
-    short = rank1_identification(probes, "crc", dictionary=d, op=op, cfg=cfg)
-    longform = rank1_identification(probes, "crc-only", dictionary=d, op=op, cfg=cfg)
-    assert short == longform
-    src = rank1_identification(probes, "src", dictionary=d, op=op, cfg=cfg)
-    src_long = rank1_identification(probes, "src-residual", dictionary=d, op=op, cfg=cfg)
-    assert src == src_long
-    with pytest.raises(InvalidParameters):
-        rank1_identification(probes, "svm", dictionary=d, op=op, cfg=cfg)
+    for name in ("svm", "crc-only", "src-residual"):
+        with pytest.raises(InvalidParameters):
+            rank1_identification(probes, name, dictionary=d, op=op, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,14 @@ from sparserec.classifiers import (
     CrcOperator,
     SacrcConfig,
     _augment,
+    _class_residuals,
     _omp_block,
-    knn1_classify,
-    knn1_labels,
     omp_solve,
     sacrc_classify,
     score_matrix,
-    src_residual_classify,
 )
 from sparserec.core import build_dictionary, dataset_from_arrays
-from sparserec.errors import DegenerateAugmentation, ZeroNormSample
+from sparserec.errors import DegenerateAugmentation, InvalidParameters, ZeroNormSample
 from sparserec.evaluation import build_scoreset, generate_synthetic, rank1_identification
 
 KINDS = ("sacrc", "crc", "src", "knn1")
@@ -43,7 +41,7 @@ def _one_row(kind, y, d, op, cfg, enrolment):
         return score_matrix("crc", y[None, :], d, op)[0]
     if kind == "src":
         y_hat = y / np.linalg.norm(y)
-        return -src_residual_classify(y_hat, d, omp_solve(y_hat, d, K, TOL))[1]
+        return -_class_residuals(y_hat[None, :], omp_solve(y_hat, d, K, TOL)[None, :], d)[0]
     return score_matrix("knn1", y[None, :], d, enrolment=enrolment)[0]
 
 
@@ -170,18 +168,29 @@ def test_lockstep_omp_rows_stop_independently():
     assert [np.count_nonzero(a) for a in batched] == [1, 3, 5, 0]
 
 
-def test_knn1_identification_takes_first_nearest_sample():
-    # the probe is equidistant from a class-1 sample (first) and a class-0
-    # sample: the class scores tie, and the earlier sample decides the label
+def test_knn1_identification_is_argmax_of_score_rows():
+    # the first probe is equidistant from a class-1 sample (first) and a
+    # class-0 sample: the class scores tie and the lowest class wins, as for
+    # every classifier
     enrolment = dataset_from_arrays(np.array([[0.0, 1.0], [2.0, 1.0]]), [1, 0], ["a", "b"])
     probes = np.array([[1.0, 1.0], [0.1, 1.0]])
-    assert knn1_labels(probes, enrolment).tolist() == [1, 1]
-    assert [knn1_classify(y, enrolment) for y in probes] == [1, 1]
     d = build_dictionary(enrolment)
-    as_class_1 = dataset_from_arrays(probes, [1, 1], ["p", "q"])
-    assert rank1_identification(as_class_1, "knn1", dictionary=d, enrolment=enrolment) == 1.0
     scores = score_matrix("knn1", probes, d, enrolment=enrolment)
     assert scores[0, 0] == scores[0, 1]
+    assert scores.argmax(axis=1).tolist() == [0, 1]
+    for labels, accuracy in (([0, 1], 1.0), ([1, 1], 0.5), ([1, 0], 0.0)):
+        labelled = dataset_from_arrays(probes, labels, ["p", "q"])
+        assert rank1_identification(labelled, "knn1", dictionary=d, enrolment=enrolment) == accuracy
+
+
+def test_unknown_classifier_refused_on_an_empty_block():
+    enrolment, probes, d, op, cfg = _fitted(num_classes=2, per_class=2, dim=6, probes_per_class=1)
+    for name in ("svm", "crc-only", "src-residual", ""):
+        with pytest.raises(InvalidParameters):
+            score_matrix(name, np.empty((0, d.dim)), d, op, cfg, enrolment)
+        with pytest.raises(InvalidParameters):
+            build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=[], classifier=name)
+    assert build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=[]).score.shape == (0,)
 
 
 def test_no_n_by_n_matrix_when_atoms_outnumber_dimensions():

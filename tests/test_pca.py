@@ -12,7 +12,6 @@ from sparserec.pca import (
     DEFAULT_NUM_COMPONENTS,
     pca_fit,
     pca_sweep,
-    pca_transform,
     transform_dataset,
 )
 
@@ -24,6 +23,11 @@ def _ds(rows):
 
 def _random_ds(rng, m, d):
     return _ds(rng.standard_normal((m, d)))
+
+
+def _project(x, model):
+    """One vector through transform_dataset, as a one-row dataset."""
+    return transform_dataset(_ds([x]), model).features[0]
 
 
 def test_rank_one_data():
@@ -56,14 +60,14 @@ def test_projection_is_orthonormal():
 def test_transform_of_mean_is_zero():
     rng = np.random.default_rng(2)
     model = pca_fit(_random_ds(rng, 5, 7), num_components=3)
-    assert np.max(np.abs(pca_transform(model.mean.copy(), model))) < 1e-12
+    assert np.max(np.abs(_project(model.mean.copy(), model))) < 1e-12
 
 
 def test_transform_of_principal_direction_is_basis_vector():
     rng = np.random.default_rng(3)
     model = pca_fit(_random_ds(rng, 6, 9), num_components=4)
     x = model.mean + model.projection[:, 0]
-    projected = pca_transform(x, model)
+    projected = _project(x, model)
     assert np.max(np.abs(projected - np.eye(4)[0])) < 1e-8
 
 
@@ -75,7 +79,7 @@ def test_round_trip_residual_energy():
     _, _, evecs = covariance_pca_reference(ds.features)
     x = rng.standard_normal(10)
     centered = x - model.mean
-    reconstructed = model.projection @ pca_transform(x, model)
+    reconstructed = model.projection @ _project(x, model)
     residual_sq = float(np.sum((centered - reconstructed) ** 2))
     # energy outside the top-k subspace per the full decomposition
     inside = sum(float(centered @ evecs[:, j]) ** 2 for j in range(k))
