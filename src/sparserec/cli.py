@@ -382,11 +382,9 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
 
     models = pca_sweep(enrolment, k_values)
     counts = [model.num_components for model in models]
-    # Every model holds the leading columns of the widest one, so one
-    # projection serves every row: a row slices its leading K columns.  The
-    # per-K copies are dropped before the projection is made.
+    # Every model is a view of the widest one's leading columns, so one
+    # projection serves every row: a row slices its leading K columns.
     widest = models[counts.index(max(counts))]
-    del models
     enrol_all = transform_dataset(enrolment, widest)
     probes_all = transform_dataset(probes, widest)
     header = ["num_components", "eer"] + [f"gmr_at_far_{t:g}" for t in cfg.far_targets]

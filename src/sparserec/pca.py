@@ -8,9 +8,9 @@ X_c v / sqrt(mu), so the D x D covariance is never materialized; for D < M
 the scatter's eigenvectors are the directions.  The component count K is
 read off the eigenvalues first and only those K directions are built.
 
-Beyond the M x D input a fit holds one centred copy, the min(M, D)^2
-eigenproblem and the D x K directions.  Directions and the sign rule are
-built through fixed-size chunks, never a D-sized temporary.
+A Gram-route fit holds X, the M x M eigenproblem and the D x K directions:
+both of its products centre fixed-size chunks of X into a reused buffer (the
+scatter route, D < M, centres X once).  Projection runs in row blocks.
 """
 
 from __future__ import annotations
@@ -37,6 +37,13 @@ DEFAULT_NUM_COMPONENTS = 1300
 
 # Most columns per product when mapping Gram eigenvectors to directions.
 _BLOCK = 256
+
+# Columns of X per Gram product; a wider X sums one Gram per column chunk.
+_GRAM_COLUMNS = 2048
+
+# Values per row block when projecting (16 MB; about 70 rows at D = 30000).
+# Smaller blocks re-pack the projection too often, larger ones raise the peak.
+_TRANSFORM_VALUES = 1 << 21
 
 @dataclass(frozen=True)
 class PcaModel:
@@ -71,11 +78,13 @@ def _fit(enrolment: Dataset, choose_k) -> PcaModel:
     x = enrolment.features
     m, d = x.shape
     mean = x.mean(axis=0)
-    centered = x - mean
     # The M x M Gram and the D x D scatter share their nonzero eigenvalues;
     # decompose the smaller one.
     use_gram = d >= m
-    evals, evecs = np.linalg.eigh(centered @ centered.T if use_gram else centered.T @ centered)
+    if use_gram:
+        evals, evecs = np.linalg.eigh(_centred_gram(x, mean))
+    else:
+        evals, evecs = np.linalg.eigh((centered := x - mean).T @ centered)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
     if evals[0] <= 0.0:
@@ -86,7 +95,7 @@ def _fit(enrolment: Dataset, choose_k) -> PcaModel:
     fractions = np.cumsum(evals) / evals.sum()
     k = choose_k(fractions)
     if use_gram:
-        directions = _gram_directions(centered, evecs[:, :k] / np.sqrt(evals[:k]), min(_BLOCK, rank))
+        directions = _gram_directions(x, mean, evecs[:, :k] / np.sqrt(evals[:k]), min(_BLOCK, rank))
     else:
         directions = np.ascontiguousarray(evecs[:, :k])
     _make_peaks_positive(directions)
@@ -95,8 +104,29 @@ def _fit(enrolment: Dataset, choose_k) -> PcaModel:
     )
 
 
-def _gram_directions(centered: np.ndarray, weights: np.ndarray, block_width: int) -> np.ndarray:
-    """X_c^T @ weights, computed in zero-padded blocks of `block_width` columns.
+def _centred(x: np.ndarray, mean: np.ndarray, lo: int, hi: int, buffer: np.ndarray) -> np.ndarray:
+    """Columns lo:hi of X - mean, as a C-contiguous view of `buffer`."""
+    chunk = buffer[: x.shape[0] * (hi - lo)].reshape(x.shape[0], hi - lo)
+    np.subtract(x[:, lo:hi], mean[lo:hi], out=chunk)
+    return chunk
+
+
+def _centred_gram(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """X_c X_c^T summed over chunks of `_GRAM_COLUMNS` columns, each centred
+    into one reused buffer.  For D <= `_GRAM_COLUMNS` it is one product."""
+    m, d = x.shape
+    width = min(d, _GRAM_COLUMNS)
+    buffer = np.empty(m * width)
+    chunk = _centred(x, mean, 0, width, buffer)
+    gram = chunk @ chunk.T
+    for lo in range(width, d, width):
+        chunk = _centred(x, mean, lo, min(d, lo + width), buffer)
+        gram += chunk @ chunk.T
+    return gram
+
+
+def _gram_directions(x: np.ndarray, mean: np.ndarray, weights: np.ndarray, block_width: int):
+    """(X - mean)^T @ weights, in zero-padded blocks of `block_width` columns.
 
     BLAS may round a column differently depending on how many columns are
     multiplied with it (numpy takes a matrix-vector path for one column).
@@ -104,53 +134,52 @@ def _gram_directions(centered: np.ndarray, weights: np.ndarray, block_width: int
     column j comes out the same bits whatever the total K, so a K-column fit
     equals the leading columns of a wider one.
 
-    Each block's product is taken over row chunks of at most `_CHUNK_VALUES`
-    values, so the only temporary is one chunk.  The rows are split evenly,
-    so when there is more than one chunk each holds over half that many
-    values: OpenBLAS then rounds every row as it does in one D-row product,
-    whereas a chunk of a few rows can take its small-matrix or matrix-vector
-    path and round differently.  The split depends on D and the block width
-    only, never on K.
+    X is taken in column chunks of at most `_CHUNK_VALUES // block_width`,
+    each centred once into a reused buffer and multiplied by every block
+    while in cache.  The columns are split evenly, so when there is more than
+    one chunk each holds over half that many: OpenBLAS then rounds every row
+    as it does in one D-row product, whereas a chunk of a few rows can take
+    its small-matrix or matrix-vector path and round differently.  The split
+    depends on D and the block width only, never on K.
     """
     m, k = weights.shape
-    d = centered.shape[1]
+    d = x.shape[1]
     directions = np.empty((d, k))
-    block = np.zeros((m, block_width))
+    starts = range(0, k, block_width)
+    padded = np.zeros((m, len(starts) * block_width))
+    padded[:, :k] = weights
     chunks = -(-d // max(1, _CHUNK_VALUES // block_width))
     bounds = [d * i // chunks for i in range(chunks + 1)]
+    buffer = np.empty(m * -(-d // chunks))
     product = np.empty((-(-d // chunks), block_width))
-    for start in range(0, k, block_width):
-        width = min(block_width, k - start)
-        block[:, :width] = weights[:, start : start + width]
-        block[:, width:] = 0.0
-        for lo, hi in zip(bounds, bounds[1:]):
-            out = product[: hi - lo]
-            np.matmul(centered[:, lo:hi].T, block, out=out)
-            directions[lo:hi, start : start + width] = out[:, :width]
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = _centred(x, mean, lo, hi, buffer)
+        out = product[: hi - lo]
+        for start in starts:
+            np.matmul(chunk.T, padded[:, start : start + block_width], out=out)
+            directions[lo:hi, start : start + block_width] = out[:, : k - start]
     return directions
 
 
 def _make_peaks_positive(directions: np.ndarray) -> None:
     """Sign convention, in place: the largest-magnitude entry of each column
-    (the first on ties) is positive.  Columns are taken a few at a time, so
-    the |value| temporary stays near `_CHUNK_VALUES` values."""
-    d, k = directions.shape
-    step = max(1, _CHUNK_VALUES // d)
-    for start in range(0, k, step):
-        cols = directions[:, start : start + step]
-        peak = np.argmax(np.abs(cols.T, order="C"), axis=1)
-        flip = cols[peak, np.arange(cols.shape[1])] < 0.0
-        cols[:, flip] *= -1.0
+    (the first on ties) is positive.  A column flips when its minimum
+    outweighs its maximum; on a tie (+v and -v, or all zeros) its first peak
+    decides."""
+    top, bottom = directions.max(axis=0), directions.min(axis=0)
+    flip = -bottom > top
+    for j in np.flatnonzero(-bottom == top):
+        column = directions[:, j]
+        flip[j] = column[np.argmax(np.abs(column))] < 0.0
+    directions *= np.where(flip, -1.0, 1.0)
 
 
 def _truncate(full: PcaModel, k: int) -> PcaModel:
+    """The leading k columns of `full`, as read-only views of its arrays."""
     if k == full.num_components:
         return full
     return PcaModel(
-        full.mean,
-        _frozen(np.ascontiguousarray(full.projection[:, :k])),
-        _frozen(full.eigenvalues[:k].copy()),
-        _frozen(full.variance_fractions[:k].copy()),
+        full.mean, full.projection[:, :k], full.eigenvalues[:k], full.variance_fractions[:k]
     )
 
 
@@ -195,18 +224,30 @@ def pca_fit(
 
 
 def transform_dataset(ds: Dataset, model: PcaModel) -> Dataset:
-    """Project every sample of a dataset, keeping labels and ids."""
+    """Project every sample of a dataset, keeping labels and ids, in evenly
+    split row blocks centred into one reused buffer.  OpenBLAS picks its
+    thread split and kernel tails by shape, so a block may round unlike one
+    product in the last bits."""
     if ds.dim != model.dim_in:
         raise DimensionMismatch(f"dataset dim {ds.dim} does not match model dim {model.dim_in}")
-    projected = (ds.features - model.mean) @ model.projection
+    x = ds.features
+    m, d = x.shape
+    projected = np.empty((m, model.num_components))
+    blocks = min(m, -(-m * d // _TRANSFORM_VALUES))
+    bounds = [m * i // blocks for i in range(blocks + 1)]
+    buffer = np.empty(-(-m // blocks) * d)
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = buffer[: (hi - lo) * d].reshape(hi - lo, d)
+        np.subtract(x[lo:hi], model.mean, out=rows)
+        np.matmul(rows, model.projection, out=projected[lo:hi])
     return dataset_from_arrays(projected, ds.labels, ds.ids)
 
 
 def pca_sweep(enrolment: Dataset, k_values: list[int]) -> list[PcaModel]:
     """Fit once for the largest requested count, truncate to each of them.
 
-    All returned models share the mean and their leading columns exactly;
-    the model at K equals pca_fit(num_components=K) bit for bit.
+    Every returned model holds read-only views of the widest model's arrays,
+    and the model at K equals pca_fit(num_components=K) bit for bit.
     """
     if not k_values:
         raise InvalidParameters("k_values must not be empty")

@@ -147,3 +147,17 @@ def covariance_pca_reference(features: np.ndarray):
     evals, evecs = np.linalg.eigh(scatter)
     order = np.argsort(evals)[::-1]
     return mean, evals[order], evecs[:, order]
+
+
+def peaks_positive_reference(directions: np.ndarray) -> np.ndarray:
+    """A copy with each column negated when its first largest-magnitude entry
+    is negative."""
+    out = directions.copy()
+    for j in range(out.shape[1]):
+        peak = 0
+        for i in range(out.shape[0]):
+            if abs(out[i, j]) > abs(out[peak, j]):
+                peak = i
+        if out[peak, j] < 0.0:
+            out[:, j] *= -1.0
+    return out

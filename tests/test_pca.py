@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference_impls import covariance_pca_reference
+from reference_impls import covariance_pca_reference, peaks_positive_reference
 from sparserec import pca
 from sparserec.core import dataset_from_arrays
 from sparserec.errors import DegenerateData, InsufficientSamples, InvalidParameters, KTooLarge
@@ -271,3 +271,66 @@ def test_row_chunks_give_the_bits_of_one_product(monkeypatch):
     assert chunked.projection.tobytes() == whole.projection.tobytes()
     peak = np.argmax(np.abs(chunked.projection), axis=0)
     assert np.all(chunked.projection[peak, np.arange(260)] > 0)
+
+
+def test_sign_rule_matches_the_per_column_oracle():
+    # Small integers give ties: +v and -v in one column, repeated peaks,
+    # all-zero columns, and -0.0 entries.
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        directions = rng.integers(-3, 4, size=(rng.integers(1, 7), 9)).astype(float)
+        directions[:, 0] = 0.0
+        directions[:, 1] = -0.0
+        directions[:, 2] = np.copysign(0.0, rng.standard_normal(directions.shape[0]))
+        directions[rng.integers(0, directions.shape[0]), 3] = -0.0
+        expected = peaks_positive_reference(directions)
+        pca._make_peaks_positive(directions)
+        assert directions.tobytes() == expected.tobytes()
+
+
+# A Gram-route input whose M x D values exceed every chunk and block budget.
+LARGE_GRAM_SHAPE = (40, 100_000)
+
+
+def test_gram_route_never_holds_a_second_sample_matrix():
+    ds = _random_ds(np.random.default_rng(23), *LARGE_GRAM_SHAPE)
+    limit = ds.features.nbytes
+    models = {}
+    for name, run in [
+        ("fit", lambda: pca_fit(ds, num_components=10)),
+        ("sweep", lambda: pca_sweep(ds, [5, 10])[-1]),
+        ("transform", lambda: transform_dataset(ds, models["fit"])),
+    ]:
+        tracemalloc.start()
+        try:
+            models[name] = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (name, peak, limit)
+
+
+def test_row_blocks_give_the_bits_of_one_product(monkeypatch):
+    ds = _random_ds(np.random.default_rng(24), 61, 3000)
+    model = pca_fit(ds, num_components=40)
+    whole = np.matmul(ds.features - model.mean, model.projection)
+    assert transform_dataset(ds, model).features.tobytes() == whole.tobytes()
+    monkeypatch.setattr(pca, "_TRANSFORM_VALUES", 21 * 3000)  # blocks of 20, 20 and 21 rows
+    assert transform_dataset(ds, model).features.tobytes() == whole.tobytes()
+
+
+def test_swept_models_are_views_of_the_widest():
+    ds = _random_ds(np.random.default_rng(25), 30, 50)
+    small, large = pca_sweep(ds, [3, 12])
+    for field in ("projection", "eigenvalues", "variance_fractions"):
+        assert np.shares_memory(getattr(small, field), getattr(large, field)), field
+        assert not getattr(small, field).flags.writeable, field
+
+
+def test_gram_column_chunks_change_only_rounding(monkeypatch):
+    ds = _random_ds(np.random.default_rng(26), 40, 5000)
+    chunked = pca_fit(ds, num_components=10)
+    monkeypatch.setattr(pca, "_GRAM_COLUMNS", 5000)  # one Gram product
+    whole = pca_fit(ds, num_components=10)
+    assert np.max(np.abs(chunked.projection - whole.projection)) < 1e-10
+    assert np.max(np.abs(chunked.eigenvalues / whole.eigenvalues - 1.0)) < 1e-12
