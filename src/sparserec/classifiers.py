@@ -16,6 +16,7 @@ map is applied to a probe block with two matrix products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,12 @@ _PROBE_BLOCK = 256
 _BLOCK_ELEMENTS = 1 << 22
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    # written so that NaN fails too: every comparison with NaN is false
+    if not 0.0 <= value < math.inf:
+        raise InvalidParameters(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class SacrcConfig:
     """Hyperparameters for the augmented classifier.
@@ -65,12 +72,10 @@ class SacrcConfig:
     residual_tol: float = DEFAULT_RESIDUAL_TOL
 
     def __post_init__(self):
-        if self.ridge_lambda < 0.0:
-            raise InvalidParameters(f"lambda must be >= 0, got {self.ridge_lambda}")
+        _check_nonnegative("lambda", self.ridge_lambda)
         if self.sparsity_k is not None and self.sparsity_k < 1:
             raise InvalidParameters(f"sparsity_k must be >= 1, got {self.sparsity_k}")
-        if self.residual_tol < 0.0:
-            raise InvalidParameters(f"residual_tol must be >= 0, got {self.residual_tol}")
+        _check_nonnegative("residual_tol", self.residual_tol)
 
     def resolve_k(self, num_atoms: int) -> int:
         k = min(DEFAULT_SPARSITY_CAP, num_atoms) if self.sparsity_k is None else self.sparsity_k
@@ -88,8 +93,7 @@ class CrcOperator:
     """
 
     def __init__(self, dictionary: Dictionary, ridge_lambda: float = DEFAULT_RIDGE_LAMBDA):
-        if ridge_lambda < 0.0:
-            raise InvalidParameters(f"lambda must be >= 0, got {ridge_lambda}")
+        _check_nonnegative("lambda", ridge_lambda)
         d, n = dictionary.dim, dictionary.num_atoms
         if ridge_lambda == 0.0 and n > d:
             raise SingularSystem(
@@ -331,8 +335,7 @@ def omp_solve(y: np.ndarray, dictionary: Dictionary, k: int, tol: float = 0.0) -
     n = dictionary.num_atoms
     if not 1 <= k <= n:
         raise InvalidParameters(f"sparsity k must be in [1, {n}], got {k}")
-    if tol < 0.0:
-        raise InvalidParameters(f"residual tolerance must be >= 0, got {tol}")
+    _check_nonnegative("residual tolerance", tol)
     return _omp_block(dictionary.atoms, row, k, tol)[0]
 
 

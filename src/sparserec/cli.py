@@ -21,6 +21,7 @@ from .config import (
     parse_pca_selection,
     parse_protocol,
     read_config_file,
+    text_lines,
 )
 from .core import Dataset, build_dictionary, dataset_from_arrays
 from .errors import DimensionMismatch, InconsistentBundle, InvalidParameters, MalformedLine, SparserecError
@@ -75,8 +76,7 @@ def _resolve_config(args: argparse.Namespace, base: dict[str, str] | None = None
     for key, value in (base or {}).items():
         cfg = _apply_raw(cfg, key, value)
     if getattr(args, "config", None):
-        for key, value in read_config_file(args.config).items():
-            cfg = _apply_raw(cfg, key, value)
+        cfg = read_config_file(args.config, cfg)
     for key, value in _overrides_from_args(args).items():
         if value is not None:
             cfg = _apply_raw(cfg, key, str(value))
@@ -95,12 +95,12 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def _write_manifest(path: Path, entries: dict[str, str]) -> None:
     lines = [f"{key} = {entries[key]}" for key in sorted(entries)]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _read_manifest(path: Path) -> dict[str, str]:
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text_lines(path), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -409,14 +409,15 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser, *, pca: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, solver: bool = True, pca: bool = False) -> None:
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="random seed")
-    parser.add_argument("--lambda", dest="ridge_lambda", type=float, default=None,
-                        help="ridge regularizer for the collaborative solve")
-    parser.add_argument("--k", dest="sparsity_k", type=int, default=None,
-                        help="sparsity budget for the greedy solve")
+    if solver:
+        parser.add_argument("--lambda", dest="ridge_lambda", type=float, default=None,
+                            help="ridge regularizer for the collaborative solve")
+        parser.add_argument("--k", dest="sparsity_k", type=int, default=None,
+                            help="sparsity budget for the greedy solve")
     if pca:
         parser.add_argument("--pca", default=None, help="off, <K> or retain:<fraction>")
 
@@ -436,12 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subspace-dim", type=int, required=True)
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--tensor", default=None, help="emit tensor-format files with shape n1xn2xn")
-    _add_common(p)
+    _add_common(p, solver=False)
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("flatten", help="flatten an activation-tensor file into flat vectors")
     p.add_argument("input", help="tensor-format feature file")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_flatten)
 
     p = sub.add_parser("fit", help="fit PCA + dictionary into a model bundle")

@@ -11,18 +11,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .classifiers import CLASSIFIERS
-from .errors import ConfigError
-
-KNOWN_KEYS = (
-    "lambda",
-    "sparsity_k",
-    "residual_tol",
-    "pca",
-    "classifier",
-    "protocol",
-    "far_targets",
-    "seed",
-)
+from .errors import BadEncoding, ConfigError
 
 
 @dataclass(frozen=True)
@@ -82,22 +71,34 @@ def _parse_far_targets(text: str) -> tuple[float, ...]:
     return tuple(targets)
 
 
-def read_config_file(path: str | Path) -> dict[str, str]:
-    """Read raw key/value pairs from a config file, rejecting unknown keys."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+def text_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file; bytes that do not decode raise
+    BadEncoding naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise BadEncoding(f"{path}: not valid UTF-8 (byte offset {exc.start})") from None
+
+
+def read_config_file(path: str | Path, cfg: RunConfig) -> RunConfig:
+    """`cfg` with each line of a config file applied in turn; an unknown or
+    repeated key, or a bad value, raises ConfigError naming path:line."""
+    seen: set[str] = set()
+    for lineno, raw in enumerate(text_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
-        if key in values:
+        if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate configuration key {key!r}")
-        values[key] = value
-    return values
+        seen.add(key)
+        try:
+            cfg = _apply_raw(cfg, key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    return cfg
 
 
 def _apply_raw(cfg: RunConfig, key: str, value: str) -> RunConfig:

@@ -94,7 +94,8 @@ class TrailingData(FeatureFileError):
 
 
 class BadEncoding(FeatureFileError):
-    """A stored sample id is not valid UTF-8."""
+    """Bytes that are not valid UTF-8 where text is expected (a stored sample
+    id, a CSV, a config file or a bundle manifest)."""
 
 
 class BadLabel(FeatureFileError):

@@ -1,7 +1,7 @@
 """Verification and identification evaluation: columnar score sets, one
-threshold sweep (compute_roc) that the EER and GMR-at-FAR metrics read,
-rank-1 accuracy, and the union-of-subspaces synthetic generator used for
-desk-scale experiments.
+threshold sweep (compute_roc) from which evaluate_verification reads the EER
+and GMR-at-FAR metrics, rank-1 accuracy, and the union-of-subspaces
+synthetic generator used for desk-scale experiments.
 
 Thresholding convention, used everywhere: a comparison is accepted at
 threshold t when its score is >= t.  FAR (false accept rate) is the accepted
@@ -78,7 +78,6 @@ class EvalReport:
     eer: float
     gmr_at_far: tuple[GmrAtFar, ...]
     roc: Roc
-    rank1_accuracy: float | None
     config_echo: tuple[tuple[str, str], ...]
 
 
@@ -162,6 +161,9 @@ def compute_roc(scoreset: ScoreSet) -> Roc:
 
 
 def _eer(roc: Roc) -> float:
+    """Equal error rate from the FMR/FNMR crossing over the threshold sweep:
+    the common value at a sweep point where they are equal, else linearly
+    interpolated between the two adjacent points the crossing falls between."""
     fmr = roc.far
     fnmr = 1.0 - roc.gmr
     diff = fmr - fnmr  # non-increasing: 1 at -inf, -1 at +inf
@@ -173,6 +175,9 @@ def _eer(roc: Roc) -> float:
 
 
 def _gmr_at_far(roc: Roc, far_target: float, num_impostors: int) -> GmrAtFar:
+    """GMR at the most permissive observed threshold whose FAR is within the
+    target; when none is (the top score is an impostor's), the strictest
+    threshold, flagged when there are fewer than 1/target impostors."""
     if not 0.0 < far_target < 1.0:
         raise InvalidParameters(f"FAR target must be in (0, 1), got {far_target}")
     # observed thresholds only: drop the -inf/+inf sentinels
@@ -183,27 +188,6 @@ def _gmr_at_far(roc: Roc, far_target: float, num_impostors: int) -> GmrAtFar:
         return GmrAtFar(far_target, float(gmr[i]), float(thresholds[i]), False)
     flag = num_impostors < 1.0 / far_target
     return GmrAtFar(far_target, float(gmr[-1]), float(thresholds[-1]), flag)
-
-
-def compute_eer(scoreset: ScoreSet) -> float:
-    """Equal error rate from the FMR/FNMR crossing over the threshold sweep.
-
-    At a sweep point where FMR equals FNMR the EER is that common value;
-    otherwise the crossing falls between two adjacent sweep points and the
-    rates are interpolated linearly between them.
-    """
-    return _eer(compute_roc(scoreset))
-
-
-def compute_gmr_at_far(scoreset: ScoreSet, far_target: float) -> GmrAtFar:
-    """GMR at the most permissive observed threshold whose FAR is within the
-    target.
-
-    When no observed threshold meets the target (the top score is an
-    impostor's and impostors are too few), the strictest threshold is used
-    and the result is flagged when the impostor count is below 1/target.
-    """
-    return _gmr_at_far(compute_roc(scoreset), far_target, scoreset.impostor_scores().size)
 
 
 def rank1_identification(
@@ -289,7 +273,6 @@ def evaluate_verification(
     scoreset: ScoreSet,
     far_targets: Sequence[float] = (0.1, 0.01, 0.001),
     config_echo: Sequence[tuple[str, str]] = (),
-    rank1_accuracy: float | None = None,
 ) -> EvalReport:
     """Assemble the standard verification panel from one threshold sweep:
     EER, GMR at each FAR target and the full ROC."""
@@ -299,6 +282,5 @@ def evaluate_verification(
         eer=_eer(roc),
         gmr_at_far=tuple(_gmr_at_far(roc, t, num_impostors) for t in far_targets),
         roc=roc,
-        rank1_accuracy=rank1_accuracy,
         config_echo=tuple(config_echo),
     )

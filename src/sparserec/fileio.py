@@ -466,8 +466,6 @@ def format_report_text(report: EvalReport) -> str:
     for g in report.gmr_at_far:
         note = "  (insufficient impostors)" if g.insufficient_impostors else ""
         lines.append(f"GMR at FAR={g.far_target:g}: {_percent(g.gmr)}{note}")
-    if report.rank1_accuracy is not None:
-        lines.append(f"rank-1 accuracy: {_percent(report.rank1_accuracy)}")
     lines += ["", "config", "------"]
     for key, value in report.config_echo:
         lines.append(f"{key} = {value}")
@@ -480,8 +478,6 @@ def format_report_kv(report: EvalReport) -> str:
     for g in report.gmr_at_far:
         lines.append(f"gmr_at_far_{g.far_target:g} = {g.gmr:.17g}")
         lines.append(f"gmr_at_far_{g.far_target:g}_insufficient_impostors = {int(g.insufficient_impostors)}")
-    if report.rank1_accuracy is not None:
-        lines.append(f"rank1_accuracy = {report.rank1_accuracy:.17g}")
     for key, value in report.config_echo:
         lines.append(f"config.{key} = {value}")
     return "\n".join(lines) + "\n"

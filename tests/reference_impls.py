@@ -161,3 +161,15 @@ def peaks_positive_reference(directions: np.ndarray) -> np.ndarray:
         if out[peak, j] < 0.0:
             out[:, j] *= -1.0
     return out
+
+
+def flatten_reference(maps: np.ndarray) -> np.ndarray:
+    """Vectorize n maps of n1 x n2, one entry at a time: entry (i, r, c) goes
+    to i*n1*n2 + r*n2 + c."""
+    n, n1, n2 = maps.shape
+    out = np.empty(n * n1 * n2)
+    for i in range(n):
+        for r in range(n1):
+            for c in range(n2):
+                out[i * n1 * n2 + r * n2 + c] = maps[i, r, c]
+    return out

@@ -27,9 +27,8 @@ from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.evaluation import (
     ScoreSet,
     build_scoreset,
-    compute_eer,
-    compute_gmr_at_far,
     compute_roc,
+    evaluate_verification,
     generate_synthetic,
     rank1_identification,
 )
@@ -49,6 +48,14 @@ def criterion(number, description, budget_seconds=math.inf):
         f"criterion {number} runtime {elapsed:.2f}s exceeds the {budget_seconds}s budget"
     )
     print(f"[acceptance] criterion {number}: PASS - {description} ({elapsed:.2f}s)")
+
+
+def _eer(scoreset):
+    return evaluate_verification(scoreset).eer
+
+
+def _gmr_at_far(scoreset, target):
+    return evaluate_verification(scoreset, (target,)).gmr_at_far[0]
 
 
 def _labeled(rng, m, d, classes):
@@ -181,18 +188,18 @@ def test_criterion_5_metric_brute_force_equivalence():
             for point, (t, far, gmr) in zip(zip(roc.threshold, roc.far, roc.gmr), recounted):
                 assert point == (t, far, gmr)
 
-            assert compute_eer(s) == eer_recount(genuine, impostor)
+            assert _eer(s) == eer_recount(genuine, impostor)
 
             for target in (0.1, 0.01, 0.001):
-                got = compute_gmr_at_far(s, target)
+                got = _gmr_at_far(s, target)
                 expected_gmr, expected_flag = gmr_at_far_recount(genuine, impostor, target)
                 assert got.gmr == expected_gmr
                 assert got.insufficient_impostors == expected_flag
 
-        assert compute_eer(_scoreset([0.9, 0.8], [0.1, 0.2])) == 0.0
+        assert _eer(_scoreset([0.9, 0.8], [0.1, 0.2])) == 0.0
         chance = [0.1, 0.3, 0.5, 0.7, 0.9]
-        assert abs(compute_eer(_scoreset(chance, chance)) - 0.5) <= 1.0 / len(chance)
-        assert compute_eer(_scoreset([0.8, 0.4], [0.6, 0.2])) == 0.5
+        assert abs(_eer(_scoreset(chance, chance)) - 0.5) <= 1.0 / len(chance)
+        assert _eer(_scoreset([0.8, 0.4], [0.6, 0.2])) == 0.5
 
 
 # Frozen desk-scale targets for the c=20, n=10, D=100, s=5, sigma=0.15,
@@ -216,8 +223,8 @@ def test_criterion_6_desk_scale_gap():
         knn_scores = build_scoreset(
             probes, d, op, cfg, classifier="knn1", enrolment=enrolment
         )
-        sacrc_eer = compute_eer(sacrc_scores)
-        knn_eer = compute_eer(knn_scores)
+        sacrc_eer = _eer(sacrc_scores)
+        knn_eer = _eer(knn_scores)
 
         assert sacrc_acc >= knn_acc
         assert sacrc_eer <= knn_eer
@@ -244,9 +251,9 @@ def test_criterion_7_gmr_monotonicity_panel():
                 build_scoreset(probes, d, op, cfg, classifier=name, enrolment=enrolment)
             )
         for s in score_sets:
-            g1 = compute_gmr_at_far(s, 0.1).gmr
-            g2 = compute_gmr_at_far(s, 0.01).gmr
-            g3 = compute_gmr_at_far(s, 0.001).gmr
+            g1 = _gmr_at_far(s, 0.1).gmr
+            g2 = _gmr_at_far(s, 0.01).gmr
+            g3 = _gmr_at_far(s, 0.001).gmr
             assert g1 >= g2 >= g3
 
 

@@ -184,6 +184,19 @@ def test_omp_parameter_validation():
         omp_solve(np.ones(2), d, k=1)
 
 
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+def test_solver_values_must_be_finite_and_nonnegative(value):
+    d = _identity_dictionary(3)
+    with pytest.raises(InvalidParameters, match="lambda must be finite"):
+        SacrcConfig(ridge_lambda=value)
+    with pytest.raises(InvalidParameters, match="residual_tol must be finite"):
+        SacrcConfig(residual_tol=value)
+    with pytest.raises(InvalidParameters, match="lambda must be finite"):
+        CrcOperator(d, value)
+    with pytest.raises(InvalidParameters, match="residual tolerance must be finite"):
+        omp_solve(np.ones(3), d, k=1, tol=value)
+
+
 # ---------------------------------------------------------------------------
 # augmented classification
 

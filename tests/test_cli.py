@@ -87,6 +87,44 @@ def test_flatten_rejects_truncated_file(tmp_path, capsys):
     assert "error:" in err and "byte offset" in err
 
 
+def test_flattened_payload_is_the_tensor_payload(tmp_path):
+    # a tensor file's payload starts after a 25-byte header, a flat file's after 17 bytes
+    gen(tmp_path / "data", dim=24, tensor="2x3x4")
+    tensor = tmp_path / "data" / "enrolment.feat"
+    assert run("flatten", tensor, "--out", tmp_path / "flat") == 0
+    assert (tmp_path / "flat" / "features.feat").read_bytes()[17:] == tensor.read_bytes()[25:]
+
+
+def test_flatten_rejects_a_non_finite_tensor_value(tmp_path, capsys):
+    gen(tmp_path / "data", dim=24, tensor="2x3x4")
+    path = tmp_path / "data" / "enrolment.feat"
+    data = bytearray(path.read_bytes())
+    data[25:33] = struct.pack("<d", float("nan"))  # the first value of the first map
+    path.write_bytes(bytes(data))
+    assert run("flatten", path, "--out", tmp_path / "flat") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "NaN or infinity" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("flatten", "--config"), ("flatten", "--seed"), ("flatten", "--lambda"), ("flatten", "--k"),
+    ("gen-synthetic", "--lambda"), ("gen-synthetic", "--k"),
+])
+def test_commands_refuse_options_they_do_not_read(tmp_path, capsys, command, flag):
+    gen(tmp_path / "data", dim=8, tensor="2x2x2")
+    argv = {
+        "flatten": ["flatten", tmp_path / "data" / "enrolment.feat"],
+        "gen-synthetic": ["gen-synthetic", "--classes", 2, "--samples-per-class", 2, "--dim", 8,
+                          "--subspace-dim", 2],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        run(*argv, flag, "1", "--out", tmp_path / "out")
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_without_pca_keeps_dimension(tmp_path):
     gen(tmp_path / "data", dim=24)
     assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
@@ -351,6 +389,61 @@ def test_config_file_layering(tmp_path):
     kv = (tmp_path / "ver" / "report.kv").read_text()
     assert "gmr_at_far_0.2 = " in kv and "gmr_at_far_0.02 = " in kv
     assert "gmr_at_far_0.001" not in kv
+
+
+NON_FINITE_SOLVER_CASES = {
+    "lambda-nan": ((), ["--lambda", "nan"], "lambda must be finite"),
+    "lambda-inf": ((), ["--lambda", "inf"], "lambda must be finite"),
+    "residual-tol-nan": (("residual_tol = nan",), [], "residual_tol must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_SOLVER_CASES))
+def test_fit_rejects_non_finite_solver_values(tmp_path, capsys, case):
+    lines, flags, text = NON_FINITE_SOLVER_CASES[case]
+    gen(tmp_path / "data", dim=20)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    code = run("fit", tmp_path / "data" / "enrolment.feat", "--config", cfg, *flags,
+               "--out", tmp_path / "bundle")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and text in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "bundle" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("line", ["far_targets = 0.1,", "lambda = abc", "pca = 0.5", "seed = -1",
+                                  "classifier = svm", "lambda = 1\nlambda = 2"])
+def test_config_errors_name_the_file_and_line(tmp_path, capsys, line):
+    gen(tmp_path / "data", dim=20)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# run settings\n" + line + "\n")
+    capsys.readouterr()
+    code = run("fit", tmp_path / "data" / "enrolment.feat", "--config", cfg,
+               "--out", tmp_path / "bundle")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:{line.count(chr(10)) + 2}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("target", ["config", "manifest"])
+def test_text_that_is_not_utf8_names_its_file(tmp_path, capsys, target):
+    gen(tmp_path / "data", dim=20)
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 0.1\n")
+    path = {"config": cfg, "manifest": tmp_path / "bundle" / "manifest.txt"}[target]
+    path.write_bytes(path.read_bytes() + b"pca = \xff\n")
+    capsys.readouterr()
+    code = run("verify", tmp_path / "data" / "probes.feat", tmp_path / "bundle", "--config", cfg,
+               "--out", tmp_path / "ver")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid UTF-8")
+    assert len(err.splitlines()) == 1
 
 
 def test_manifest_line_without_equals_fails_cleanly(tmp_path, capsys):

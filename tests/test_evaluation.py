@@ -13,8 +13,6 @@ from sparserec.errors import (
 from sparserec.evaluation import (
     ScoreSet,
     build_scoreset,
-    compute_eer,
-    compute_gmr_at_far,
     compute_roc,
     evaluate_verification,
     generate_synthetic,
@@ -28,6 +26,14 @@ def _scoreset(genuine, impostor):
     ids = tuple(f"g{k}" for k in range(g)) + tuple(f"i{k}" for k in range(i))
     return ScoreSet(ids, np.arange(g + i), [0] * g + [1] * i, np.concatenate([genuine, impostor]),
                     [True] * g + [False] * i)
+
+
+def _eer(scoreset):
+    return evaluate_verification(scoreset).eer
+
+
+def _gmr_at_far(scoreset, target):
+    return evaluate_verification(scoreset, (target,)).gmr_at_far[0]
 
 
 def _fitted(num_classes=3, per_class=4, dim=20, seed=0):
@@ -142,16 +148,16 @@ def test_roc_degenerate():
 
 
 def test_eer_perfect_separation():
-    assert compute_eer(_scoreset([0.9, 0.8], [0.1, 0.2])) == 0.0
+    assert _eer(_scoreset([0.9, 0.8], [0.1, 0.2])) == 0.0
 
 
 def test_eer_identical_distributions_is_half():
     scores = [0.1, 0.4, 0.5, 0.9]
-    assert abs(compute_eer(_scoreset(scores, scores)) - 0.5) < 1e-12
+    assert abs(_eer(_scoreset(scores, scores)) - 0.5) < 1e-12
 
 
 def test_eer_crossing_region_hand_case():
-    assert compute_eer(_scoreset([0.8, 0.4], [0.6, 0.2])) == 0.5
+    assert _eer(_scoreset([0.8, 0.4], [0.6, 0.2])) == 0.5
 
 
 def test_eer_matches_recount_oracle():
@@ -159,16 +165,16 @@ def test_eer_matches_recount_oracle():
     for _ in range(10):
         genuine = rng.normal(0.6, 0.4, size=int(rng.integers(5, 60)))
         impostor = rng.normal(0.0, 0.4, size=int(rng.integers(5, 60)))
-        assert compute_eer(_scoreset(genuine, impostor)) == eer_recount(list(genuine), list(impostor))
+        assert _eer(_scoreset(genuine, impostor)) == eer_recount(list(genuine), list(impostor))
 
 
 def test_eer_invariant_under_increasing_transform():
     rng = np.random.default_rng(3)
     genuine = rng.normal(1.0, 0.5, size=40)
     impostor = rng.normal(0.0, 0.5, size=60)
-    base = compute_eer(_scoreset(genuine, impostor))
+    base = _eer(_scoreset(genuine, impostor))
     for transform in (lambda s: 3.0 * s + 7.0, np.tanh, lambda s: np.exp(0.5 * s)):
-        mapped = compute_eer(_scoreset(transform(genuine), transform(impostor)))
+        mapped = _eer(_scoreset(transform(genuine), transform(impostor)))
         assert abs(mapped - base) < 1e-12
 
 
@@ -177,12 +183,12 @@ def test_eer_order_independence():
     genuine = list(rng.normal(1, 1, 30))
     impostor = list(rng.normal(0, 1, 30))
     ordered = _scoreset(genuine, impostor)
-    base = compute_eer(ordered)
+    base = _eer(ordered)
     perm = rng.permutation(ordered.score.size)
     shuffled = ScoreSet(ordered.ids, ordered.probe[perm], ordered.claim[perm],
                         ordered.score[perm], ordered.is_genuine[perm])
-    assert compute_eer(shuffled) == base
-    assert compute_gmr_at_far(shuffled, 0.1) == compute_gmr_at_far(ordered, 0.1)
+    assert _eer(shuffled) == base
+    assert _gmr_at_far(shuffled, 0.1) == _gmr_at_far(ordered, 0.1)
     a, b = compute_roc(shuffled), compute_roc(ordered)
     for column in ("threshold", "far", "gmr"):
         assert np.array_equal(getattr(a, column), getattr(b, column))
@@ -195,12 +201,12 @@ def test_eer_order_independence():
 def test_gmr_perfect_separation_any_target():
     s = _scoreset([0.9, 0.8, 0.7], [0.1, 0.2])
     for target in (0.5, 0.1, 0.01, 0.001):
-        assert compute_gmr_at_far(s, target).gmr == 1.0
+        assert _gmr_at_far(s, target).gmr == 1.0
 
 
 def test_gmr_chance_line():
     scores = list(np.linspace(0.0, 1.0, 200))
-    result = compute_gmr_at_far(_scoreset(scores, scores), 0.1)
+    result = _gmr_at_far(_scoreset(scores, scores), 0.1)
     assert abs(result.gmr - 0.1) <= 1.0 / 200 + 1e-12
 
 
@@ -210,7 +216,7 @@ def test_gmr_matches_impostor_quantile_oracle():
     impostor = rng.normal(0.0, 1.0, size=10000)
     s = _scoreset(genuine, impostor)
     for target in (0.1, 0.01, 0.001):
-        got = compute_gmr_at_far(s, target)
+        got = _gmr_at_far(s, target)
         expected_gmr, expected_flag = gmr_at_far_recount(list(genuine), list(impostor), target)
         assert got.gmr == expected_gmr
         assert got.insufficient_impostors == expected_flag
@@ -222,19 +228,19 @@ def test_gmr_matches_impostor_quantile_oracle():
 def test_gmr_insufficient_impostors_flag():
     # top score is an impostor's, so no threshold reaches FAR <= 0.001
     s = _scoreset([0.5, 0.4], [0.9, 0.1, 0.2])
-    result = compute_gmr_at_far(s, 0.001)
+    result = _gmr_at_far(s, 0.001)
     assert result.insufficient_impostors
     assert result.gmr == 0.0  # strictest threshold is the top impostor score
     with pytest.raises(InvalidParameters):
-        compute_gmr_at_far(s, 1.5)
+        _gmr_at_far(s, 1.5)
 
 
 def test_gmr_monotone_in_target():
     rng = np.random.default_rng(6)
     s = _scoreset(rng.normal(1, 1, 400), rng.normal(0, 1, 600))
-    g1 = compute_gmr_at_far(s, 0.1).gmr
-    g2 = compute_gmr_at_far(s, 0.01).gmr
-    g3 = compute_gmr_at_far(s, 0.001).gmr
+    g1 = _gmr_at_far(s, 0.1).gmr
+    g2 = _gmr_at_far(s, 0.01).gmr
+    g3 = _gmr_at_far(s, 0.001).gmr
     assert g1 >= g2 >= g3
 
 
@@ -338,9 +344,10 @@ def test_generator_validation():
 
 def test_evaluate_verification_panel():
     rng = np.random.default_rng(10)
-    s = _scoreset(rng.normal(1, 0.5, 200), rng.normal(0, 0.5, 400))
+    genuine, impostor = rng.normal(1, 0.5, 200), rng.normal(0, 0.5, 400)
+    s = _scoreset(genuine, impostor)
     report = evaluate_verification(s, config_echo=[("classifier", "sacrc")])
-    assert report.eer == compute_eer(s)
+    assert report.eer == eer_recount(list(genuine), list(impostor))
     targets = [g.far_target for g in report.gmr_at_far]
     assert targets == [0.1, 0.01, 0.001]
     gmrs = [g.gmr for g in report.gmr_at_far]

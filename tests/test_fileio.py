@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reference_impls import flatten_reference
 from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.errors import (
     BadMagic,
@@ -60,8 +61,6 @@ def test_unicode_ids_round_trip(tmp_path):
 
 
 def test_tensor_round_trip(tmp_path):
-    from sparserec.features import ActivationTensor, flatten_activations
-
     rng = np.random.default_rng(1)
     tensors = rng.standard_normal((3, 2, 4, 5))
     path = tmp_path / "t.feat"
@@ -71,8 +70,29 @@ def test_tensor_round_trip(tmp_path):
     assert np.array_equal(loaded.labels, [0, 1, 0])
     flat = loaded.flatten()
     assert flat.dim == 2 * 4 * 5
-    for i in range(3):  # file flattening agrees with the per-tensor operation
-        assert np.array_equal(flat.features[i], flatten_activations(ActivationTensor(tensors[i])))
+    for i in range(3):  # file flattening agrees with the per-tensor index arithmetic
+        assert np.array_equal(flat.features[i], flatten_reference(tensors[i]))
+
+
+def test_flatten_reference_hand_case():
+    maps = np.array([[[1, 2], [3, 4]], [[5, 6], [7, 8]]], dtype=float)
+    assert np.array_equal(flatten_reference(maps), [1, 2, 3, 4, 5, 6, 7, 8])
+    assert np.array_equal(flatten_reference(np.array([[[9.0]]])), [9.0])
+
+
+def test_flattened_tensor_file_is_a_bijection(tmp_path):
+    rng = np.random.default_rng(2)
+    maps = rng.standard_normal((2, 3, 4, 5))  # two samples of 3 maps, 4 x 5 each
+    path = tmp_path / "t.feat"
+    write_tensor_features(path, maps, [0, 1], ["a", "b"])
+    flat = load_tensor_set(path).flatten()
+    n, n1, n2 = maps.shape[1:]
+    for sample in range(2):
+        row = flat.features[sample]
+        assert np.array_equal(row, flatten_reference(maps[sample]))
+        for i, r, c in [(0, 0, 0), (1, 2, 3), (2, 3, 4), (1, 0, 4)]:
+            assert row[i * n1 * n2 + r * n2 + c] == maps[sample, i, r, c]
+        assert np.array_equal(row.reshape(n, n1, n2), maps[sample])
 
 
 def test_bad_magic(tmp_path):

@@ -1,0 +1,15 @@
+"""README's Python quickstart runs as written, so the documented API cannot
+drift from the package."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks, "README has no python block"
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+    assert "EER:" in capsys.readouterr().out
