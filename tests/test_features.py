@@ -1,145 +1,28 @@
+"""Flattening activation tensors: each sample's n maps of n1 x n2, row-major in
+channel order, become one row of the flat dataset."""
+
 import numpy as np
-import pytest
 
-from sparserec.core import dataset_from_arrays
-from sparserec.errors import DimensionMismatch, InsufficientSamples, NonFiniteValue, ZeroNormSample
-from sparserec.features import (
-    ActivationTensor,
-    fit_standardizer,
-    flatten_activations,
-    fuse,
-    l2_normalize,
-    standardize,
-)
+from sparserec.fileio import load_tensor_set, write_tensor_features
 
 
-def test_flatten_two_maps():
-    t = ActivationTensor(np.array([[[1, 2], [3, 4]], [[5, 6], [7, 8]]], dtype=float))
-    assert np.array_equal(flatten_activations(t), [1, 2, 3, 4, 5, 6, 7, 8])
+def _flatten_one(tmp_path, maps):
+    path = tmp_path / "t.feat"
+    write_tensor_features(path, maps[np.newaxis], [0], ["s"])
+    flat = load_tensor_set(path).flatten()
+    assert flat.num_samples == 1
+    return flat.features[0]
 
 
-def test_flatten_single_entry():
-    assert np.array_equal(flatten_activations(ActivationTensor(np.array([[[9.0]]]))), [9.0])
+def test_flatten_two_maps(tmp_path):
+    maps = np.array([[[1, 2], [3, 4]], [[5, 6], [7, 8]]], dtype=float)
+    assert np.array_equal(_flatten_one(tmp_path, maps), [1, 2, 3, 4, 5, 6, 7, 8])
 
 
-def test_flatten_conv_layer_dimension():
+def test_flatten_single_entry(tmp_path):
+    assert np.array_equal(_flatten_one(tmp_path, np.array([[[9.0]]])), [9.0])
+
+
+def test_flatten_conv_layer_dimension(tmp_path):
     # 512 maps of 14x14 flatten to the 100352-dimensional local descriptor
-    t = ActivationTensor(np.zeros((512, 14, 14)))
-    assert flatten_activations(t).shape == (100352,)
-
-
-def test_flatten_is_a_bijection():
-    rng = np.random.default_rng(0)
-    maps = rng.standard_normal((3, 4, 5))
-    flat = flatten_activations(ActivationTensor(maps))
-    n, n1, n2 = maps.shape
-    for i, r, c in [(0, 0, 0), (1, 2, 3), (2, 3, 4), (1, 0, 4)]:
-        assert flat[i * n1 * n2 + r * n2 + c] == maps[i, r, c]
-    assert np.array_equal(flat.reshape(n, n1, n2), maps)
-
-
-def test_tensor_rejects_nonfinite():
-    with pytest.raises(NonFiniteValue):
-        ActivationTensor(np.array([[[1.0, np.nan]]]))
-
-
-def test_l2_normalize_345():
-    assert np.allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
-
-
-def test_l2_normalize_idempotent_and_scale_invariant():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        x = rng.standard_normal(6)
-        u = l2_normalize(x)
-        assert abs(np.linalg.norm(u) - 1.0) < 1e-12
-        assert np.max(np.abs(l2_normalize(u) - u)) < 1e-12
-        c = float(rng.uniform(0.1, 10.0))
-        assert np.max(np.abs(l2_normalize(c * x) - u)) < 1e-12
-
-
-def test_l2_normalize_zero_vector():
-    with pytest.raises(ZeroNormSample):
-        l2_normalize(np.zeros(3))
-
-
-def _ds(rows, labels=None):
-    rows = np.asarray(rows, dtype=float)
-    labels = labels or [0] * rows.shape[0]
-    return dataset_from_arrays(rows, labels, [str(i) for i in range(rows.shape[0])])
-
-
-def test_fit_standardizer_population_variance():
-    model = fit_standardizer(_ds([[1.0], [3.0]]))
-    assert model.means[0] == 2.0
-    assert model.stddevs[0] == 1.0  # population stddev of {1, 3}
-    assert not model.constant[0]
-
-
-def test_fit_standardizer_flags_constant():
-    model = fit_standardizer(_ds([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
-    assert model.constant[0]
-    assert not model.constant[1]
-
-
-def test_fit_standardizer_needs_two_samples():
-    with pytest.raises(InsufficientSamples):
-        fit_standardizer(_ds([[1.0, 2.0]]))
-
-
-def test_fit_standardizer_against_two_pass_oracle():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((4, 10)) * 3.0 + 1.5
-    model = fit_standardizer(_ds(x))
-    # two-pass oracle: accumulate mean first, then squared deviations
-    for j in range(10):
-        mean = sum(x[i, j] for i in range(4)) / 4
-        var = sum((x[i, j] - mean) ** 2 for i in range(4)) / 4
-        assert abs(model.means[j] - mean) < 1e-12
-        assert abs(model.stddevs[j] - np.sqrt(var)) < 1e-12
-
-
-def test_standardize_basics():
-    model = fit_standardizer(_ds([[1.0], [3.0]]))
-    assert np.allclose(standardize(np.array([3.0]), model), [1.0])
-    assert np.allclose(standardize(model.means.copy(), model), [0.0])
-
-
-def test_standardize_constant_maps_to_zero():
-    model = fit_standardizer(_ds([[5.0, 0.0], [5.0, 2.0]]))
-    out = standardize(np.array([123.0, 1.0]), model)
-    assert out[0] == 0.0
-    assert out[1] == 0.0  # equals the mean of the varying feature
-
-
-def test_standardize_dimension_mismatch():
-    model = fit_standardizer(_ds([[1.0], [3.0]]))
-    with pytest.raises(DimensionMismatch):
-        standardize(np.array([1.0, 2.0]), model)
-
-
-def test_standardized_enrolment_has_zero_mean_unit_variance():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((12, 6)) * rng.uniform(0.5, 4.0, size=6) + rng.standard_normal(6)
-    ds = _ds(x)
-    model = fit_standardizer(ds)
-    z = np.vstack([standardize(row, model) for row in x])
-    assert np.max(np.abs(z.mean(axis=0))) < 1e-9
-    assert np.max(np.abs(z.var(axis=0) - 1.0)) < 1e-9
-
-
-def test_fuse_examples():
-    lm = fit_standardizer(_ds([[-1.0], [1.0]]))  # mean 0, std 1
-    gm = fit_standardizer(_ds([[1.0], [3.0]]))  # mean 2, std 1
-    fused = fuse(np.array([1.0]), np.array([2.0]), lm, gm)
-    assert np.allclose(fused, [1.0, 0.0])
-    fused = fuse(lm.means.copy(), gm.means.copy(), lm, gm)
-    assert np.allclose(fused, [0.0, 0.0])
-
-
-def test_fuse_concatenates_lengths():
-    rng = np.random.default_rng(4)
-    lm = fit_standardizer(_ds(rng.standard_normal((3, 3))))
-    gm = fit_standardizer(_ds(rng.standard_normal((3, 4))))
-    fused = fuse(rng.standard_normal(3), rng.standard_normal(4), lm, gm)
-    assert fused.shape == (7,)
+    assert _flatten_one(tmp_path, np.zeros((512, 14, 14))).shape == (100352,)
