@@ -17,6 +17,7 @@ from .classifiers import CLASSIFIERS, CrcOperator, SacrcConfig, check_classifier
 from .config import (
     RunConfig,
     _apply_raw,
+    apply_setting,
     config_echo,
     parse_pca_selection,
     parse_protocol,
@@ -69,12 +70,10 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, str | None]:
     }
 
 
-def _resolve_config(args: argparse.Namespace, base: dict[str, str] | None = None) -> RunConfig:
-    """Layered resolution: defaults, then bundle manifest, then config file,
-    then command-line flags."""
-    cfg = RunConfig()
-    for key, value in (base or {}).items():
-        cfg = _apply_raw(cfg, key, value)
+def _resolve_config(args: argparse.Namespace, base: RunConfig | None = None) -> RunConfig:
+    """Layered resolution: defaults, then bundle manifest (`base`), then
+    config file, then command-line flags."""
+    cfg = base or RunConfig()
     if getattr(args, "config", None):
         cfg = read_config_file(args.config, cfg)
     for key, value in _overrides_from_args(args).items():
@@ -98,8 +97,10 @@ def _write_manifest(path: Path, entries: dict[str, str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_manifest(path: Path) -> dict[str, str]:
+def _read_manifest(path: Path) -> tuple[dict[str, str], dict[str, int]]:
+    """The manifest's entries, and the line each was read from."""
     entries: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     for lineno, raw in enumerate(text_lines(path), start=1):
         line = raw.strip()
         if not line:
@@ -107,13 +108,13 @@ def _read_manifest(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise MalformedLine(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        entries[key] = value
-    return entries
+        entries[key], linenos[key] = value, lineno
+    return entries, linenos
 
 
 def _load_bundle(bundle_dir: str):
     bundle = Path(bundle_dir)
-    manifest = _read_manifest(bundle / MANIFEST_NAME)
+    manifest, linenos = _read_manifest(bundle / MANIFEST_NAME)
     dictionary = read_dictionary(bundle / DICTIONARY_NAME)
     model = read_pca_model(bundle / PCA_NAME) if (bundle / PCA_NAME).exists() else None
     enrolment = load_flat_dataset(bundle / ENROLMENT_NAME)
@@ -138,17 +139,21 @@ def _load_bundle(bundle_dir: str):
     # the dictionary's columns are the enrolment's samples, ordered class-major
     if sorted(enrolment.labels.tolist()) != dictionary.column_labels.tolist():
         raise InconsistentBundle(f"{bundle / ENROLMENT_NAME}: class labels differ from {DICTIONARY_NAME}'s")
-    return dictionary, model, enrolment, manifest
+    # the fit's hyperparameters, the base that a config file and flags override
+    cfg = RunConfig()
+    for key in ("lambda", "sparsity_k", "residual_tol", "pca"):
+        if key in manifest:
+            cfg = apply_setting(cfg, key, manifest[key], f"{bundle / MANIFEST_NAME}:{linenos[key]}")
+    return dictionary, model, enrolment, cfg
 
 
-def _reduce_probes(probes: Dataset, model, dictionary) -> Dataset:
-    if model is not None:
-        return transform_dataset(probes, model)
-    if probes.dim != dictionary.dim:
-        raise DimensionMismatch(
-            f"probes have dim {probes.dim} but the bundle expects {dictionary.dim} (PCA off)"
-        )
-    return probes
+def _load_probes(path: str, model, dictionary) -> Dataset:
+    """The probe file, checked against the bundle's input dim and reduced."""
+    probes = load_flat_dataset(path)
+    expected = dictionary.dim if model is None else model.dim_in
+    if probes.dim != expected:
+        raise DimensionMismatch(f"{path}: dim {probes.dim}, but the bundle expects dim {expected}")
+    return probes if model is None else transform_dataset(probes, model)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +162,12 @@ def _reduce_probes(probes: Dataset, model, dictionary) -> Dataset:
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(args)
+    if args.tensor:
+        n1, n2, n = _parse_tensor_shape(args.tensor)
+        if n1 * n2 * n != args.dim:
+            raise InvalidParameters(
+                f"tensor shape {args.tensor} holds {n1 * n2 * n} values per sample, dim is {args.dim}"
+            )
     enrolment, probes = generate_synthetic(
         num_classes=args.classes,
         samples_per_class=args.samples_per_class,
@@ -167,18 +177,13 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
         seed=cfg.seed,
         probes_per_class=args.probes_per_class,
     )
-    if args.tensor:
-        n1, n2, n = _parse_tensor_shape(args.tensor)
-        if n1 * n2 * n != args.dim:
-            raise InvalidParameters(
-                f"tensor shape {args.tensor} holds {n1 * n2 * n} values per sample, dim is {args.dim}"
-            )
-        for name, ds in (("enrolment.feat", enrolment), ("probes.feat", probes)):
+    out = _out_dir(args)
+    for name, ds in (("enrolment.feat", enrolment), ("probes.feat", probes)):
+        if args.tensor:
             stacked = ds.features.reshape(ds.num_samples, n, n1, n2)
             write_tensor_features(out / name, stacked, ds.labels, ds.ids)
-    else:
-        write_flat_features(out / "enrolment.feat", enrolment)
-        write_flat_features(out / "probes.feat", probes)
+        else:
+            write_flat_features(out / name, ds)
     print(f"wrote {out / 'enrolment.feat'} ({enrolment.num_samples} samples)")
     print(f"wrote {out / 'probes.feat'} ({probes.num_samples} samples)")
     return 0
@@ -198,9 +203,8 @@ def _parse_tensor_shape(text: str) -> tuple[int, int, int]:
 
 
 def cmd_flatten(args: argparse.Namespace) -> int:
+    flat = load_tensor_set(args.input).flatten()
     out = _out_dir(args)
-    tensors = load_tensor_set(args.input)
-    flat = tensors.flatten()
     write_flat_features(out / "features.feat", flat)
     print(f"wrote {out / 'features.feat'} ({flat.num_samples} samples, dim {flat.dim})")
     return 0
@@ -208,7 +212,6 @@ def cmd_flatten(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(args)
     enrolment = load_flat_dataset(args.enrolment)
 
     mode, param = parse_pca_selection(cfg.pca)
@@ -226,6 +229,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     sacrc_cfg = SacrcConfig(cfg.ridge_lambda, cfg.sparsity_k, cfg.residual_tol)
     resolved_k = sacrc_cfg.resolve_k(dictionary.num_atoms)
 
+    out = _out_dir(args)
     write_dictionary(out / DICTIONARY_NAME, dictionary)
     if model is not None:
         write_pca_model(out / PCA_NAME, model)
@@ -251,10 +255,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bundle_base_config(manifest: dict[str, str]) -> dict[str, str]:
-    return {key: manifest[key] for key in ("lambda", "sparsity_k", "residual_tol", "pca") if key in manifest}
-
-
 def _scoreset_for(cfg: RunConfig, probes, dictionary, enrolment):
     sacrc_cfg = SacrcConfig(cfg.ridge_lambda, cfg.sparsity_k, cfg.residual_tol)
     op = CrcOperator(dictionary, cfg.ridge_lambda)
@@ -274,10 +274,9 @@ def _scoreset_for(cfg: RunConfig, probes, dictionary, enrolment):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    dictionary, model, enrolment, manifest = _load_bundle(args.bundle)
-    cfg = _resolve_config(args, base=_bundle_base_config(manifest))
-    out = _out_dir(args)
-    probes = _reduce_probes(load_flat_dataset(args.probes), model, dictionary)
+    dictionary, model, enrolment, base = _load_bundle(args.bundle)
+    cfg = _resolve_config(args, base)
+    probes = _load_probes(args.probes, model, dictionary)
 
     scoreset, _, sacrc_cfg = _scoreset_for(cfg, probes, dictionary, enrolment)
     echo = config_echo(
@@ -289,6 +288,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     report = evaluate_verification(scoreset, cfg.far_targets, echo)
 
+    out = _out_dir(args)
     write_scores_csv(out / "scores.csv", scoreset)
     write_roc_csv(out / "roc.csv", report)
     (out / "report.txt").write_text(format_report_text(report))
@@ -310,10 +310,9 @@ def cmd_identify(args: argparse.Namespace) -> int:
     # a comma list, checked whole before any work and kept out of the config
     classifiers = None if args.classifier is None else _parse_classifier_list(args.classifier)
     args.classifier = None
-    dictionary, model, enrolment, manifest = _load_bundle(args.bundle)
-    cfg = _resolve_config(args, base=_bundle_base_config(manifest))
-    out = _out_dir(args)
-    probes = _reduce_probes(load_flat_dataset(args.probes), model, dictionary)
+    dictionary, model, enrolment, base = _load_bundle(args.bundle)
+    cfg = _resolve_config(args, base)
+    probes = _load_probes(args.probes, model, dictionary)
 
     # Mirror the identification protocol: keep only probes whose class is enrolled.
     enrolled = probes.labels < dictionary.num_classes
@@ -349,6 +348,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
         probes_used=probes.num_samples,
         probes_dropped=dropped,
     )
+    out = _out_dir(args)
     csv_lines = ["classifier,rank1_accuracy"]
     csv_lines += [f"{name},{acc:.17g}" for name, acc in rows]
     (out / "rank1.csv").write_text("\n".join(csv_lines) + "\n")
@@ -375,18 +375,17 @@ def _parse_k_list(text: str) -> list[int]:
 
 def cmd_sweep_pcs(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(args)
+    k_values = _parse_k_list(args.k_list)
     enrolment = load_flat_dataset(args.enrolment)
     probes = load_flat_dataset(args.probes)
-    k_values = _parse_k_list(args.k_list)
+    if probes.dim != enrolment.dim:
+        raise DimensionMismatch(
+            f"{args.probes}: dim {probes.dim} does not match the enrolment's dim {enrolment.dim}"
+        )
 
-    models = pca_sweep(enrolment, k_values)
-    counts = [model.num_components for model in models]
-    # Every model is a view of the widest one's leading columns, so one
-    # projection serves every row: a row slices its leading K columns.
-    widest = models[counts.index(max(counts))]
-    enrol_all = transform_dataset(enrolment, widest)
-    probes_all = transform_dataset(probes, widest)
+    # One projection at the widest K serves every row: a row slices its
+    # leading K columns.
+    counts, enrol_all, probes_all = pca_sweep(enrolment, probes, k_values)
     header = ["num_components", "eer"] + [f"gmr_at_far_{t:g}" for t in cfg.far_targets]
     lines = [",".join(header)]
     for k in counts:
@@ -398,6 +397,7 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
         row = [str(k), f"{report.eer:.17g}"]
         row += [f"{g.gmr:.17g}" for g in report.gmr_at_far]
         lines.append(",".join(row))
+    out = _out_dir(args)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     echo = config_echo(cfg, k_list=",".join(str(k) for k in k_values))
     (out / "sweep.kv").write_text("".join(f"config.{k} = {v}\n" for k, v in echo))

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .classifiers import CLASSIFIERS
-from .errors import BadEncoding, ConfigError
+from .classifiers import CLASSIFIERS, _check_nonnegative
+from .errors import BadEncoding, ConfigError, InvalidParameters
 
 
 @dataclass(frozen=True)
@@ -94,23 +94,37 @@ def read_config_file(path: str | Path, cfg: RunConfig) -> RunConfig:
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate configuration key {key!r}")
         seen.add(key)
-        try:
-            cfg = _apply_raw(cfg, key, value)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        cfg = apply_setting(cfg, key, value, f"{path}:{lineno}")
     return cfg
+
+
+def apply_setting(cfg: RunConfig, key: str, value: str, where: str) -> RunConfig:
+    """`_apply_raw`, with `where` (a file's path:line) before any error."""
+    try:
+        return _apply_raw(cfg, key, value)
+    except (ConfigError, InvalidParameters) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _nonnegative(key: str, value: str) -> float:
+    number = float(value)
+    _check_nonnegative(key, number)
+    return number
 
 
 def _apply_raw(cfg: RunConfig, key: str, value: str) -> RunConfig:
     try:
         if key == "lambda":
-            return replace(cfg, ridge_lambda=float(value))
+            return replace(cfg, ridge_lambda=_nonnegative(key, value))
         if key == "sparsity_k":
             if value == "auto":
                 return replace(cfg, sparsity_k=None)
-            return replace(cfg, sparsity_k=int(value))
+            k = int(value)
+            if k < 1:
+                raise ConfigError(f"sparsity_k must be >= 1, got {k}")
+            return replace(cfg, sparsity_k=k)
         if key == "residual_tol":
-            return replace(cfg, residual_tol=float(value))
+            return replace(cfg, residual_tol=_nonnegative(key, value))
         if key == "seed":
             seed = int(value)
             if seed < 0:

@@ -10,7 +10,9 @@ read off the eigenvalues first and only those K directions are built.
 
 A Gram-route fit holds X, the M x M eigenproblem and the D x K directions:
 both of its products centre fixed-size chunks of X into a reused buffer (the
-scatter route, D < M, centres X once).  Projection runs in row blocks.
+scatter route, D < M, centres X once).  Projection runs in row blocks.  A
+Gram-route sweep costs the Gram pass, which also forms the probes'
+cross-Gram, plus `eigh`: it projects in sample space and holds no D x K array.
 """
 
 from __future__ import annotations
@@ -81,27 +83,31 @@ def _fit(enrolment: Dataset, choose_k) -> PcaModel:
     # The M x M Gram and the D x D scatter share their nonzero eigenvalues;
     # decompose the smaller one.
     use_gram = d >= m
-    if use_gram:
-        evals, evecs = np.linalg.eigh(_centred_gram(x, mean))
-    else:
-        evals, evecs = np.linalg.eigh((centered := x - mean).T @ centered)
-    evals = evals[::-1]
-    evecs = evecs[:, ::-1]
-    if evals[0] <= 0.0:
-        raise DegenerateData("all samples are identical; nothing to decompose")
-    floor = EIGENVALUE_FLOOR_RATIO * evals[0]
-    rank = int(np.count_nonzero(evals > floor))
-    evals = np.ascontiguousarray(evals[:rank])
-    fractions = np.cumsum(evals) / evals.sum()
+    evals, evecs, fractions = _ranked_eigh(
+        _centred_gram(x, mean) if use_gram else (centered := x - mean).T @ centered
+    )
     k = choose_k(fractions)
     if use_gram:
-        directions = _gram_directions(x, mean, evecs[:, :k] / np.sqrt(evals[:k]), min(_BLOCK, rank))
+        directions = _gram_directions(x, mean, evecs[:, :k] / np.sqrt(evals[:k]), min(_BLOCK, len(evals)))
     else:
         directions = np.ascontiguousarray(evecs[:, :k])
     _make_peaks_positive(directions)
     return PcaModel(
         _frozen(mean), _frozen(directions), _frozen(evals[:k].copy()), _frozen(fractions[:k].copy())
     )
+
+
+def _ranked_eigh(matrix: np.ndarray):
+    """Eigenvalues, eigenvectors and cumulative variance fractions of a
+    symmetric matrix, largest first, cut at the eigenvalue floor (the rank)."""
+    evals, evecs = np.linalg.eigh(matrix)
+    evals = evals[::-1]
+    evecs = evecs[:, ::-1]
+    if evals[0] <= 0.0:
+        raise DegenerateData("all samples are identical; nothing to decompose")
+    rank = int(np.count_nonzero(evals > EIGENVALUE_FLOOR_RATIO * evals[0]))
+    evals = np.ascontiguousarray(evals[:rank])
+    return evals, evecs[:, :rank], np.cumsum(evals) / evals.sum()
 
 
 def _centred(x: np.ndarray, mean: np.ndarray, lo: int, hi: int, buffer: np.ndarray) -> np.ndarray:
@@ -111,18 +117,27 @@ def _centred(x: np.ndarray, mean: np.ndarray, lo: int, hi: int, buffer: np.ndarr
     return chunk
 
 
-def _centred_gram(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+def _centred_gram(x: np.ndarray, mean: np.ndarray, probes: np.ndarray | None = None) -> np.ndarray:
     """X_c X_c^T summed over chunks of `_GRAM_COLUMNS` columns, each centred
-    into one reused buffer.  For D <= `_GRAM_COLUMNS` it is one product."""
+    into one reused buffer.  For D <= `_GRAM_COLUMNS` it is one product.
+
+    With P probe rows Y it returns the (M + P) x M stack [X_c; Y - mean] X_c^T:
+    the Gram on top, the probes' cross-Gram below, summed in the same pass.
+    """
     m, d = x.shape
+    y = x[:0] if probes is None else probes
     width = min(d, _GRAM_COLUMNS)
-    buffer = np.empty(m * width)
-    chunk = _centred(x, mean, 0, width, buffer)
-    gram = chunk @ chunk.T
-    for lo in range(width, d, width):
+    buffer, probe_buffer = np.empty(m * width), np.empty(y.shape[0] * width)
+    grams = np.empty((m + y.shape[0], m))
+    for lo in range(0, d, width):
         chunk = _centred(x, mean, lo, min(d, lo + width), buffer)
-        gram += chunk @ chunk.T
-    return gram
+        probe_chunk = _centred(y, mean, lo, min(d, lo + width), probe_buffer)
+        if lo == 0:  # assigned, not added to zeros, so a -0.0 entry keeps its sign for eigh
+            grams[:m], grams[m:] = chunk @ chunk.T, probe_chunk @ chunk.T
+        else:
+            grams[:m] += chunk @ chunk.T
+            grams[m:] += probe_chunk @ chunk.T
+    return grams
 
 
 def _gram_directions(x: np.ndarray, mean: np.ndarray, weights: np.ndarray, block_width: int):
@@ -172,15 +187,6 @@ def _make_peaks_positive(directions: np.ndarray) -> None:
         column = directions[:, j]
         flip[j] = column[np.argmax(np.abs(column))] < 0.0
     directions *= np.where(flip, -1.0, 1.0)
-
-
-def _truncate(full: PcaModel, k: int) -> PcaModel:
-    """The leading k columns of `full`, as read-only views of its arrays."""
-    if k == full.num_components:
-        return full
-    return PcaModel(
-        full.mean, full.projection[:, :k], full.eigenvalues[:k], full.variance_fractions[:k]
-    )
 
 
 def _check_fixed_k(k: int, dim: int, num_samples: int) -> None:
@@ -243,18 +249,44 @@ def transform_dataset(ds: Dataset, model: PcaModel) -> Dataset:
     return dataset_from_arrays(projected, ds.labels, ds.ids)
 
 
-def pca_sweep(enrolment: Dataset, k_values: list[int]) -> list[PcaModel]:
-    """Fit once for the largest requested count, truncate to each of them.
+def pca_sweep(enrolment: Dataset, probes: Dataset, k_values: list[int]):
+    """Project enrolment and probes at the largest requested count.
 
-    Every returned model holds read-only views of the widest model's arrays,
-    and the model at K equals pca_fit(num_components=K) bit for bit.
+    Returns `(counts, enrolment_all, probes_all)`: each requested count
+    clipped to the data's rank, and both datasets projected onto the widest
+    K directions; a count of k reads their leading k columns.
+
+    On the Gram route (D >= M) no D x K array is built.  The directions are
+    W = X_c^T V diag(1/sqrt(mu)) for the Gram's eigenpairs (V, mu), so the
+    projections are X_c W = G V diag(1/sqrt(mu)) for the Gram G = X_c X_c^T
+    and (Y - mean) W = C V diag(1/sqrt(mu)) for the cross-Gram
+    C = (Y - mean) X_c^T, which the Gram's one pass over X also sums.  The
+    sign rule is skipped, so a column may come out negated against
+    `transform_dataset(., pca_fit(K))`; negating one coordinate of every atom
+    and probe leaves every score the same bits.
+    The scatter route (D < M) fits and projects.
     """
     if not k_values:
         raise InvalidParameters("k_values must not be empty")
     if enrolment.num_samples < 2:
         raise InsufficientSamples(f"PCA needs at least 2 samples, got {enrolment.num_samples}")
+    if probes.dim != enrolment.dim:
+        raise DimensionMismatch(f"probes have dim {probes.dim} but the enrolment has dim {enrolment.dim}")
     for k in k_values:
         _check_fixed_k(int(k), enrolment.dim, enrolment.num_samples)
     widest = max(int(k) for k in k_values)
-    full = _fit(enrolment, lambda fractions: min(widest, len(fractions)))
-    return [_truncate(full, min(int(k), full.num_components)) for k in k_values]
+    x = enrolment.features
+    m, d = x.shape
+    if d >= m:
+        mean = x.mean(axis=0)
+        grams = _centred_gram(x, mean, probes.features)
+        evals, evecs, _ = _ranked_eigh(grams[:m])
+        k = min(widest, len(evals))
+        projected = grams @ (evecs[:, :k] / np.sqrt(evals[:k]))
+        enrolment_all = dataset_from_arrays(projected[:m], enrolment.labels, enrolment.ids)
+        probes_all = dataset_from_arrays(projected[m:], probes.labels, probes.ids)
+    else:
+        full = _fit(enrolment, lambda fractions: min(widest, len(fractions)))
+        k = full.num_components
+        enrolment_all, probes_all = transform_dataset(enrolment, full), transform_dataset(probes, full)
+    return [min(int(count), k) for count in k_values], enrolment_all, probes_all

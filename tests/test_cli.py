@@ -328,6 +328,34 @@ def test_sweep_two_rows(tmp_path):
     assert "config.k_list = 4,8" in echo
 
 
+@pytest.mark.parametrize("enrol_dim, probe_dim", [(30, 12), (12, 30)], ids=["gram", "scatter"])
+def test_sweep_checks_the_probe_dimension_first(tmp_path, capsys, enrol_dim, probe_dim):
+    # 20 enrolment samples: dim 30 takes the Gram route, dim 12 the scatter route
+    gen(tmp_path / "enrol", classes=4, samples=5, dim=enrol_dim)
+    gen(tmp_path / "probe", classes=4, samples=5, dim=probe_dim)
+    probes = tmp_path / "probe" / "probes.feat"
+    capsys.readouterr()
+    code = run("sweep-pcs", tmp_path / "enrol" / "enrolment.feat", probes, "--k-list", "2,4",
+               "--out", tmp_path / "sweep")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {probes}: dim {probe_dim} does not match the enrolment's dim {enrol_dim}\n"
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("pca", ["5", "off"])
+@pytest.mark.parametrize("command", ["verify", "identify"])
+def test_probes_of_another_dimension_name_their_file(tmp_path, capsys, pca, command):
+    gen(tmp_path / "enrol", dim=30)
+    gen(tmp_path / "probe", dim=12)
+    assert run("fit", tmp_path / "enrol" / "enrolment.feat", "--pca", pca, "--out", tmp_path / "bundle") == 0
+    probes = tmp_path / "probe" / "probes.feat"
+    capsys.readouterr()
+    assert run(command, probes, tmp_path / "bundle", "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {probes}: dim 12, but the bundle expects dim 30\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_accepts_the_full_grid():
     # the component grid 100..1500 step 100 parses into fifteen requests
     ks = _parse_k_list(",".join(str(k) for k in range(100, 1600, 100)))
@@ -412,6 +440,77 @@ def test_fit_rejects_non_finite_solver_values(tmp_path, capsys, case):
     assert err.startswith("error:") and text in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "bundle" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("line, text", [
+    *((f"{key} = {value}", f"{key} must be finite and >= 0")
+      for key in ("lambda", "residual_tol") for value in ("nan", "inf", "-1")),
+    ("sparsity_k = 0", "sparsity_k must be >= 1"),
+])
+def test_bad_solver_value_in_a_config_file_names_its_line(tmp_path, capsys, line, text):
+    gen(tmp_path / "data", dim=20)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"pca = 4\n{line}\n")
+    capsys.readouterr()
+    code = run("fit", tmp_path / "data" / "enrolment.feat", "--config", cfg, "--out", tmp_path / "bundle")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:2: {text}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("line, text", [("lambda = abc", "bad value 'abc'"),
+                                        ("residual_tol = nan", "residual_tol must be finite"),
+                                        ("pca = 0.5", "bad pca selection")],
+                         ids=["lambda-abc", "residual-tol-nan", "pca"])
+@pytest.mark.parametrize("command", ["verify", "identify"])
+def test_bad_manifest_value_names_its_line(tmp_path, capsys, line, text, command):
+    gen(tmp_path / "data", dim=20)
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
+    manifest = tmp_path / "bundle" / "manifest.txt"
+    key = line.split(" = ")[0]
+    lines = manifest.read_text().splitlines()
+    lineno = next(i for i, entry in enumerate(lines, start=1) if entry.startswith(f"{key} = "))
+    lines[lineno - 1] = line
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run(command, tmp_path / "data" / "probes.feat", tmp_path / "bundle", "--out", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}:{lineno}: ") and text in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _failing_run(tmp_path, command):
+    """An argv for `command` that fails its input or configuration checks."""
+    gen(tmp_path / "data", dim=20, tensor="2x2x5")
+    gen(tmp_path / "flat", dim=20)
+    assert run("fit", tmp_path / "flat" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
+    nan_cfg = tmp_path / "nan.cfg"
+    nan_cfg.write_text("residual_tol = nan\n")
+    truncated = tmp_path / "truncated.feat"
+    truncated.write_bytes((tmp_path / "data" / "enrolment.feat").read_bytes()[:-4])
+    probes = tmp_path / "flat" / "probes.feat"
+    return {
+        "gen-synthetic": ["gen-synthetic", "--classes", 2, "--samples-per-class", 2, "--dim", 8,
+                          "--subspace-dim", 2, "--tensor", "2x2x3"],
+        "flatten": ["flatten", truncated],
+        "fit": ["fit", tmp_path / "flat" / "enrolment.feat", "--config", nan_cfg],
+        "verify": ["verify", probes, tmp_path / "bundle", "--config", nan_cfg],
+        "identify": ["identify", probes, tmp_path / "bundle", "--config", nan_cfg],
+        "sweep-pcs": ["sweep-pcs", tmp_path / "flat" / "enrolment.feat", probes, "--k-list", "2",
+                      "--config", nan_cfg],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["gen-synthetic", "flatten", "fit", "verify", "identify", "sweep-pcs"])
+def test_failed_command_leaves_no_output_directory(tmp_path, capsys, command):
+    argv = _failing_run(tmp_path, command)
+    capsys.readouterr()
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line", ["far_targets = 0.1,", "lambda = abc", "pca = 0.5", "seed = -1",

@@ -7,7 +7,15 @@ import pytest
 from reference_impls import covariance_pca_reference, peaks_positive_reference
 from sparserec import pca
 from sparserec.core import dataset_from_arrays
-from sparserec.errors import DegenerateData, InsufficientSamples, InvalidParameters, KTooLarge
+from sparserec.cli import main
+from sparserec.errors import (
+    DegenerateData,
+    DimensionMismatch,
+    InsufficientSamples,
+    InvalidParameters,
+    KTooLarge,
+)
+from sparserec.fileio import write_flat_features
 from sparserec.pca import (
     DEFAULT_NUM_COMPONENTS,
     pca_fit,
@@ -154,31 +162,37 @@ def test_invalid_selections():
 
 
 def test_sweep_shares_leading_columns_exactly():
+    # A sweep row at k reads the leading k columns of the widest projection,
+    # so a k-component fit must be the leading columns of a wider one.
     rng = np.random.default_rng(11)
     ds = _random_ds(rng, 9, 12)
-    small, large = pca_sweep(ds, [2, 5])
+    small, large = pca_fit(ds, num_components=2), pca_fit(ds, num_components=5)
     assert small.num_components == 2 and large.num_components == 5
     assert small.mean.tobytes() == large.mean.tobytes()
     assert small.projection.tobytes() == np.ascontiguousarray(large.projection[:, :2]).tobytes()
 
 
 def test_sweep_equals_individual_fit_bitwise():
+    # D < M: the sweep fits and projects, the same code as fit + transform.
     rng = np.random.default_rng(12)
-    ds = _random_ds(rng, 9, 12)
-    (swept,) = pca_sweep(ds, [4])
+    ds, probes = _random_ds(rng, 20, 12), _random_ds(rng, 7, 12)
+    counts, enrolment_all, probes_all = pca_sweep(ds, probes, [4])
     fitted = pca_fit(ds, num_components=4)
-    assert swept.projection.tobytes() == fitted.projection.tobytes()
-    assert swept.eigenvalues.tobytes() == fitted.eigenvalues.tobytes()
-    assert swept.mean.tobytes() == fitted.mean.tobytes()
+    assert counts == [4]
+    assert enrolment_all.features.tobytes() == transform_dataset(ds, fitted).features.tobytes()
+    assert probes_all.features.tobytes() == transform_dataset(probes, fitted).features.tobytes()
+    assert enrolment_all.ids == ds.ids and probes_all.labels.tobytes() == probes.labels.tobytes()
 
 
 def test_sweep_validates_k_values():
     rng = np.random.default_rng(13)
     ds = _random_ds(rng, 5, 8)
     with pytest.raises(KTooLarge):
-        pca_sweep(ds, [2, 10])
+        pca_sweep(ds, ds, [2, 10])
     with pytest.raises(InvalidParameters):
-        pca_sweep(ds, [])
+        pca_sweep(ds, ds, [])
+    with pytest.raises(DimensionMismatch):
+        pca_sweep(ds, _random_ds(rng, 3, 7), [2])
 
 
 def test_high_dimensional_fit_stays_cheap():
@@ -230,10 +244,16 @@ def test_largest_entry_of_each_direction_is_positive(shape):
 def test_sweep_head_equals_fit_bitwise(shape, pairs):
     ds = _random_ds(np.random.default_rng(17), *shape)
     for k, k_big in pairs:
-        swept, _ = pca_sweep(ds, [k, k_big])
+        wide = pca_fit(ds, num_components=k_big)
         fitted = pca_fit(ds, num_components=k)
-        for field in ("mean", "projection", "eigenvalues", "variance_fractions"):
-            assert getattr(swept, field).tobytes() == getattr(fitted, field).tobytes(), (k, k_big, field)
+        head = {
+            "mean": wide.mean,
+            "projection": np.ascontiguousarray(wide.projection[:, :k]),
+            "eigenvalues": wide.eigenvalues[:k],
+            "variance_fractions": wide.variance_fractions[:k],
+        }
+        for field, expected in head.items():
+            assert getattr(fitted, field).tobytes() == expected.tobytes(), (k, k_big, field)
 
 
 @pytest.mark.parametrize("shape", [GRAM_SHAPE, SCATTER_SHAPE], ids=["gram", "scatter"])
@@ -298,7 +318,7 @@ def test_gram_route_never_holds_a_second_sample_matrix():
     models = {}
     for name, run in [
         ("fit", lambda: pca_fit(ds, num_components=10)),
-        ("sweep", lambda: pca_sweep(ds, [5, 10])[-1]),
+        ("sweep", lambda: pca_sweep(ds, ds, [5, 10])),
         ("transform", lambda: transform_dataset(ds, models["fit"])),
     ]:
         tracemalloc.start()
@@ -319,12 +339,16 @@ def test_row_blocks_give_the_bits_of_one_product(monkeypatch):
     assert transform_dataset(ds, model).features.tobytes() == whole.tobytes()
 
 
-def test_swept_models_are_views_of_the_widest():
+def test_sweep_outputs_are_read_only():
     ds = _random_ds(np.random.default_rng(25), 30, 50)
-    small, large = pca_sweep(ds, [3, 12])
-    for field in ("projection", "eigenvalues", "variance_fractions"):
-        assert np.shares_memory(getattr(small, field), getattr(large, field)), field
-        assert not getattr(small, field).flags.writeable, field
+    counts, enrolment_all, probes_all = pca_sweep(ds, ds, [3, 12])
+    assert counts == [3, 12]
+    for projected in (enrolment_all, probes_all):
+        assert projected.features.shape == (30, 12)
+        assert not projected.features.flags.writeable
+    model = pca_fit(ds, num_components=3)
+    for field in ("mean", "projection", "eigenvalues", "variance_fractions"):
+        assert not getattr(model, field).flags.writeable, field
 
 
 def test_gram_column_chunks_change_only_rounding(monkeypatch):
@@ -334,3 +358,64 @@ def test_gram_column_chunks_change_only_rounding(monkeypatch):
     whole = pca_fit(ds, num_components=10)
     assert np.max(np.abs(chunked.projection - whole.projection)) < 1e-10
     assert np.max(np.abs(chunked.eigenvalues / whole.eigenvalues - 1.0)) < 1e-12
+
+
+def _low_rank_ds(rng, m, d, rank):
+    return _ds(rng.standard_normal((m, rank)) @ rng.standard_normal((rank, d)))
+
+
+# (enrolment M, D, probes P, requested counts, rank): one Gram product
+# (D <= 2048), a chunked Gram whose last chunk is one column, and a rank-6
+# enrolment whose widest request is clipped to the rank.
+SWEEP_CASES = {
+    "gram": (300, 320, 30, [5, 260, 299], None),
+    "chunked": (300, 2049, 20, [37, 299], None),
+    "clipped": (40, 3000, 9, [3, 30], 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_gram_sweep_projects_like_fit_and_transform(case):
+    m, d, p, k_values, rank = SWEEP_CASES[case]
+    rng = np.random.default_rng(27)
+    if rank is None:
+        ds, probes = _random_ds(rng, m, d), _random_ds(rng, p, d)
+    else:
+        ds, probes = _low_rank_ds(rng, m, d, rank), _random_ds(rng, p, d)
+    counts, enrolment_all, probes_all = pca_sweep(ds, probes, k_values)
+    widest = rank or max(k_values)
+    assert counts == [min(k, widest) for k in k_values]
+    model = pca_fit(ds, num_components=max(k_values))
+    assert model.num_components == widest
+    for projected, source in ((enrolment_all, ds), (probes_all, probes)):
+        expected = transform_dataset(source, model).features
+        got = projected.features
+        assert got.shape == expected.shape
+        assert projected.ids == source.ids
+        # the sweep skips the sign rule: each column may come out negated
+        sign = np.where(np.sum(got * expected, axis=0) < 0.0, -1.0, 1.0)
+        scale = np.max(np.abs(expected), axis=0)
+        assert np.max(np.abs(got * sign - expected) / scale) < 1e-12
+
+
+def test_gram_sweep_holds_no_direction_matrix(tmp_path):
+    # 40 x 100,000 enrolment, 4 probes: the D x K directions at K = 20 would
+    # be 16 MB, so the command may hold the loaded inputs and 8 MB besides.
+    rng = np.random.default_rng(28)
+    enrolment = dataset_from_arrays(rng.standard_normal(LARGE_GRAM_SHAPE), np.repeat(np.arange(4), 10),
+                                    [f"e{i}" for i in range(40)])
+    probes = dataset_from_arrays(rng.standard_normal((4, LARGE_GRAM_SHAPE[1])), np.arange(4),
+                                 [f"p{i}" for i in range(4)])
+    write_flat_features(tmp_path / "enrolment.feat", enrolment)
+    write_flat_features(tmp_path / "probes.feat", probes)
+    limit = enrolment.features.nbytes + probes.features.nbytes + 8 * 2**20
+    del enrolment, probes
+    argv = ["sweep-pcs", str(tmp_path / "enrolment.feat"), str(tmp_path / "probes.feat"),
+            "--k-list", "5,20,10", "--out", str(tmp_path / "sweep")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, (peak, limit)
