@@ -1,6 +1,6 @@
 """Decision machinery: the dense ridge (collaborative) solve, the greedy
-l0-constrained sparse solve, their normalized augmentation with label-matrix
-classification, and the residual / nearest-neighbor baselines.
+l0-constrained sparse solve, their normalized augmentation summed per class
+as evidence, and the residual / nearest-neighbor baselines.
 
 `score_matrix` is the one place that knows how each classifier in
 `CLASSIFIERS` scores: it maps a P x D probe block to P x c per-class scores,
@@ -208,18 +208,16 @@ def _crc_scores(y_hat: np.ndarray, op: CrcOperator) -> np.ndarray:
     alpha = op.apply(y_hat)
     norms = np.linalg.norm(alpha, axis=1, keepdims=True)
     alpha = alpha / np.where(norms > 0.0, norms, 1.0)
-    return alpha @ op.dictionary.label_matrix.T
+    return op.dictionary.class_sums(alpha)
 
 
 def _class_residuals(y: np.ndarray, alpha: np.ndarray, dictionary: Dictionary) -> np.ndarray:
     """||y - Phi_i alpha_i|| for every row and class i, from each class's
     columns alone: (P, D), (P, N) -> (P, c)."""
-    labels = dictionary.column_labels
-    order = np.argsort(labels, kind="stable")  # the identity for class-major atoms
-    bounds = np.searchsorted(labels[order], np.arange(dictionary.num_classes + 1))
+    bounds = [*dictionary.class_starts.tolist(), dictionary.num_atoms]
     residuals = np.empty((y.shape[0], dictionary.num_classes))
     for i in range(dictionary.num_classes):
-        cols = order[bounds[i] : bounds[i + 1]]
+        cols = np.arange(bounds[i], bounds[i + 1])  # gathered: a strided view rounds differently
         reconstruction = alpha[:, cols] @ dictionary.atoms[:, cols].T
         residuals[:, i] = np.linalg.norm(y - reconstruction, axis=1)
     return residuals
@@ -284,9 +282,8 @@ def score_matrix(
         if op is None or cfg is None:
             raise InvalidParameters("sacrc scoring needs a CrcOperator and a SacrcConfig")
         k = cfg.resolve_k(n)
-        labels_t = dictionary.label_matrix.T
         return _blockwise(
-            lambda b: _sacrc_block(b, dictionary, op, k, cfg.residual_tol)[2] @ labels_t,
+            lambda b: dictionary.class_sums(_sacrc_block(b, dictionary, op, k, cfg.residual_tol)[2]),
             _unit_rows(y), k * (d + k) + 4 * n,
         )
     if kind == "crc":
@@ -352,7 +349,7 @@ def sacrc_classify(
     alpha_collab, alpha_sparse, alpha_aug, fell_back = _sacrc_block(
         y_hat, dictionary, op, k, cfg.residual_tol
     )
-    class_scores = dictionary.label_matrix @ alpha_aug[0]
+    class_scores = dictionary.class_sums(alpha_aug[0])
     return RepresentationResult(
         alpha_collab=alpha_collab[0],
         alpha_sparse=alpha_sparse[0],

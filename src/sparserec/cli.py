@@ -215,15 +215,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     enrolment = load_flat_dataset(args.enrolment)
 
     mode, param = parse_pca_selection(cfg.pca)
-    if mode == "off":
-        model = None
-        reduced = enrolment
-    elif mode == "fixed":
+    model = None
+    if mode == "fixed":
         model = pca_fit(enrolment, num_components=int(param))
-        reduced = transform_dataset(enrolment, model)
-    else:
+    elif mode != "off":
         model = pca_fit(enrolment, retain=float(param))
-        reduced = transform_dataset(enrolment, model)
+    reduced = enrolment if model is None else transform_dataset(enrolment, model)
 
     dictionary = build_dictionary(reduced)
     sacrc_cfg = SacrcConfig(cfg.ridge_lambda, cfg.sparsity_k, cfg.residual_tol)

@@ -70,12 +70,14 @@ class Dictionary:
 
     `atoms` is K x N with unit-norm columns ordered class-major (then input
     order within a class), `column_labels` maps each column to its class and
-    `label_matrix` is the c x N binary matrix with exactly one 1 per column.
+    `class_starts` holds each class's first column, so class i owns the
+    columns from class_starts[i] up to the next class's start.  A class's
+    evidence is the sum of a code over its own columns (`class_sums`).
     """
 
     atoms: np.ndarray
     column_labels: np.ndarray
-    label_matrix: np.ndarray
+    class_starts: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -87,7 +89,11 @@ class Dictionary:
 
     @property
     def num_classes(self) -> int:
-        return int(self.label_matrix.shape[0])
+        return int(self.class_starts.shape[0])
+
+    def class_sums(self, alpha: np.ndarray) -> np.ndarray:
+        """Per-class sums over the class-major columns: (..., N) -> (..., c)."""
+        return np.add.reduceat(alpha, self.class_starts, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ class RepresentationResult:
 
     `alpha_collab` is the dense ridge solution, `alpha_sparse` the greedy
     l0-constrained one, `alpha_aug` their normalized sum (unit l2 norm),
-    `class_scores` the per-class evidence from the label matrix and
+    `class_scores` the per-class sums of `alpha_aug` and
     `predicted_class` its argmax with ties broken toward the lowest index.
     `used_collab_fallback` flags the degenerate case where the two solutions
     cancelled and the normalized collaborative solution was used alone.
@@ -146,7 +152,7 @@ def build_dictionary(enrolment: Dataset) -> Dictionary:
     """Stack l2-normalized enrolment features as dictionary columns.
 
     Columns are ordered class-major, then input order within each class, so
-    the label matrix is block structured.  Every class index in
+    each class owns one run of columns.  Every class index in
     [0, num_classes) must have at least one sample and no sample may have
     zero norm.
     """
@@ -174,7 +180,5 @@ def build_dictionary(enrolment: Dataset) -> Dictionary:
         block = features[order[start : start + step]]
         block /= norms[start : start + step, None]
         atoms[:, start : start + step] = block.T
-    column_labels = labels[order].copy()
-    label_matrix = np.zeros((c, m), dtype=np.float64)
-    label_matrix[column_labels, np.arange(m)] = 1.0
-    return Dictionary(_frozen(atoms), _frozen(column_labels), _frozen(label_matrix))
+    starts = np.cumsum(present) - present  # first column of each class
+    return Dictionary(_frozen(atoms), _frozen(labels[order]), _frozen(starts))

@@ -248,25 +248,20 @@ def generate_synthetic(
         raise InvalidParameters(f"noise_sigma must be >= 0, got {noise_sigma}")
 
     rng = np.random.default_rng(seed)
-    enrol_rows, enrol_labels, enrol_ids = [], [], []
-    probe_rows, probe_labels, probe_ids = [], [], []
-    for cls in range(num_classes):
-        basis, _ = np.linalg.qr(rng.standard_normal((dim, subspace_dim)))
+    enrol_blocks, probe_blocks = [], []  # one samples x dim block per class
+    for _ in range(num_classes):
+        basis = np.linalg.qr(rng.standard_normal((dim, subspace_dim)))[0]
         enrol = basis @ np.abs(rng.standard_normal((subspace_dim, samples_per_class)))
         probe = basis @ np.abs(rng.standard_normal((subspace_dim, probes_per_class)))
-        enrol = enrol + noise_sigma * rng.standard_normal(enrol.shape)
-        probe = probe + noise_sigma * rng.standard_normal(probe.shape)
-        for j in range(samples_per_class):
-            enrol_rows.append(enrol[:, j])
-            enrol_labels.append(cls)
-            enrol_ids.append(f"enrol-{cls}-{j}")
-        for j in range(probes_per_class):
-            probe_rows.append(probe[:, j])
-            probe_labels.append(cls)
-            probe_ids.append(f"probe-{cls}-{j}")
-    enrolment = dataset_from_arrays(np.vstack(enrol_rows), enrol_labels, enrol_ids)
-    probes = dataset_from_arrays(np.vstack(probe_rows), probe_labels, probe_ids)
-    return enrolment, probes
+        enrol_blocks.append((enrol + noise_sigma * rng.standard_normal(enrol.shape)).T)
+        probe_blocks.append((probe + noise_sigma * rng.standard_normal(probe.shape)).T)
+
+    def stacked(blocks, per_class, prefix):
+        ids = [f"{prefix}-{cls}-{j}" for cls in range(num_classes) for j in range(per_class)]
+        rows = np.ascontiguousarray(np.vstack(blocks))  # the blocks are transposed views
+        return dataset_from_arrays(rows, np.arange(num_classes).repeat(per_class), ids)
+
+    return stacked(enrol_blocks, samples_per_class, "enrol"), stacked(probe_blocks, probes_per_class, "probe")
 
 
 def evaluate_verification(

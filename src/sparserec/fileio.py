@@ -14,6 +14,7 @@ Binary layout (all integers and floats little-endian):
                  row-major)
   dictionary     magic 'CDIC' | u32 version=1 | u32 K | u32 N | u32 c |
                  atoms (K*N f64, row-major) | column labels (N u32)
+                 class-major (non-decreasing), every class in [0, c) present
 
 Declared sizes must match the payload exactly; short files raise
 TruncatedFile with the failing byte offset, extra bytes raise TrailingData.
@@ -400,15 +401,19 @@ def read_dictionary(path: str | Path) -> Dictionary:
         raise BadLabel(
             f"{path}: column {j} has class label {column_labels[j]}, but the file declares {c} classes"
         )
-    # Every class needs a column, as build_dictionary ensures.  c <= N is checked
-    # first, so the count and the c x N label matrix stay bounded by the payload.
     if c == 0:
         raise BadLabel(f"{path}: declares 0 classes")
-    if c > n or not np.bincount(column_labels, minlength=c).all():
+    # class evidence sums runs of columns, so the labels must be class-major
+    down = np.flatnonzero(column_labels[1:] < column_labels[:-1])
+    if down.size:
+        j = int(down[0]) + 1
+        raise BadLabel(f"{path}: column {j} has class label {column_labels[j]} after {column_labels[j - 1]};"
+                       " column labels must be class-major (non-decreasing)")
+    # every class needs a column, as build_dictionary ensures; c <= N bounds the count
+    if c > n or not (counts := np.bincount(column_labels, minlength=c)).all():
         raise BadLabel(f"{path}: declares {c} classes, but some class has no column")
-    label_matrix = np.zeros((c, n), dtype=np.float64)
-    label_matrix[column_labels, np.arange(n)] = 1.0
-    return Dictionary(_frozen(atoms), _frozen(column_labels), _frozen(label_matrix))
+    starts = np.cumsum(counts) - counts  # first column of each class
+    return Dictionary(_frozen(atoms), _frozen(column_labels), _frozen(starts))
 
 
 # ---------------------------------------------------------------------------

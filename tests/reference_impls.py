@@ -58,6 +58,15 @@ def omp_reference(phi: np.ndarray, y: np.ndarray, k: int, tol: float):
     return alpha
 
 
+def label_matrix(column_labels, num_classes: int) -> np.ndarray:
+    """The dense c x N binary label matrix: entry (i, j) is 1 when column j
+    belongs to class i, so label_matrix @ alpha is the per-class evidence."""
+    matrix = np.zeros((num_classes, len(column_labels)))
+    for j, label in enumerate(column_labels):
+        matrix[label, j] = 1.0
+    return matrix
+
+
 def sacrc_reference(
     atoms: np.ndarray,
     label_matrix: np.ndarray,

@@ -17,6 +17,7 @@ from reference_impls import (
     covariance_pca_reference,
     eer_recount,
     gmr_at_far_recount,
+    label_matrix,
     ridge_solve_reference,
     roc_recount,
     sacrc_reference,
@@ -162,7 +163,7 @@ def test_criterion_4_sacrc_reference_equivalence():
             y = rng.standard_normal(kdim)
             result = sacrc_classify(y, d, op, SacrcConfig(lam, k, tol))
             collab_ref, sparse_ref, alpha_ref, q_ref, pred_ref = sacrc_reference(
-                d.atoms, d.label_matrix, y, lam, k, tol
+                d.atoms, label_matrix(d.column_labels, d.num_classes), y, lam, k, tol
             )
             assert np.max(np.abs(result.class_scores - q_ref)) < 1e-8
             assert result.predicted_class == pred_ref

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference_impls import best_sparse_fit, ridge_solve_reference, sacrc_reference
+from reference_impls import best_sparse_fit, label_matrix, ridge_solve_reference, sacrc_reference
 from sparserec.classifiers import (
     CrcOperator,
     SacrcConfig,
@@ -221,7 +221,8 @@ def test_class_scores_are_label_matrix_times_alpha():
     d = build_dictionary(ds)
     op = CrcOperator(d, 0.01)
     result = sacrc_classify(rng.standard_normal(12), d, op, SacrcConfig())
-    assert np.max(np.abs(result.class_scores - d.label_matrix @ result.alpha_aug)) < 1e-12
+    dense = label_matrix(d.column_labels, d.num_classes) @ result.alpha_aug
+    assert np.max(np.abs(result.class_scores - dense)) < 1e-12
     assert result.predicted_class == int(np.argmax(result.class_scores))
     assert abs(np.linalg.norm(result.alpha_aug) - 1.0) < 1e-9
     assert np.count_nonzero(result.alpha_sparse) <= SacrcConfig().resolve_k(d.num_atoms)
@@ -283,7 +284,8 @@ def test_sacrc_matches_reference_implementation():
         op = CrcOperator(d, lam)
         y = rng.standard_normal(dim)
         result = sacrc_classify(y, d, op, SacrcConfig(lam, k, tol))
-        _, _, _, q_ref, pred_ref = sacrc_reference(d.atoms, d.label_matrix, y, lam, k, tol)
+        onehot = label_matrix(d.column_labels, n_classes)
+        _, _, _, q_ref, pred_ref = sacrc_reference(d.atoms, onehot, y, lam, k, tol)
         assert np.max(np.abs(result.class_scores - q_ref)) < 1e-8
         assert result.predicted_class == pred_ref
 
@@ -416,4 +418,5 @@ def test_crc_class_scores_normalized():
     y = rng.standard_normal(10)
     scores = score_matrix("crc", y[None, :], d, op)[0]
     alpha = crc_solve(y / np.linalg.norm(y), op)
-    assert np.max(np.abs(scores - d.label_matrix @ (alpha / np.linalg.norm(alpha)))) < 1e-12
+    dense = label_matrix(d.column_labels, d.num_classes) @ (alpha / np.linalg.norm(alpha))
+    assert np.max(np.abs(scores - dense)) < 1e-12

@@ -635,6 +635,27 @@ def test_pca_commands_hold_one_centred_copy(tmp_path, command):
     assert peak < 2 * m * d * 8 + d * k_max * 8 + 8 * 2**20
 
 
+def test_verify_holds_no_class_by_atom_matrix(tmp_path):
+    # 3000 classes x 2 samples: a dense c x N label matrix would take 144 MB
+    from sparserec.fileio import write_flat_features
+
+    c, per_class, dim = 3000, 2, 8
+    n = c * per_class
+    rng = np.random.default_rng(5)
+    write_flat_features(tmp_path / "enrol.feat", dataset_from_arrays(
+        rng.standard_normal((n, dim)), np.arange(n) // per_class, [f"e{i}" for i in range(n)]))
+    write_flat_features(tmp_path / "probes.feat", dataset_from_arrays(
+        rng.standard_normal((4, dim)), [0, 1, 2, 3], [f"p{i}" for i in range(4)]))
+    assert run("fit", tmp_path / "enrol.feat", "--out", tmp_path / "bundle") == 0
+    tracemalloc.start()
+    try:
+        assert run("verify", tmp_path / "probes.feat", tmp_path / "bundle", "--out", tmp_path / "ver") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < c * n * 8 / 10
+
+
 @pytest.mark.parametrize("row", ["b,x,1.0,0.5", "b,1,zz,0.5", "", "b,1,1.0", "b,-1,1.0,0.5", "b,1,nan,0.5",
                                  "b,1,1e999,0.5", "b,1,1.0," + "9" * 200_000],
                          ids=["non-integer-label", "non-numeric-value", "blank-line", "field-count",

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reference_impls import label_matrix
 from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.errors import (
     DimensionMismatch,
@@ -68,7 +69,7 @@ def test_build_dictionary_345_normalization():
     d = build_dictionary(ds)
     assert np.allclose(d.atoms[:, 0], [0.6, 0.8])
     assert np.allclose(d.atoms[:, 1], [0.0, 1.0])
-    assert np.array_equal(d.label_matrix, [[1, 0], [0, 1]])
+    assert np.array_equal(label_matrix(d.column_labels, d.num_classes), [[1, 0], [0, 1]])
 
 
 def test_build_dictionary_zero_norm():
@@ -81,9 +82,10 @@ def test_label_matrix_shape_and_counts():
     ds = rows([0, 0, 1], [[1, 0], [0, 1], [1, 1]], ["a", "b", "c"])
     d = build_dictionary(ds)
     assert d.num_atoms == 3
-    assert np.array_equal(d.label_matrix, [[1, 1, 0], [0, 0, 1]])
-    # every atom belongs to exactly one class
-    assert np.array_equal(d.label_matrix.sum(axis=0), np.ones(3))
+    assert np.array_equal(d.class_starts, [0, 2])
+    assert np.array_equal(label_matrix(d.column_labels, d.num_classes), [[1, 1, 0], [0, 0, 1]])
+    # class sums add each atom's coefficient to its own class alone
+    assert np.array_equal(d.class_sums(np.array([1.0, 2.0, 4.0])), [3.0, 4.0])
 
 
 def test_column_order_class_major_then_input_order():
@@ -139,8 +141,8 @@ def test_build_dictionary_holds_no_copy_beside_the_atoms():
     finally:
         tracemalloc.stop()
     assert dictionary.atoms.flags.c_contiguous
-    # the D x M atoms and the c x M label matrix, plus chunks of at most 4 MB
-    assert peak < m * d * 8 + c * m * 8 + 4e6
+    # the D x M atoms, plus chunks of at most 4 MB
+    assert peak < m * d * 8 + 4e6
 
 
 def test_package_exports_resolve():

@@ -8,6 +8,7 @@ import pytest
 from reference_impls import flatten_reference
 from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.errors import (
+    BadLabel,
     BadMagic,
     InvalidParameters,
     MalformedLine,
@@ -203,7 +204,19 @@ def test_dictionary_round_trip(tmp_path):
     loaded = read_dictionary(path)
     assert loaded.atoms.tobytes() == d.atoms.tobytes()
     assert np.array_equal(loaded.column_labels, d.column_labels)
-    assert np.array_equal(loaded.label_matrix, d.label_matrix)
+    assert np.array_equal(loaded.class_starts, d.class_starts)
+
+
+def test_dictionary_labels_must_be_class_major(tmp_path):
+    # 2 x 4 atoms in classes 0, 1, 0, 1: every class present, but out of order
+    path = tmp_path / "unsorted.bin"
+    path.write_bytes(b"CDIC" + struct.pack("<IIII", 1, 2, 4, 2) + struct.pack("<8d", *range(1, 9))
+                     + struct.pack("<4I", 0, 1, 0, 1))
+    with pytest.raises(BadLabel, match="column 2 has class label 0 after 1") as info:
+        read_dictionary(path)
+    assert str(path) in str(info.value)
+    path.write_bytes(path.read_bytes()[:-16] + struct.pack("<4I", 0, 0, 1, 1))
+    assert read_dictionary(path).class_starts.tolist() == [0, 2]
 
 
 def test_scores_csv_round_trip(tmp_path):

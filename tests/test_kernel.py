@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference_impls import omp_reference, ridge_solve_reference, sacrc_reference
+from reference_impls import label_matrix, omp_reference, ridge_solve_reference, sacrc_reference
 from sparserec import classifiers
 from sparserec.classifiers import (
     CrcOperator,
@@ -53,10 +53,10 @@ def _oracle(kind, y, d, enrolment):
         return best
     y_hat = y / np.linalg.norm(y)
     if kind == "sacrc":
-        return sacrc_reference(d.atoms, d.label_matrix, y, LAM, K, TOL)[3]
+        return sacrc_reference(d.atoms, label_matrix(d.column_labels, d.num_classes), y, LAM, K, TOL)[3]
     if kind == "crc":
         alpha = ridge_solve_reference(d.atoms, y_hat, LAM)
-        return d.label_matrix @ (alpha / np.linalg.norm(alpha))
+        return label_matrix(d.column_labels, d.num_classes) @ (alpha / np.linalg.norm(alpha))
     alpha = omp_reference(d.atoms, y_hat, K, TOL)
     return np.array([
         -np.linalg.norm(y_hat - d.atoms @ np.where(d.column_labels == i, alpha, 0.0))
@@ -211,3 +211,62 @@ def test_no_n_by_n_matrix_when_atoms_outnumber_dimensions():
     assert op.gram_inverse.shape == (dim, dim)
     assert crc_peak < n_by_n / 4
     assert omp_peak < n_by_n / 4
+
+
+def _gallery(class_sizes, dim, seed):
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(len(class_sizes)), class_sizes)
+    rng.shuffle(labels)
+    ds = dataset_from_arrays(rng.standard_normal((labels.size, dim)), labels,
+                             [str(i) for i in range(labels.size)])
+    return build_dictionary(ds), rng.standard_normal((5, dim))
+
+
+def _summed_codes(kind, y, d, op, cfg):
+    """The unit-norm code whose per-class sums are each row's class evidence."""
+    y_hat = classifiers._unit_rows(y)
+    if kind == "sacrc":
+        return classifiers._sacrc_block(y_hat, d, op, cfg.resolve_k(d.num_atoms), cfg.residual_tol)[2]
+    alpha = op.apply(y_hat)
+    return alpha / np.linalg.norm(alpha, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("dim", [6, 40], ids=["D<N", "D>=N"])
+@pytest.mark.parametrize("sizes", [(2,) * 9, (1, 3, 7, 3, 1)], ids=["two-per-class", "unequal"])
+def test_class_evidence_equals_the_dense_label_matrix_product(sizes, dim):
+    d, y = _gallery(sizes, dim, seed=len(sizes) + dim)
+    op, cfg = CrcOperator(d, LAM), SacrcConfig(LAM, K, TOL)
+    labels = label_matrix(d.column_labels, d.num_classes)
+    exact = set(sizes) == {2}  # a two-atom class sum takes a single rounding
+
+    def check(q, dense):
+        if exact:
+            assert q.tobytes() == dense.tobytes()
+        else:
+            assert np.max(np.abs(q - dense)) <= 1e-15 * np.max(np.abs(q))
+
+    for kind in ("crc", "sacrc"):
+        check(score_matrix(kind, y, d, op, cfg), _summed_codes(kind, y, d, op, cfg) @ labels.T)
+    for row in y:
+        result = sacrc_classify(row, d, op, cfg)
+        check(result.class_scores, labels @ result.alpha_aug)
+
+
+@pytest.mark.parametrize("kind", ["crc", "sacrc"])
+def test_class_evidence_holds_no_class_by_atom_matrix(kind):
+    # 3000 classes x 2 samples: a dense c x N label matrix would take 144 MB
+    c, per_class, dim = 3000, 2, 8
+    rng = np.random.default_rng(4)
+    n = c * per_class
+    enrolment = dataset_from_arrays(rng.standard_normal((n, dim)), np.arange(n) // per_class,
+                                    [str(i) for i in range(n)])
+    probes = rng.standard_normal((4, dim))
+    tracemalloc.start()
+    try:
+        d = build_dictionary(enrolment)
+        scores = score_matrix(kind, probes, d, CrcOperator(d, LAM), SacrcConfig(LAM, K, TOL))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (4, c)
+    assert peak < c * n * 8 / 10
