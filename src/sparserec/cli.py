@@ -13,19 +13,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .classifiers import CLASSIFIERS, CrcOperator, SacrcConfig, check_classifier
-from .config import (
-    RunConfig,
-    _apply_raw,
-    apply_setting,
-    config_echo,
-    parse_pca_selection,
-    parse_protocol,
-    read_config_file,
-    text_lines,
-)
+from .classifiers import CLASSIFIERS, CrcOperator, check_classifier
+from .config import (RunConfig, _apply_raw, apply_setting, config_echo, parse_pca_selection, parse_protocol,
+                     read_settings)
 from .core import Dataset, build_dictionary, dataset_from_arrays
-from .errors import DimensionMismatch, InconsistentBundle, InvalidParameters, MalformedLine, SparserecError
+from .errors import DimensionMismatch, InconsistentBundle, InvalidParameters, SparserecError
 from .evaluation import (
     build_scoreset,
     evaluate_verification,
@@ -75,7 +67,8 @@ def _resolve_config(args: argparse.Namespace, base: RunConfig | None = None) -> 
     config file, then command-line flags."""
     cfg = base or RunConfig()
     if getattr(args, "config", None):
-        cfg = read_config_file(args.config, cfg)
+        for key, value, where in read_settings(args.config):
+            cfg = apply_setting(cfg, key, value, where)
     for key, value in _overrides_from_args(args).items():
         if value is not None:
             cfg = _apply_raw(cfg, key, str(value))
@@ -97,24 +90,9 @@ def _write_manifest(path: Path, entries: dict[str, str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_manifest(path: Path) -> tuple[dict[str, str], dict[str, int]]:
-    """The manifest's entries, and the line each was read from."""
-    entries: dict[str, str] = {}
-    linenos: dict[str, int] = {}
-    for lineno, raw in enumerate(text_lines(path), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise MalformedLine(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        entries[key], linenos[key] = value, lineno
-    return entries, linenos
-
-
 def _load_bundle(bundle_dir: str):
     bundle = Path(bundle_dir)
-    manifest, linenos = _read_manifest(bundle / MANIFEST_NAME)
+    manifest = {key: (value, where) for key, value, where in read_settings(bundle / MANIFEST_NAME)}
     dictionary = read_dictionary(bundle / DICTIONARY_NAME)
     model = read_pca_model(bundle / PCA_NAME) if (bundle / PCA_NAME).exists() else None
     enrolment = load_flat_dataset(bundle / ENROLMENT_NAME)
@@ -132,10 +110,10 @@ def _load_bundle(bundle_dir: str):
         (ENROLMENT_NAME, "samples", enrolment.num_samples, "num_atoms"),
     ]
     for name, what, got, key in checks:
-        if str(got) != manifest.get(key):
+        said = manifest.get(key, (None,))[0]
+        if str(got) != said:
             raise InconsistentBundle(
-                f"{bundle / name}: {what} {got}, but {MANIFEST_NAME} says {key} = {manifest.get(key)}"
-            )
+                f"{bundle / name}: {what} {got}, but {MANIFEST_NAME} says {key} = {said}")
     # the dictionary's columns are the enrolment's samples, ordered class-major
     if sorted(enrolment.labels.tolist()) != dictionary.column_labels.tolist():
         raise InconsistentBundle(f"{bundle / ENROLMENT_NAME}: class labels differ from {DICTIONARY_NAME}'s")
@@ -143,7 +121,7 @@ def _load_bundle(bundle_dir: str):
     cfg = RunConfig()
     for key in ("lambda", "sparsity_k", "residual_tol", "pca"):
         if key in manifest:
-            cfg = apply_setting(cfg, key, manifest[key], f"{bundle / MANIFEST_NAME}:{linenos[key]}")
+            cfg = apply_setting(cfg, key, *manifest[key])
     return dictionary, model, enrolment, cfg
 
 
@@ -223,8 +201,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     reduced = enrolment if model is None else transform_dataset(enrolment, model)
 
     dictionary = build_dictionary(reduced)
-    sacrc_cfg = SacrcConfig(cfg.ridge_lambda, cfg.sparsity_k, cfg.residual_tol)
-    resolved_k = sacrc_cfg.resolve_k(dictionary.num_atoms)
+    resolved_k = cfg.solver.resolve_k(dictionary.num_atoms)
 
     out = _out_dir(args)
     write_dictionary(out / DICTIONARY_NAME, dictionary)
@@ -236,12 +213,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
         {
             "bundle_version": "1",
             "dim_input": str(enrolment.dim),
-            "lambda": f"{cfg.ridge_lambda:g}",
+            "lambda": f"{cfg.solver.ridge_lambda:g}",
             "num_atoms": str(dictionary.num_atoms),
             "num_classes": str(dictionary.num_classes),
             "pca": cfg.pca,
             "pca_components": str(0 if model is None else model.num_components),
-            "residual_tol": f"{cfg.residual_tol:g}",
+            "residual_tol": f"{cfg.solver.residual_tol:g}",
             "sparsity_k": str(resolved_k),
         },
     )
@@ -253,21 +230,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _scoreset_for(cfg: RunConfig, probes, dictionary, enrolment):
-    sacrc_cfg = SacrcConfig(cfg.ridge_lambda, cfg.sparsity_k, cfg.residual_tol)
-    op = CrcOperator(dictionary, cfg.ridge_lambda)
-    proto, pairs_path = parse_protocol(cfg.protocol)
-    pairs = read_pairs_csv(pairs_path) if proto == "pairs" else None
-    scoreset = build_scoreset(
+    _, pairs_path = parse_protocol(cfg.protocol)
+    return build_scoreset(
         probes,
         dictionary,
-        op,
-        sacrc_cfg,
-        protocol=proto,
-        pairs=pairs,
+        CrcOperator(dictionary, cfg.solver.ridge_lambda),
+        cfg.solver,
+        pairs=None if pairs_path is None else read_pairs_csv(pairs_path),
         classifier=cfg.classifier,
         enrolment=enrolment,
     )
-    return scoreset, op, sacrc_cfg
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -275,10 +247,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, base)
     probes = _load_probes(args.probes, model, dictionary)
 
-    scoreset, _, sacrc_cfg = _scoreset_for(cfg, probes, dictionary, enrolment)
+    scoreset = _scoreset_for(cfg, probes, dictionary, enrolment)
     echo = config_echo(
         cfg,
-        resolved_sparsity_k=sacrc_cfg.resolve_k(dictionary.num_atoms),
+        resolved_sparsity_k=cfg.solver.resolve_k(dictionary.num_atoms),
         pca_components=0 if model is None else model.num_components,
         num_atoms=dictionary.num_atoms,
         num_classes=dictionary.num_classes,
@@ -324,8 +296,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
         )
 
     classifiers = classifiers or [cfg.classifier]
-    sacrc_cfg = SacrcConfig(cfg.ridge_lambda, cfg.sparsity_k, cfg.residual_tol)
-    op = CrcOperator(dictionary, cfg.ridge_lambda)
+    op = CrcOperator(dictionary, cfg.solver.ridge_lambda)
     rows = []
     for name in classifiers:
         accuracy = rank1_identification(
@@ -333,14 +304,14 @@ def cmd_identify(args: argparse.Namespace) -> int:
             name,
             dictionary=dictionary,
             op=op,
-            cfg=sacrc_cfg,
+            cfg=cfg.solver,
             enrolment=enrolment,
         )
         rows.append((name, accuracy))
 
     echo = config_echo(
         cfg,
-        resolved_sparsity_k=sacrc_cfg.resolve_k(dictionary.num_atoms),
+        resolved_sparsity_k=cfg.solver.resolve_k(dictionary.num_atoms),
         pca_components=0 if model is None else model.num_components,
         probes_used=probes.num_samples,
         probes_dropped=dropped,
@@ -389,7 +360,7 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
         reduced_enrol = dataset_from_arrays(enrol_all.features[:, :k].copy(), enrolment.labels, enrolment.ids)
         reduced_probes = dataset_from_arrays(probes_all.features[:, :k].copy(), probes.labels, probes.ids)
         dictionary = build_dictionary(reduced_enrol)
-        scoreset, _, _ = _scoreset_for(cfg, reduced_probes, dictionary, reduced_enrol)
+        scoreset = _scoreset_for(cfg, reduced_probes, dictionary, reduced_enrol)
         report = evaluate_verification(scoreset, cfg.far_targets)
         row = [str(k), f"{report.eer:.17g}"]
         row += [f"{g.gmr:.17g}" for g in report.gmr_at_far]

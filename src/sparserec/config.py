@@ -1,8 +1,9 @@
 """Run configuration: plain-text key=value files plus command-line overrides.
 
-A config file holds `key = value` lines (# comments and blank lines are
-ignored).  Unknown keys are rejected so typos cannot silently fall back to
-defaults, and every run's report echoes the fully resolved configuration.
+Config files and bundle manifests hold `key = value` lines (# comments and
+blank lines are ignored) and share one reader, `read_settings`.  Unknown
+keys are rejected so typos cannot silently fall back to defaults, and every
+run's report echoes the fully resolved configuration.
 """
 
 from __future__ import annotations
@@ -10,15 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .classifiers import CLASSIFIERS, _check_nonnegative
+from .classifiers import CLASSIFIERS, SacrcConfig
 from .errors import BadEncoding, ConfigError, InvalidParameters
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    ridge_lambda: float = 0.01
-    sparsity_k: int | None = None  # None resolves to min(50, N) at solve time
-    residual_tol: float = 1e-6
+    solver: SacrcConfig = SacrcConfig()  # lambda, sparsity_k and residual_tol
     pca: str = "off"  # off | <K> | retain:<fraction>
     classifier: str = "sacrc"
     protocol: str = "all-vs-all"  # all-vs-all | pairs:<file>
@@ -36,11 +35,16 @@ def parse_pca_selection(text: str) -> tuple[str, int | float | None]:
             rho = float(text[len("retain:") :])
         except ValueError:
             raise ConfigError(f"bad retain fraction in pca selection {text!r}") from None
+        if not 0.0 < rho <= 1.0:  # NaN fails too
+            raise ConfigError(f"retain fraction must be in (0, 1], got {rho}")
         return "retain", rho
     try:
-        return "fixed", int(text)
+        k = int(text)
     except ValueError:
         raise ConfigError(f"bad pca selection {text!r}: use off, <K> or retain:<fraction>") from None
+    if k < 1:
+        raise ConfigError(f"component count must be >= 1, got {k}")
+    return "fixed", k
 
 
 def parse_protocol(text: str) -> tuple[str, str | None]:
@@ -71,31 +75,28 @@ def _parse_far_targets(text: str) -> tuple[float, ...]:
     return tuple(targets)
 
 
-def text_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 text file; bytes that do not decode raise
-    BadEncoding naming the file."""
+def read_settings(path: str | Path):
+    """Yield (key, value, "path:line") for each `key = value` line of a
+    config file or bundle manifest, in file order.  `#` starts a comment.
+    A line without `=` or a repeated key raises ConfigError naming
+    path:line, and bytes that are not UTF-8 raise BadEncoding."""
     try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise BadEncoding(f"{path}: not valid UTF-8 (byte offset {exc.start})") from None
-
-
-def read_config_file(path: str | Path, cfg: RunConfig) -> RunConfig:
-    """`cfg` with each line of a config file applied in turn; an unknown or
-    repeated key, or a bad value, raises ConfigError naming path:line."""
     seen: set[str] = set()
-    for lineno, raw in enumerate(text_lines(path), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            raise ConfigError(f"{where}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in seen:
-            raise ConfigError(f"{path}:{lineno}: duplicate configuration key {key!r}")
+            raise ConfigError(f"{where}: duplicate configuration key {key!r}")
         seen.add(key)
-        cfg = apply_setting(cfg, key, value, f"{path}:{lineno}")
-    return cfg
+        yield key, value, where
 
 
 def apply_setting(cfg: RunConfig, key: str, value: str, where: str) -> RunConfig:
@@ -106,25 +107,16 @@ def apply_setting(cfg: RunConfig, key: str, value: str, where: str) -> RunConfig
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _nonnegative(key: str, value: str) -> float:
-    number = float(value)
-    _check_nonnegative(key, number)
-    return number
-
-
 def _apply_raw(cfg: RunConfig, key: str, value: str) -> RunConfig:
     try:
+        # SacrcConfig owns the solver settings' defaults and range checks
         if key == "lambda":
-            return replace(cfg, ridge_lambda=_nonnegative(key, value))
+            return replace(cfg, solver=replace(cfg.solver, ridge_lambda=float(value)))
         if key == "sparsity_k":
-            if value == "auto":
-                return replace(cfg, sparsity_k=None)
-            k = int(value)
-            if k < 1:
-                raise ConfigError(f"sparsity_k must be >= 1, got {k}")
-            return replace(cfg, sparsity_k=k)
+            k = None if value == "auto" else int(value)
+            return replace(cfg, solver=replace(cfg.solver, sparsity_k=k))
         if key == "residual_tol":
-            return replace(cfg, residual_tol=_nonnegative(key, value))
+            return replace(cfg, solver=replace(cfg.solver, residual_tol=float(value)))
         if key == "seed":
             seed = int(value)
             if seed < 0:
@@ -150,10 +142,11 @@ def _apply_raw(cfg: RunConfig, key: str, value: str) -> RunConfig:
 def config_echo(cfg: RunConfig, **extras: object) -> list[tuple[str, str]]:
     """Flatten the resolved configuration (plus run-specific extras such as
     the resolved sparsity and component counts) into ordered pairs."""
+    solver = cfg.solver
     pairs = [
-        ("lambda", f"{cfg.ridge_lambda:g}"),
-        ("sparsity_k", "auto" if cfg.sparsity_k is None else str(cfg.sparsity_k)),
-        ("residual_tol", f"{cfg.residual_tol:g}"),
+        ("lambda", f"{solver.ridge_lambda:g}"),
+        ("sparsity_k", "auto" if solver.sparsity_k is None else str(solver.sparsity_k)),
+        ("residual_tol", f"{solver.residual_tol:g}"),
         ("pca", cfg.pca),
         ("classifier", cfg.classifier),
         ("protocol", cfg.protocol),

@@ -21,7 +21,7 @@ from .errors import (
 
 
 # Values per temporary (2 MB of float64) where a D-sized array is built in
-# chunks: the dictionary atoms, and the PCA directions and sign rule.
+# chunks: the dictionary atoms and the PCA directions.
 _CHUNK_VALUES = 1 << 18
 
 

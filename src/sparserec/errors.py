@@ -62,11 +62,11 @@ class InvalidParameters(SparserecError):
 
 
 class ConfigError(SparserecError):
-    """Malformed configuration file or unknown configuration key."""
+    """Malformed configuration file or bundle manifest, or a bad configuration key or value."""
 
 
 class MalformedLine(SparserecError):
-    """A line of a text input (bundle manifest, CSV) that does not parse."""
+    """A CSV line that does not parse."""
 
 
 class InconsistentBundle(SparserecError):

@@ -87,18 +87,17 @@ def build_scoreset(
     op: CrcOperator | None = None,
     cfg: SacrcConfig | None = None,
     *,
-    protocol: str = "all-vs-all",
     pairs: Sequence[tuple[str, int]] | None = None,
     classifier: str = "sacrc",
     enrolment: Dataset | None = None,
 ) -> ScoreSet:
     """Score probe/claim comparisons against an enrolled dictionary.
 
-    Under the all-vs-all protocol every probe is compared against every
-    enrolled class: one genuine record where the claim equals the probe's
-    true class (when enrolled) and impostor records elsewhere.  Under the
-    pairs protocol only the supplied (probe_id, claimed_class) comparisons
-    are scored.
+    With `pairs` None (the all-vs-all protocol) every probe is compared
+    against every enrolled class: one genuine record where the claim equals
+    the probe's true class (when enrolled) and impostor records elsewhere.
+    With a `pairs` list (the pairs protocol) only its (probe_id,
+    claimed_class) comparisons are scored, in list order.
     """
     if probes.dim != dictionary.dim:
         raise DimensionMismatch(
@@ -106,15 +105,11 @@ def build_scoreset(
         )
     c = dictionary.num_classes
 
-    if protocol == "all-vs-all":
+    if pairs is None:
         scores = score_matrix(classifier, probes.features, dictionary, op, cfg, enrolment)
         probe = np.repeat(np.arange(probes.num_samples), c)
         claim = np.tile(np.arange(c), probes.num_samples)
         return ScoreSet(probes.ids, probe, claim, scores.ravel(), claim == probes.labels[probe])
-    if protocol != "pairs":
-        raise InvalidParameters(f"unknown protocol {protocol!r}; use all-vs-all or pairs")
-    if pairs is None:
-        raise InvalidParameters("pairs protocol needs a pair list")
     index_of: dict[str, int] = {}
     for i, pid in enumerate(probes.ids):
         if pid in index_of:

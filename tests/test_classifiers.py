@@ -375,7 +375,7 @@ def test_knn_class_scores_are_negative_min_distances():
 
 def _claimed_scores(probes, d, op, cfg, pairs):
     """The sacrc match score of each (probe id, claimed class) pair."""
-    return build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=pairs).score
+    return build_scoreset(probes, d, op, cfg, pairs=pairs).score
 
 
 def test_match_score_claimed_atom():

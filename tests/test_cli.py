@@ -186,6 +186,30 @@ def test_verify_echoes_resolved_config(tmp_path):
     assert "config.lambda = 0.05" in kv
 
 
+def test_default_run_echoes_the_pinned_config_text(tmp_path):
+    gen(tmp_path / "data", dim=20)
+    enrol, probes = tmp_path / "data" / "enrolment.feat", tmp_path / "data" / "probes.feat"
+    bundle = tmp_path / "bundle"
+    assert run("fit", enrol, "--out", bundle) == 0
+    assert run("verify", probes, bundle, "--out", tmp_path / "ver") == 0
+    assert run("identify", probes, bundle, "--out", tmp_path / "id") == 0
+    assert run("sweep-pcs", enrol, probes, "--k-list", "2,4", "--out", tmp_path / "sw") == 0
+    assert (bundle / "manifest.txt").read_text() == (
+        "bundle_version = 1\ndim_input = 20\nlambda = 0.01\nnum_atoms = 20\nnum_classes = 4\n"
+        "pca = off\npca_components = 0\nresidual_tol = 1e-06\nsparsity_k = 20\n"
+    )
+    rest = ["residual_tol = 1e-06", "pca = off", "classifier = sacrc", "protocol = all-vs-all",
+            "far_targets = 0.1,0.01,0.001", "seed = 0"]
+    from_bundle = ["lambda = 0.01", "sparsity_k = 20", *rest, "resolved_sparsity_k = 20", "pca_components = 0"]
+    kv = (tmp_path / "ver" / "report.kv").read_text().splitlines()
+    assert [line for line in kv if line.startswith("config.")] == [
+        f"config.{line}" for line in [*from_bundle, "num_atoms = 20", "num_classes = 4"]]
+    rank1 = (tmp_path / "id" / "rank1.txt").read_text().split("\nconfig\n------\n")[1]
+    assert rank1.splitlines() == [*from_bundle, "probes_used = 20", "probes_dropped = 0"]
+    sweep = ["lambda = 0.01", "sparsity_k = auto", *rest, "k_list = 2,4"]
+    assert (tmp_path / "sw" / "sweep.kv").read_text() == "".join(f"config.{line}\n" for line in sweep)
+
+
 def test_verify_scores_csv_matches_library(tmp_path):
     gen(tmp_path / "data", classes=3, samples=4, dim=20, seed=21)
     assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
@@ -514,7 +538,8 @@ def test_failed_command_leaves_no_output_directory(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("line", ["far_targets = 0.1,", "lambda = abc", "pca = 0.5", "seed = -1",
-                                  "classifier = svm", "lambda = 1\nlambda = 2"])
+                                  "classifier = svm", "lambda = 1\nlambda = 2",
+                                  "pca = 0", "pca = retain:1.5", "pca = retain:nan"])
 def test_config_errors_name_the_file_and_line(tmp_path, capsys, line):
     gen(tmp_path / "data", dim=20)
     cfg = tmp_path / "run.cfg"
@@ -545,11 +570,12 @@ def test_text_that_is_not_utf8_names_its_file(tmp_path, capsys, target):
     assert len(err.splitlines()) == 1
 
 
-def test_manifest_line_without_equals_fails_cleanly(tmp_path, capsys):
+@pytest.mark.parametrize("line", ["stray line", "lambda = 5"])  # no `=`; a repeated key
+def test_manifest_line_without_equals_fails_cleanly(tmp_path, capsys, line):
     gen(tmp_path / "data", dim=20)
     assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
     manifest = tmp_path / "bundle" / "manifest.txt"
-    manifest.write_text(manifest.read_text() + "stray line\n")
+    manifest.write_text(manifest.read_text() + line + "\n")
     code = run("verify", tmp_path / "data" / "probes.feat", tmp_path / "bundle",
                "--out", tmp_path / "ver")
     assert code == 2

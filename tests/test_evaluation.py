@@ -81,7 +81,7 @@ def test_counts_match_combinatorial_formula():
 def test_pairs_protocol():
     enrolment, probes, d, op, cfg = _fitted(num_classes=3)
     pairs = [(probes.ids[0], 0), (probes.ids[0], 2), (probes.ids[3], 1)]
-    scoreset = build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=pairs)
+    scoreset = build_scoreset(probes, d, op, cfg, pairs=pairs)
     assert scoreset.score.size == 3
     assert [(scoreset.ids[p], c) for p, c in zip(scoreset.probe, scoreset.claim)] == pairs
     full = build_scoreset(probes, d, op, cfg)
@@ -89,9 +89,9 @@ def test_pairs_protocol():
     assert np.array_equal(scoreset.score, full.score[rows])
     assert np.array_equal(scoreset.is_genuine, full.is_genuine[rows])
     with pytest.raises(UnknownClass):
-        build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=[(probes.ids[0], 9)])
+        build_scoreset(probes, d, op, cfg, pairs=[(probes.ids[0], 9)])
     with pytest.raises(InvalidParameters):
-        build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=[("nope", 0)])
+        build_scoreset(probes, d, op, cfg, pairs=[("nope", 0)])
 
 
 def test_scoreset_dimension_mismatch():

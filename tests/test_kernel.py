@@ -97,8 +97,7 @@ def test_score_matrix_single_probe_and_block_boundary(kind):
 def test_pairs_protocol_scores_equal_all_vs_all(kind):
     enrolment, probes, d, op, cfg = _fitted(num_classes=5, per_class=4, dim=30, probes_per_class=2)
     pairs = [(probes.ids[7], 1), (probes.ids[2], 0), (probes.ids[7], 4), (probes.ids[9], 3)]
-    subset = build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=pairs,
-                            classifier=kind, enrolment=enrolment)
+    subset = build_scoreset(probes, d, op, cfg, pairs=pairs, classifier=kind, enrolment=enrolment)
     full = build_scoreset(probes, d, op, cfg, classifier=kind, enrolment=enrolment)
     assert [(subset.ids[p], c) for p, c in zip(subset.probe, subset.claim)] == pairs
     rows = subset.probe * d.num_classes + subset.claim  # all-vs-all row of each pair
@@ -189,8 +188,8 @@ def test_unknown_classifier_refused_on_an_empty_block():
         with pytest.raises(InvalidParameters):
             score_matrix(name, np.empty((0, d.dim)), d, op, cfg, enrolment)
         with pytest.raises(InvalidParameters):
-            build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=[], classifier=name)
-    assert build_scoreset(probes, d, op, cfg, protocol="pairs", pairs=[]).score.shape == (0,)
+            build_scoreset(probes, d, op, cfg, pairs=[], classifier=name)
+    assert build_scoreset(probes, d, op, cfg, pairs=[]).score.shape == (0,)
 
 
 def test_no_n_by_n_matrix_when_atoms_outnumber_dimensions():
