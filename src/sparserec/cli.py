@@ -193,12 +193,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     enrolment = load_flat_dataset(args.enrolment)
 
     mode, param = parse_pca_selection(cfg.pca)
-    model = None
+    model, reduced = None, enrolment
     if mode == "fixed":
-        model = pca_fit(enrolment, num_components=int(param))
+        model, reduced = pca_fit(enrolment, num_components=int(param))
     elif mode != "off":
-        model = pca_fit(enrolment, retain=float(param))
-    reduced = enrolment if model is None else transform_dataset(enrolment, model)
+        model, reduced = pca_fit(enrolment, retain=float(param))
 
     dictionary = build_dictionary(reduced)
     resolved_k = cfg.solver.resolve_k(dictionary.num_atoms)
@@ -229,14 +228,19 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scoreset_for(cfg: RunConfig, probes, dictionary, enrolment):
+def _protocol_pairs(cfg: RunConfig):
+    """The pairs list a `pairs:<file>` protocol names, or None for all-vs-all."""
     _, pairs_path = parse_protocol(cfg.protocol)
+    return None if pairs_path is None else read_pairs_csv(pairs_path)
+
+
+def _scoreset_for(cfg: RunConfig, probes, dictionary, enrolment, pairs):
     return build_scoreset(
         probes,
         dictionary,
         CrcOperator(dictionary, cfg.solver.ridge_lambda),
         cfg.solver,
-        pairs=None if pairs_path is None else read_pairs_csv(pairs_path),
+        pairs=pairs,
         classifier=cfg.classifier,
         enrolment=enrolment,
     )
@@ -247,7 +251,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, base)
     probes = _load_probes(args.probes, model, dictionary)
 
-    scoreset = _scoreset_for(cfg, probes, dictionary, enrolment)
+    scoreset = _scoreset_for(cfg, probes, dictionary, enrolment, _protocol_pairs(cfg))
     echo = config_echo(
         cfg,
         resolved_sparsity_k=cfg.solver.resolve_k(dictionary.num_atoms),
@@ -351,6 +355,7 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
             f"{args.probes}: dim {probes.dim} does not match the enrolment's dim {enrolment.dim}"
         )
 
+    pairs = _protocol_pairs(cfg)
     # One projection at the widest K serves every row: a row slices its
     # leading K columns.
     counts, enrol_all, probes_all = pca_sweep(enrolment, probes, k_values)
@@ -360,7 +365,7 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
         reduced_enrol = dataset_from_arrays(enrol_all.features[:, :k].copy(), enrolment.labels, enrolment.ids)
         reduced_probes = dataset_from_arrays(probes_all.features[:, :k].copy(), probes.labels, probes.ids)
         dictionary = build_dictionary(reduced_enrol)
-        scoreset = _scoreset_for(cfg, reduced_probes, dictionary, reduced_enrol)
+        scoreset = _scoreset_for(cfg, reduced_probes, dictionary, reduced_enrol, pairs)
         report = evaluate_verification(scoreset, cfg.far_targets)
         row = [str(k), f"{report.eer:.17g}"]
         row += [f"{g.gmr:.17g}" for g in report.gmr_at_far]

@@ -8,11 +8,14 @@ X_c v / sqrt(mu), so the D x D covariance is never materialized; for D < M
 the scatter's eigenvectors are the directions.  The component count K is
 read off the eigenvalues first and only those K directions are built.
 
-A Gram-route fit holds X, the M x M eigenproblem and the D x K directions:
-both of its products centre fixed-size chunks of X into a reused buffer (the
-scatter route, D < M, centres X once).  Projection runs in row blocks.  A
-Gram-route sweep costs the Gram pass, which also forms the probes'
-cross-Gram, plus `eigh`: it projects in sample space and holds no D x K array.
+A Gram-route fit holds X, the M x M eigenproblem and the D x K directions.
+It makes two passes over X, the Gram and the directions, each centring
+fixed-size chunks into a reused buffer, and takes the enrolment's projection
+from the Gram as G V diag(1/sqrt(mu)) without a third pass (the scatter
+route, D < M, centres X once and then projects it).  `transform_dataset`
+projects other samples in row blocks.  A Gram-route sweep costs the Gram
+pass, which also forms the probes' cross-Gram, plus `eigh`: it projects in
+sample space and holds no D x K array.
 """
 
 from __future__ import annotations
@@ -71,30 +74,54 @@ class PcaModel:
         return int(self.projection.shape[1])
 
 
-def _fit(enrolment: Dataset, choose_k) -> PcaModel:
+def _fit(enrolment: Dataset, choose_k) -> tuple[PcaModel, Dataset]:
     """Fit the leading directions; `choose_k(variance_fractions)` says how many.
+    Returns the model and the enrolment projected onto it.
 
     The fractions cover every direction above the eigenvalue floor, so a
     model's fractions do not depend on how many directions were built.
     """
     x = enrolment.features
     m, d = x.shape
-    mean = x.mean(axis=0)
     # The M x M Gram and the D x D scatter share their nonzero eigenvalues;
     # decompose the smaller one.
-    use_gram = d >= m
-    evals, evecs, fractions = _ranked_eigh(
-        _centred_gram(x, mean) if use_gram else (centered := x - mean).T @ centered
-    )
-    k = choose_k(fractions)
-    if use_gram:
-        directions = _gram_directions(x, mean, evecs[:, :k] / np.sqrt(evals[:k]), min(_BLOCK, len(evals)))
+    if d >= m:
+        mean, evals, fractions, weights, projected, _ = _gram_route(x, choose_k)
+        directions = _gram_directions(x, mean, weights, min(_BLOCK, len(evals)))
     else:
-        directions = np.ascontiguousarray(evecs[:, :k])
-    _make_peaks_positive(directions)
-    return PcaModel(
+        mean = x.mean(axis=0)
+        evals, evecs, fractions = _ranked_eigh((centered := x - mean).T @ centered)
+        directions = np.ascontiguousarray(evecs[:, : choose_k(fractions)])
+    signs = _make_peaks_positive(directions)
+    k = directions.shape[1]
+    model = PcaModel(
         _frozen(mean), _frozen(directions), _frozen(evals[:k].copy()), _frozen(fractions[:k].copy())
     )
+    if d < m:
+        return model, transform_dataset(enrolment, model)
+    projected *= signs  # a negated direction negates its coordinate, bit for bit
+    return model, dataset_from_arrays(projected, enrolment.labels, enrolment.ids)
+
+
+def _gram_route(x: np.ndarray, choose_k, probes: np.ndarray | None = None):
+    """The Gram route's eigenproblem and sample-space projection.
+
+    Returns `(mean, evals, fractions, weights, enrolment, probes)`: the
+    mean, the Gram's eigenvalues and cumulative fractions down to the rank,
+    the weights V diag(1/sqrt(mu)) of the first `choose_k(fractions)`
+    eigenpairs, the enrolment's projection G @ weights and, when probes are
+    given, theirs from the cross-Gram.  X_c W = X_c X_c^T V diag(1/sqrt(mu))
+    for the directions W = X_c^T weights, so projecting takes no pass over X.
+    The enrolment's product never includes probe rows, which could change
+    how BLAS splits and rounds it: a fit and a sweep get the same bits.
+    """
+    m = x.shape[0]
+    mean = x.mean(axis=0)
+    grams = _centred_gram(x, mean, probes)
+    evals, evecs, fractions = _ranked_eigh(grams[:m])
+    k = choose_k(fractions)
+    weights = evecs[:, :k] / np.sqrt(evals[:k])
+    return mean, evals, fractions, weights, grams[:m] @ weights, grams[m:] @ weights
 
 
 def _ranked_eigh(matrix: np.ndarray):
@@ -176,17 +203,19 @@ def _gram_directions(x: np.ndarray, mean: np.ndarray, weights: np.ndarray, block
     return directions
 
 
-def _make_peaks_positive(directions: np.ndarray) -> None:
+def _make_peaks_positive(directions: np.ndarray) -> np.ndarray:
     """Sign convention, in place: the largest-magnitude entry of each column
     (the first on ties) is positive.  A column flips when its minimum
     outweighs its maximum; on a tie (+v and -v, or all zeros) its first peak
-    decides."""
+    decides.  Returns the +-1 factor applied to each column."""
     top, bottom = directions.max(axis=0), directions.min(axis=0)
     flip = -bottom > top
     for j in np.flatnonzero(-bottom == top):
         column = directions[:, j]
         flip[j] = column[np.argmax(np.abs(column))] < 0.0
-    directions *= np.where(flip, -1.0, 1.0)
+    signs = np.where(flip, -1.0, 1.0)
+    directions *= signs
+    return signs
 
 
 def _check_fixed_k(k: int, dim: int, num_samples: int) -> None:
@@ -205,14 +234,21 @@ def pca_fit(
     *,
     num_components: int | None = None,
     retain: float | None = None,
-) -> PcaModel:
-    """Fit a PCA model on enrolment data.
+) -> tuple[PcaModel, Dataset]:
+    """Fit a PCA model on enrolment data; return it with the enrolment
+    projected onto it.
 
     Exactly one of `num_components` (fixed K) or `retain` (smallest K whose
     cumulative eigenvalue fraction reaches the target) may be given; with
     neither, the default of 1300 components applies when the data permits.
     The returned model may hold fewer columns than requested when the data
     rank is smaller.
+
+    On the Gram route (D >= M) the projection is G V diag(1/sqrt(mu)) with
+    the sign rule's flips, from the Gram the fit has already summed, so it
+    takes no pass over X.  It equals `transform_dataset(enrolment, model)`
+    up to rounding and `pca_sweep`'s enrolment at the same K up to column
+    sign.  On the scatter route (D < M) it is `transform_dataset`'s result.
     """
     if num_components is not None and retain is not None:
         raise InvalidParameters("give either num_components or retain, not both")
@@ -256,14 +292,12 @@ def pca_sweep(enrolment: Dataset, probes: Dataset, k_values: list[int]):
     clipped to the data's rank, and both datasets projected onto the widest
     K directions; a count of k reads their leading k columns.
 
-    On the Gram route (D >= M) no D x K array is built.  The directions are
-    W = X_c^T V diag(1/sqrt(mu)) for the Gram's eigenpairs (V, mu), so the
-    projections are X_c W = G V diag(1/sqrt(mu)) for the Gram G = X_c X_c^T
-    and (Y - mean) W = C V diag(1/sqrt(mu)) for the cross-Gram
-    C = (Y - mean) X_c^T, which the Gram's one pass over X also sums.  The
-    sign rule is skipped, so a column may come out negated against
-    `transform_dataset(., pca_fit(K))`; negating one coordinate of every atom
-    and probe leaves every score the same bits.
+    On the Gram route (D >= M) no D x K array is built.  The enrolment's
+    projection is `pca_fit`'s, G V diag(1/sqrt(mu)), and the probes' is
+    C V diag(1/sqrt(mu)) for the cross-Gram C = (Y - mean) X_c^T, which the
+    Gram's one pass over X also sums.  The sign rule is skipped, so a column
+    may come out negated against `pca_fit(K)`'s; negating one coordinate of
+    every atom and probe leaves every score the same bits.
     The scatter route (D < M) fits and projects.
     """
     if not k_values:
@@ -275,18 +309,16 @@ def pca_sweep(enrolment: Dataset, probes: Dataset, k_values: list[int]):
     for k in k_values:
         _check_fixed_k(int(k), enrolment.dim, enrolment.num_samples)
     widest = max(int(k) for k in k_values)
-    x = enrolment.features
-    m, d = x.shape
+
+    def clip(fractions):
+        return min(widest, len(fractions))
+
+    m, d = enrolment.features.shape
     if d >= m:
-        mean = x.mean(axis=0)
-        grams = _centred_gram(x, mean, probes.features)
-        evals, evecs, _ = _ranked_eigh(grams[:m])
-        k = min(widest, len(evals))
-        projected = grams @ (evecs[:, :k] / np.sqrt(evals[:k]))
-        enrolment_all = dataset_from_arrays(projected[:m], enrolment.labels, enrolment.ids)
-        probes_all = dataset_from_arrays(projected[m:], probes.labels, probes.ids)
+        projected, cross = _gram_route(enrolment.features, clip, probes.features)[4:]
+        enrolment_all = dataset_from_arrays(projected, enrolment.labels, enrolment.ids)
+        probes_all = dataset_from_arrays(cross, probes.labels, probes.ids)
     else:
-        full = _fit(enrolment, lambda fractions: min(widest, len(fractions)))
-        k = full.num_components
-        enrolment_all, probes_all = transform_dataset(enrolment, full), transform_dataset(probes, full)
-    return [min(int(count), k) for count in k_values], enrolment_all, probes_all
+        full, enrolment_all = _fit(enrolment, clip)
+        probes_all = transform_dataset(probes, full)
+    return [min(int(count), enrolment_all.dim) for count in k_values], enrolment_all, probes_all

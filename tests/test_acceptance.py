@@ -82,7 +82,7 @@ def test_criterion_1_pca_gram_trick_equivalence():
                 rng.standard_normal((m, d)), [0] * m, [str(i) for i in range(m)]
             )
             k = min(d, m - 1)
-            model = pca_fit(ds, num_components=k)
+            model, _ = pca_fit(ds, num_components=k)
             _, evals, evecs = covariance_pca_reference(ds.features)
             for j in range(model.num_components):
                 cosine = abs(float(model.projection[:, j] @ evecs[:, j]))

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from sparserec.classifiers import CLASSIFIERS, CrcOperator, SacrcConfig
+from sparserec import cli
 from sparserec.cli import _parse_k_list, main
-from sparserec.core import build_dictionary, dataset_from_arrays
+from sparserec.core import Dataset, build_dictionary, dataset_from_arrays
 from sparserec.errors import InvalidParameters
 from sparserec.evaluation import build_scoreset, rank1_identification
 from sparserec.fileio import load_flat_dataset, read_scores_csv
@@ -265,8 +266,7 @@ def test_identify_matches_library_call(tmp_path):
     )
     enrolment = load_flat_dataset(tmp_path / "data" / "enrolment.feat")
     probes = load_flat_dataset(tmp_path / "data" / "probes.feat")
-    model = pca_fit(enrolment, num_components=10)
-    reduced_enrol = transform_dataset(enrolment, model)
+    model, reduced_enrol = pca_fit(enrolment, num_components=10)
     reduced_probes = transform_dataset(probes, model)
     d = build_dictionary(reduced_enrol)
     op = CrcOperator(d, 0.01)
@@ -350,6 +350,33 @@ def test_sweep_two_rows(tmp_path):
     echo = (tmp_path / "sweep" / "sweep.kv").read_text()
     assert "config.lambda = 0.01" in echo
     assert "config.k_list = 4,8" in echo
+
+
+def test_sweep_reads_the_pairs_file_once(tmp_path, monkeypatch):
+    gen(tmp_path / "data", classes=4, samples=5, dim=24, seed=25)
+    probes = load_flat_dataset(tmp_path / "data" / "probes.feat")
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("probe_id,claimed_class\n" + "".join(
+        f"{pid},{label}\n{pid},{(label + 1) % 4}\n" for pid, label in zip(probes.ids, probes.labels)))
+    reads = []
+    real = cli.read_pairs_csv
+    monkeypatch.setattr(cli, "read_pairs_csv", lambda path: reads.append(path) or real(path))
+    assert run("sweep-pcs", tmp_path / "data" / "enrolment.feat", tmp_path / "data" / "probes.feat",
+               "--k-list", "4,8,12", "--protocol", f"pairs:{pairs}", "--out", tmp_path / "sweep") == 0
+    assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 4
+    assert reads == [str(pairs)]
+
+
+def test_fit_calls_pca_fit_by_name_with_the_enrolment(tmp_path, monkeypatch):
+    # perfbench's traced runs time the fit, and check its peak allocation, by
+    # wrapping `pca_fit` where the CLI looks it up
+    calls = []
+    real = cli.pca_fit
+    monkeypatch.setattr(cli, "pca_fit", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    gen(tmp_path / "data", classes=4, samples=5, dim=24, seed=26)
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--pca", "3", "--out", tmp_path / "bundle") == 0
+    assert len(calls) == 1
+    assert isinstance(calls[0][0], Dataset) and calls[0][0].num_samples == 20
 
 
 @pytest.mark.parametrize("enrol_dim, probe_dim", [(30, 12), (12, 30)], ids=["gram", "scatter"])

@@ -187,7 +187,7 @@ def test_csv_round_trip(tmp_path):
 
 def test_pca_model_round_trip(tmp_path):
     enrolment, _ = generate_synthetic(3, 4, 12, 2, 0.2, seed=5)
-    model = pca_fit(enrolment, num_components=4)
+    model, _ = pca_fit(enrolment, num_components=4)
     path = tmp_path / "pca.bin"
     write_pca_model(path, model)
     loaded = read_pca_model(path)

@@ -53,7 +53,7 @@ def scratch(tmp_path_factory) -> Path:
     write_flat_features(directory / "flat", enrolment)
     tensors = enrolment.features.reshape(-1, 2, 2, 2)
     write_tensor_features(directory / "tensor", tensors, enrolment.labels, ids)
-    write_pca_model(directory / "pca", pca_fit(enrolment, num_components=3))
+    write_pca_model(directory / "pca", pca_fit(enrolment, num_components=3)[0])
     write_dictionary(directory / "dictionary", build_dictionary(enrolment))
     write_features_csv(directory / "features.csv", enrolment)
     write_scores_csv(directory / "scores.csv",

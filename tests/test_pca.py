@@ -39,7 +39,7 @@ def _project(x, model):
 
 
 def test_rank_one_data():
-    model = pca_fit(_ds([[1.0, 1.0], [-1.0, -1.0]]), num_components=1)
+    model, _ = pca_fit(_ds([[1.0, 1.0], [-1.0, -1.0]]), num_components=1)
     assert model.num_components == 1
     assert np.allclose(model.projection[:, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)])
     assert np.allclose(model.eigenvalues, [4.0])  # sum of squared centered values
@@ -49,7 +49,7 @@ def test_rank_one_data():
 def test_matches_direct_covariance_decomposition():
     rng = np.random.default_rng(0)
     ds = _random_ds(rng, 4, 6)
-    model = pca_fit(ds, num_components=3)
+    model, _ = pca_fit(ds, num_components=3)
     mean, evals, evecs = covariance_pca_reference(ds.features)
     assert np.allclose(model.mean, mean)
     for j in range(3):
@@ -60,20 +60,20 @@ def test_matches_direct_covariance_decomposition():
 
 def test_projection_is_orthonormal():
     rng = np.random.default_rng(1)
-    model = pca_fit(_random_ds(rng, 8, 12), num_components=5)
+    model, _ = pca_fit(_random_ds(rng, 8, 12), num_components=5)
     gram = model.projection.T @ model.projection
     assert np.max(np.abs(gram - np.eye(5))) < 1e-8
 
 
 def test_transform_of_mean_is_zero():
     rng = np.random.default_rng(2)
-    model = pca_fit(_random_ds(rng, 5, 7), num_components=3)
+    model, _ = pca_fit(_random_ds(rng, 5, 7), num_components=3)
     assert np.max(np.abs(_project(model.mean.copy(), model))) < 1e-12
 
 
 def test_transform_of_principal_direction_is_basis_vector():
     rng = np.random.default_rng(3)
-    model = pca_fit(_random_ds(rng, 6, 9), num_components=4)
+    model, _ = pca_fit(_random_ds(rng, 6, 9), num_components=4)
     x = model.mean + model.projection[:, 0]
     projected = _project(x, model)
     assert np.max(np.abs(projected - np.eye(4)[0])) < 1e-8
@@ -83,7 +83,7 @@ def test_round_trip_residual_energy():
     rng = np.random.default_rng(4)
     ds = _random_ds(rng, 7, 10)
     k = 3
-    model = pca_fit(ds, num_components=k)
+    model, _ = pca_fit(ds, num_components=k)
     _, _, evecs = covariance_pca_reference(ds.features)
     x = rng.standard_normal(10)
     centered = x - model.mean
@@ -98,7 +98,7 @@ def test_round_trip_residual_energy():
 def test_projected_second_moment_is_diagonal():
     rng = np.random.default_rng(5)
     ds = _random_ds(rng, 10, 15)
-    model = pca_fit(ds, num_components=6)
+    model, _ = pca_fit(ds, num_components=6)
     projected = transform_dataset(ds, model).features
     second_moment = projected.T @ projected
     off = second_moment - np.diag(np.diag(second_moment))
@@ -108,7 +108,7 @@ def test_projected_second_moment_is_diagonal():
 def test_variance_fractions_reach_one_at_rank():
     rng = np.random.default_rng(6)
     ds = _random_ds(rng, 5, 20)
-    model = pca_fit(ds, num_components=4)  # rank = samples - 1
+    model, _ = pca_fit(ds, num_components=4)  # rank = samples - 1
     assert np.all(np.diff(model.variance_fractions) >= 0)
     assert abs(model.variance_fractions[-1] - 1.0) < 1e-9
 
@@ -116,12 +116,12 @@ def test_variance_fractions_reach_one_at_rank():
 def test_retain_fraction_selection():
     rng = np.random.default_rng(7)
     ds = _random_ds(rng, 8, 10)
-    full = pca_fit(ds, num_components=7)
+    full, _ = pca_fit(ds, num_components=7)
     rho = float(full.variance_fractions[3]) + 1e-12
-    model = pca_fit(ds, retain=rho)
+    model, _ = pca_fit(ds, retain=rho)
     manual = int(np.argmax(full.variance_fractions >= rho)) + 1
     assert model.num_components == manual
-    model_all = pca_fit(ds, retain=1.0)
+    model_all, _ = pca_fit(ds, retain=1.0)
     assert model_all.num_components == full.num_components
 
 
@@ -166,7 +166,7 @@ def test_sweep_shares_leading_columns_exactly():
     # so a k-component fit must be the leading columns of a wider one.
     rng = np.random.default_rng(11)
     ds = _random_ds(rng, 9, 12)
-    small, large = pca_fit(ds, num_components=2), pca_fit(ds, num_components=5)
+    (small, _), (large, _) = pca_fit(ds, num_components=2), pca_fit(ds, num_components=5)
     assert small.num_components == 2 and large.num_components == 5
     assert small.mean.tobytes() == large.mean.tobytes()
     assert small.projection.tobytes() == np.ascontiguousarray(large.projection[:, :2]).tobytes()
@@ -177,8 +177,9 @@ def test_sweep_equals_individual_fit_bitwise():
     rng = np.random.default_rng(12)
     ds, probes = _random_ds(rng, 20, 12), _random_ds(rng, 7, 12)
     counts, enrolment_all, probes_all = pca_sweep(ds, probes, [4])
-    fitted = pca_fit(ds, num_components=4)
+    fitted, reduced = pca_fit(ds, num_components=4)
     assert counts == [4]
+    assert reduced.features.tobytes() == transform_dataset(ds, fitted).features.tobytes()
     assert enrolment_all.features.tobytes() == transform_dataset(ds, fitted).features.tobytes()
     assert probes_all.features.tobytes() == transform_dataset(probes, fitted).features.tobytes()
     assert enrolment_all.ids == ds.ids and probes_all.labels.tobytes() == probes.labels.tobytes()
@@ -201,7 +202,7 @@ def test_high_dimensional_fit_stays_cheap():
     rng = np.random.default_rng(14)
     ds = _random_ds(rng, 6, 20000)
     start = time.perf_counter()
-    model = pca_fit(ds, num_components=5)
+    model, _ = pca_fit(ds, num_components=5)
     assert time.perf_counter() - start < 10.0
     assert model.projection.shape == (20000, 5)
     gram = model.projection.T @ model.projection
@@ -220,7 +221,7 @@ CHUNKED_SHAPE = (300, 2 * (pca._CHUNK_VALUES // 256) + 1)
 def test_scatter_branch_matches_direct_covariance_decomposition():
     rng = np.random.default_rng(15)
     ds = _random_ds(rng, 40, 6)  # D < M: the D x D scatter is the smaller problem
-    model = pca_fit(ds, num_components=6)
+    model, _ = pca_fit(ds, num_components=6)
     mean, evals, evecs = covariance_pca_reference(ds.features)
     assert np.allclose(model.mean, mean)
     assert np.max(np.abs(model.projection.T @ model.projection - np.eye(6))) < 1e-12
@@ -231,7 +232,7 @@ def test_scatter_branch_matches_direct_covariance_decomposition():
 
 @pytest.mark.parametrize("shape", [GRAM_SHAPE, SCATTER_SHAPE], ids=["gram", "scatter"])
 def test_largest_entry_of_each_direction_is_positive(shape):
-    model = pca_fit(_random_ds(np.random.default_rng(16), *shape), num_components=10)
+    model, _ = pca_fit(_random_ds(np.random.default_rng(16), *shape), num_components=10)
     peak = np.argmax(np.abs(model.projection), axis=0)
     assert np.all(model.projection[peak, np.arange(10)] > 0)
 
@@ -244,8 +245,8 @@ def test_largest_entry_of_each_direction_is_positive(shape):
 def test_sweep_head_equals_fit_bitwise(shape, pairs):
     ds = _random_ds(np.random.default_rng(17), *shape)
     for k, k_big in pairs:
-        wide = pca_fit(ds, num_components=k_big)
-        fitted = pca_fit(ds, num_components=k)
+        wide, _ = pca_fit(ds, num_components=k_big)
+        fitted, _ = pca_fit(ds, num_components=k)
         head = {
             "mean": wide.mean,
             "projection": np.ascontiguousarray(wide.projection[:, :k]),
@@ -259,10 +260,10 @@ def test_sweep_head_equals_fit_bitwise(shape, pairs):
 @pytest.mark.parametrize("shape", [GRAM_SHAPE, SCATTER_SHAPE], ids=["gram", "scatter"])
 def test_retain_picks_the_smallest_k_reaching_the_fraction(shape):
     ds = _random_ds(np.random.default_rng(18), *shape)
-    full = pca_fit(ds, num_components=min(shape[0] - 1, shape[1]))
+    full, _ = pca_fit(ds, num_components=min(shape[0] - 1, shape[1]))
     fractions = full.variance_fractions
     for rho in (float(fractions[3]), float(fractions[3]) + 1e-12, 0.5, 0.9, 1.0):
-        model = pca_fit(ds, retain=rho)
+        model, _ = pca_fit(ds, retain=rho)
         reached = np.flatnonzero(fractions >= rho)  # none when rounding keeps the last below 1.0
         expected = int(reached[0]) + 1 if reached.size else full.num_components
         assert model.num_components == expected, rho
@@ -274,7 +275,7 @@ def test_many_sample_fit_never_builds_the_sample_gram():
     ds = _random_ds(np.random.default_rng(19), 3000, 20)
     tracemalloc.start()
     try:
-        model = pca_fit(ds, num_components=5)
+        model, _ = pca_fit(ds, num_components=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -285,9 +286,9 @@ def test_many_sample_fit_never_builds_the_sample_gram():
 def test_row_chunks_give_the_bits_of_one_product(monkeypatch):
     # 260 directions: a full 256-column block and a zero-padded one.
     ds = _random_ds(np.random.default_rng(21), *CHUNKED_SHAPE)
-    chunked = pca_fit(ds, num_components=260)
+    chunked, _ = pca_fit(ds, num_components=260)
     monkeypatch.setattr(pca, "_CHUNK_VALUES", 1 << 40)  # one product, one sign pass
-    whole = pca_fit(ds, num_components=260)
+    whole, _ = pca_fit(ds, num_components=260)
     assert chunked.projection.tobytes() == whole.projection.tobytes()
     peak = np.argmax(np.abs(chunked.projection), axis=0)
     assert np.all(chunked.projection[peak, np.arange(260)] > 0)
@@ -319,7 +320,7 @@ def test_gram_route_never_holds_a_second_sample_matrix():
     for name, run in [
         ("fit", lambda: pca_fit(ds, num_components=10)),
         ("sweep", lambda: pca_sweep(ds, ds, [5, 10])),
-        ("transform", lambda: transform_dataset(ds, models["fit"])),
+        ("transform", lambda: transform_dataset(ds, models["fit"][0])),
     ]:
         tracemalloc.start()
         try:
@@ -332,7 +333,7 @@ def test_gram_route_never_holds_a_second_sample_matrix():
 
 def test_row_blocks_give_the_bits_of_one_product(monkeypatch):
     ds = _random_ds(np.random.default_rng(24), 61, 3000)
-    model = pca_fit(ds, num_components=40)
+    model, _ = pca_fit(ds, num_components=40)
     whole = np.matmul(ds.features - model.mean, model.projection)
     assert transform_dataset(ds, model).features.tobytes() == whole.tobytes()
     monkeypatch.setattr(pca, "_TRANSFORM_VALUES", 21 * 3000)  # blocks of 20, 20 and 21 rows
@@ -346,16 +347,16 @@ def test_sweep_outputs_are_read_only():
     for projected in (enrolment_all, probes_all):
         assert projected.features.shape == (30, 12)
         assert not projected.features.flags.writeable
-    model = pca_fit(ds, num_components=3)
+    model, _ = pca_fit(ds, num_components=3)
     for field in ("mean", "projection", "eigenvalues", "variance_fractions"):
         assert not getattr(model, field).flags.writeable, field
 
 
 def test_gram_column_chunks_change_only_rounding(monkeypatch):
     ds = _random_ds(np.random.default_rng(26), 40, 5000)
-    chunked = pca_fit(ds, num_components=10)
+    chunked, _ = pca_fit(ds, num_components=10)
     monkeypatch.setattr(pca, "_GRAM_COLUMNS", 5000)  # one Gram product
-    whole = pca_fit(ds, num_components=10)
+    whole, _ = pca_fit(ds, num_components=10)
     assert np.max(np.abs(chunked.projection - whole.projection)) < 1e-10
     assert np.max(np.abs(chunked.eigenvalues / whole.eigenvalues - 1.0)) < 1e-12
 
@@ -365,11 +366,12 @@ def _low_rank_ds(rng, m, d, rank):
 
 
 # (enrolment M, D, probes P, requested counts, rank): one Gram product
-# (D <= 2048), a chunked Gram whose last chunk is one column, and a rank-6
-# enrolment whose widest request is clipped to the rank.
+# (D <= 2048), a chunked Gram whose last chunk is one column (and whose
+# directions are built in row chunks), and a rank-6 enrolment whose widest
+# request is clipped to the rank.
 SWEEP_CASES = {
-    "gram": (300, 320, 30, [5, 260, 299], None),
-    "chunked": (300, 2049, 20, [37, 299], None),
+    "gram": (*GRAM_SHAPE, 30, [5, 260, 299], None),
+    "chunked": (*CHUNKED_SHAPE, 20, [37, 299], None),
     "clipped": (40, 3000, 9, [3, 30], 6),
 }
 
@@ -385,9 +387,17 @@ def test_gram_sweep_projects_like_fit_and_transform(case):
     counts, enrolment_all, probes_all = pca_sweep(ds, probes, k_values)
     widest = rank or max(k_values)
     assert counts == [min(k, widest) for k in k_values]
-    model = pca_fit(ds, num_components=max(k_values))
+    model, reduced = pca_fit(ds, num_components=max(k_values))
     assert model.num_components == widest
-    for projected, source in ((enrolment_all, ds), (probes_all, probes)):
+    # The fit takes the enrolment's projection from the same Gram product as
+    # the sweep: the sweep's bits, up to the sign rule the sweep skips.
+    sign = np.where(np.sum(enrolment_all.features * reduced.features, axis=0) < 0.0, -1.0, 1.0)
+    assert (enrolment_all.features * sign).tobytes() == reduced.features.tobytes()
+    # G V diag(1/sqrt(mu)) and C V diag(1/sqrt(mu)) equal (X - mean) W and
+    # (Y - mean) W in exact arithmetic.  In floats the error grows as the
+    # kept eigenvalues fall: at K = M - 1 on the 300 x 320 case the last
+    # column is 9e-13 of its largest entry off, so the bound is 1e-12.
+    for projected, source in ((reduced, ds), (enrolment_all, ds), (probes_all, probes)):
         expected = transform_dataset(source, model).features
         got = projected.features
         assert got.shape == expected.shape
