@@ -2,16 +2,12 @@
 
 from .classifiers import (
     CrcOperator,
+    Gallery,
     SacrcConfig,
-    crc_solve,
-    omp_solve,
-    sacrc_classify,
-    score_matrix,
 )
 from .core import (
     Dataset,
     Dictionary,
-    RepresentationResult,
     build_dictionary,
     dataset_from_arrays,
 )
@@ -34,23 +30,19 @@ __all__ = [
     "Dataset",
     "Dictionary",
     "EvalReport",
+    "Gallery",
     "PcaModel",
-    "RepresentationResult",
     "Roc",
     "SacrcConfig",
     "ScoreSet",
     "build_dictionary",
     "build_scoreset",
     "compute_roc",
-    "crc_solve",
     "dataset_from_arrays",
     "evaluate_verification",
     "generate_synthetic",
-    "omp_solve",
     "pca_fit",
     "pca_sweep",
     "rank1_identification",
-    "sacrc_classify",
-    "score_matrix",
     "transform_dataset",
 ]

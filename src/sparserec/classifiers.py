@@ -2,11 +2,12 @@
 l0-constrained sparse solve, their normalized augmentation summed per class
 as evidence, and the residual / nearest-neighbor baselines.
 
-`score_matrix` is the one place that knows how each classifier in
-`CLASSIFIERS` scores: it maps a P x D probe block to P x c per-class scores,
-one probe per row.  A probe's decision is the argmax of its row, so equal
-scores go to the lowest class index for every classifier.  `crc_solve`,
-`omp_solve` and `sacrc_classify` are one-row calls into the same kernels.
+`Gallery` is the one place that knows how each classifier in `CLASSIFIERS`
+scores.  Built once per dictionary, its `scores(kinds, probes)` maps a P x D
+probe block to one P x c per-class score matrix per kind, one probe per row.
+Kinds asked for together share their solves: sacrc adds the ridge and sparse
+codes that crc and src score alone.  A probe's decision is the argmax of its
+row, so equal scores go to the lowest class index for every classifier.
 
 The collaborative solve uses the squared-l2 ridge penalty, whose closed form
 (Phi^T Phi + lambda I)^-1 Phi^T y is a fixed linear map of y: the inverse of
@@ -17,11 +18,13 @@ map is applied to a probe block with two matrix products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, Dictionary, RepresentationResult, _frozen
+from .core import Dataset, Dictionary, _frozen
 from .errors import (
     DegenerateAugmentation,
     DimensionMismatch,
@@ -30,7 +33,7 @@ from .errors import (
     ZeroNormSample,
 )
 
-# The classifier names score_matrix, the configuration and the CLI accept.
+# The classifier names Gallery.scores, the configuration and the CLI accept.
 CLASSIFIERS = ("sacrc", "crc", "src", "knn1")
 
 DEFAULT_RIDGE_LAMBDA = 0.01
@@ -47,8 +50,9 @@ AUGMENTATION_EPS = 1e-12
 DEPENDENT_ATOM_EPS = 1e-12
 
 # Probes are scored in blocks of at most _PROBE_BLOCK rows, and of fewer rows
-# when a block's per-probe temporaries would exceed _BLOCK_ELEMENTS float64
-# values (32 MB), e.g. OMP's selected atoms at large D.
+# when a block's per-probe temporaries, for the requested kind that needs the
+# most, would exceed _BLOCK_ELEMENTS float64 values (32 MB), e.g. OMP's
+# selected atoms at large D.
 _PROBE_BLOCK = 256
 _BLOCK_ELEMENTS = 1 << 22
 
@@ -63,8 +67,8 @@ def _check_nonnegative(name: str, value: float) -> None:
 class SacrcConfig:
     """Hyperparameters for the augmented classifier.
 
-    `sparsity_k` of None resolves to min(50, N) against the dictionary at
-    solve time.
+    `sparsity_k` of None resolves to min(50, N) against the dictionary when
+    a `Gallery` is built.
     """
 
     ridge_lambda: float = DEFAULT_RIDGE_LAMBDA
@@ -197,20 +201,6 @@ def _augment(alpha_collab: np.ndarray, alpha_sparse: np.ndarray) -> tuple[np.nda
     return combined / norms, fell_back[..., 0]
 
 
-def _sacrc_block(y_hat, dictionary, op, k, tol):
-    alpha_collab = op.apply(y_hat)
-    alpha_sparse = _omp_block(dictionary.atoms, y_hat, k, tol)
-    alpha_aug, fell_back = _augment(alpha_collab, alpha_sparse)
-    return alpha_collab, alpha_sparse, alpha_aug, fell_back
-
-
-def _crc_scores(y_hat: np.ndarray, op: CrcOperator) -> np.ndarray:
-    alpha = op.apply(y_hat)
-    norms = np.linalg.norm(alpha, axis=1, keepdims=True)
-    alpha = alpha / np.where(norms > 0.0, norms, 1.0)
-    return op.dictionary.class_sums(alpha)
-
-
 def _class_residuals(y: np.ndarray, alpha: np.ndarray, dictionary: Dictionary) -> np.ndarray:
     """||y - Phi_i alpha_i|| for every row and class i, from each class's
     columns alone: (P, D), (P, N) -> (P, c)."""
@@ -237,124 +227,89 @@ def _knn1_scores(y: np.ndarray, enrolment: Dataset, num_classes: int) -> np.ndar
     return np.where(np.isfinite(best), -best, -np.inf)
 
 
-def _blockwise(fn, y: np.ndarray, per_row: int) -> np.ndarray:
-    """fn applied to consecutive row blocks of y, results stacked."""
-    step = max(1, min(_PROBE_BLOCK, _BLOCK_ELEMENTS // max(per_row, 1)))
-    return np.concatenate([fn(y[start : start + step]) for start in range(0, y.shape[0], step)])
-
-
 def check_classifier(kind: str) -> None:
     if kind not in CLASSIFIERS:
         raise InvalidParameters(f"unknown classifier {kind!r}; choose from {', '.join(CLASSIFIERS)}")
 
 
-def _probe_rows(probes: np.ndarray, dim: int) -> np.ndarray:
-    y = np.asarray(probes, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != dim:
-        raise DimensionMismatch(f"probes have shape {y.shape}, expected (P, {dim})")
-    return y
+@dataclass(frozen=True, eq=False)
+class Gallery:
+    """An enrolled gallery ready to score probes: the dictionary, the
+    enrolment samples its atoms were built from (knn1 measures distances to
+    those) and the solver settings.
 
-
-def score_matrix(
-    kind: str,
-    probes: np.ndarray,
-    dictionary: Dictionary,
-    op: CrcOperator | None = None,
-    cfg: SacrcConfig | None = None,
-    enrolment: Dataset | None = None,
-) -> np.ndarray:
-    """Per-class match scores of every probe row: (P, D) -> (P, c).
-
-    `kind` is sacrc (augmented evidence), crc (normalized collaborative
-    evidence), src (minus each class's reconstruction residual of the sparse
-    code) or knn1 (minus the distance to the class's nearest enrolment
-    sample, -inf for classes without samples).  Probes are l2-normalized
-    first, except for knn1.  Each row's scores depend on that row alone, and
-    its argmax is the probe's decision (the lowest class index on ties).
+    The sparsity k is resolved against the dictionary once, at construction.
+    The ridge map is set up the first time sacrc or crc is scored, so knn1
+    and src never need one.
     """
-    check_classifier(kind)
-    y = _probe_rows(probes, dictionary.dim)
-    c = dictionary.num_classes
-    if y.shape[0] == 0:
-        return np.empty((0, c))
-    d, n = dictionary.dim, dictionary.num_atoms
-    if kind == "sacrc":
-        if op is None or cfg is None:
-            raise InvalidParameters("sacrc scoring needs a CrcOperator and a SacrcConfig")
-        k = cfg.resolve_k(n)
-        return _blockwise(
-            lambda b: dictionary.class_sums(_sacrc_block(b, dictionary, op, k, cfg.residual_tol)[2]),
-            _unit_rows(y), k * (d + k) + 4 * n,
-        )
-    if kind == "crc":
-        if op is None:
-            raise InvalidParameters("crc scoring needs a CrcOperator")
-        return _blockwise(lambda b: _crc_scores(b, op), _unit_rows(y), 2 * n + c)
-    if kind == "src":
-        if cfg is None:
-            raise InvalidParameters("src scoring needs a SacrcConfig")
-        k = cfg.resolve_k(n)
-        return _blockwise(
-            lambda b: -_class_residuals(b, _omp_block(dictionary.atoms, b, k, cfg.residual_tol),
-                                        dictionary),
-            _unit_rows(y), k * (d + k) + 2 * n + c,
-        )
-    if enrolment is None:  # knn1
-        raise InvalidParameters("knn1 scoring needs the enrolment dataset")
-    _probe_rows(y, enrolment.dim)
-    return _blockwise(lambda b: _knn1_scores(b, enrolment, c), y, 2 * enrolment.num_samples + c)
 
+    dictionary: Dictionary
+    enrolment: Dataset
+    solver: SacrcConfig = SacrcConfig()
+    k: int = field(init=False)
 
-# ---------------------------------------------------------------------------
-# single-probe calls
+    def __post_init__(self):
+        d, e = self.dictionary, self.enrolment
+        if (e.num_samples, e.dim) != (d.num_atoms, d.dim):
+            raise DimensionMismatch(
+                f"enrolment has {e.num_samples} samples of dim {e.dim},"
+                f" dictionary has {d.num_atoms} atoms of dim {d.dim}"
+            )
+        object.__setattr__(self, "k", self.solver.resolve_k(d.num_atoms))
 
+    @cached_property
+    def operator(self) -> CrcOperator:
+        return CrcOperator(self.dictionary, self.solver.ridge_lambda)
 
-def _probe(y: np.ndarray, dim: int) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (dim,):
-        raise DimensionMismatch(f"probe has shape {y.shape}, dictionary dim is {dim}")
-    return y[None, :]
+    def scores(self, kinds: Sequence[str], probes: np.ndarray) -> list[np.ndarray]:
+        """Per-class match scores of every probe row, one (P, c) matrix per
+        kind in `kinds`, in that order.
 
+        A kind is sacrc (augmented evidence), crc (normalized collaborative
+        evidence), src (minus each class's reconstruction residual of the
+        sparse code) or knn1 (minus the distance to the class's nearest
+        enrolment sample).  Probes are l2-normalized first, except for knn1.
+        Each row's scores depend on that row alone, and its argmax is the
+        probe's decision (the lowest class index on ties).  Each probe block
+        runs the ridge map at most once and the sparse solve at most once,
+        whichever kinds share them.
+        """
+        for kind in kinds:
+            check_classifier(kind)
+        d = self.dictionary
+        y = np.asarray(probes, dtype=np.float64)
+        if y.ndim != 2 or y.shape[1] != d.dim:
+            raise DimensionMismatch(f"probes have shape {y.shape}, expected (P, {d.dim})")
+        wanted = set(kinds)
+        y_hat = _unit_rows(y) if wanted - {"knn1"} else y
+        step = self._block_rows(wanted)
+        blocks = [self._block_scores(wanted, y[i : i + step], y_hat[i : i + step])
+                  for i in range(0, y.shape[0], step)]
+        if not blocks:
+            return [np.empty((0, d.num_classes)) for _ in kinds]
+        return [np.concatenate([block[kind] for block in blocks]) for kind in kinds]
 
-def crc_solve(y: np.ndarray, op: CrcOperator) -> np.ndarray:
-    """Dense collaborative solution (Phi^T Phi + lambda I)^-1 Phi^T y."""
-    return op.apply(_probe(y, op.dictionary.dim))[0]
+    def _block_rows(self, kinds: set[str]) -> int:
+        """Rows per probe block, from the kind whose step holds the most
+        per-probe temporaries, so a one-kind call keeps that kind's blocks."""
+        d, n, c, k = self.dictionary.dim, self.dictionary.num_atoms, self.dictionary.num_classes, self.k
+        per_row = {"sacrc": k * (d + k) + 4 * n, "crc": 2 * n + c, "src": k * (d + k) + 2 * n + c,
+                   "knn1": 2 * self.enrolment.num_samples + c}
+        widest = max([per_row[kind] for kind in kinds], default=1)
+        return max(1, min(_PROBE_BLOCK, _BLOCK_ELEMENTS // widest))
 
-
-def omp_solve(y: np.ndarray, dictionary: Dictionary, k: int, tol: float = 0.0) -> np.ndarray:
-    """Greedy orthogonal matching pursuit with at most k nonzeros.
-
-    Each round selects the atom best correlated with the residual, then
-    re-fits least squares on the whole active set.  Stops at support size k,
-    residual norm <= tol, or a residual orthogonal to every atom.
-    """
-    row = _probe(y, dictionary.dim)
-    n = dictionary.num_atoms
-    if not 1 <= k <= n:
-        raise InvalidParameters(f"sparsity k must be in [1, {n}], got {k}")
-    _check_nonnegative("residual tolerance", tol)
-    return _omp_block(dictionary.atoms, row, k, tol)[0]
-
-
-def sacrc_classify(
-    y: np.ndarray, dictionary: Dictionary, op: CrcOperator, cfg: SacrcConfig
-) -> RepresentationResult:
-    """Classify a probe by the augmented representation.
-
-    The probe is l2-normalized internally, so the decision is invariant to
-    positive rescaling of y.
-    """
-    y_hat = _unit_rows(_probe(y, dictionary.dim))
-    k = cfg.resolve_k(dictionary.num_atoms)
-    alpha_collab, alpha_sparse, alpha_aug, fell_back = _sacrc_block(
-        y_hat, dictionary, op, k, cfg.residual_tol
-    )
-    class_scores = dictionary.class_sums(alpha_aug[0])
-    return RepresentationResult(
-        alpha_collab=alpha_collab[0],
-        alpha_sparse=alpha_sparse[0],
-        alpha_aug=alpha_aug[0],
-        class_scores=class_scores,
-        predicted_class=int(np.argmax(class_scores)),  # argmax takes the lowest index on ties
-        used_collab_fallback=bool(fell_back[0]),
-    )
+    def _block_scores(self, kinds: set[str], y: np.ndarray, y_hat: np.ndarray) -> dict[str, np.ndarray]:
+        d, tol = self.dictionary, self.solver.residual_tol
+        collab = self.operator.apply(y_hat) if kinds & {"sacrc", "crc"} else None
+        sparse = _omp_block(d.atoms, y_hat, self.k, tol) if kinds & {"sacrc", "src"} else None
+        out = {}
+        if "sacrc" in kinds:
+            out["sacrc"] = d.class_sums(_augment(collab, sparse)[0])
+        if "crc" in kinds:
+            norms = np.linalg.norm(collab, axis=1, keepdims=True)
+            out["crc"] = d.class_sums(collab / np.where(norms > 0.0, norms, 1.0))
+        if "src" in kinds:
+            out["src"] = -_class_residuals(y_hat, sparse, d)
+        if "knn1" in kinds:
+            out["knn1"] = _knn1_scores(y, self.enrolment, d.num_classes)
+        return out

@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .classifiers import CLASSIFIERS, CrcOperator, check_classifier
+from .classifiers import CLASSIFIERS, Gallery, check_classifier
 from .config import (RunConfig, _apply_raw, apply_setting, config_echo, parse_pca_selection, parse_protocol,
                      read_settings)
 from .core import Dataset, build_dictionary, dataset_from_arrays
@@ -200,7 +200,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         model, reduced = pca_fit(enrolment, retain=float(param))
 
     dictionary = build_dictionary(reduced)
-    resolved_k = cfg.solver.resolve_k(dictionary.num_atoms)
+    gallery = Gallery(dictionary, reduced, cfg.solver)
 
     out = _out_dir(args)
     write_dictionary(out / DICTIONARY_NAME, dictionary)
@@ -218,7 +218,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "pca": cfg.pca,
             "pca_components": str(0 if model is None else model.num_components),
             "residual_tol": f"{cfg.solver.residual_tol:g}",
-            "sparsity_k": str(resolved_k),
+            "sparsity_k": str(gallery.k),
         },
     )
     print(
@@ -234,27 +234,16 @@ def _protocol_pairs(cfg: RunConfig):
     return None if pairs_path is None else read_pairs_csv(pairs_path)
 
 
-def _scoreset_for(cfg: RunConfig, probes, dictionary, enrolment, pairs):
-    return build_scoreset(
-        probes,
-        dictionary,
-        CrcOperator(dictionary, cfg.solver.ridge_lambda),
-        cfg.solver,
-        pairs=pairs,
-        classifier=cfg.classifier,
-        enrolment=enrolment,
-    )
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     dictionary, model, enrolment, base = _load_bundle(args.bundle)
     cfg = _resolve_config(args, base)
     probes = _load_probes(args.probes, model, dictionary)
 
-    scoreset = _scoreset_for(cfg, probes, dictionary, enrolment, _protocol_pairs(cfg))
+    gallery = Gallery(dictionary, enrolment, cfg.solver)
+    scoreset = build_scoreset(probes, gallery, cfg.classifier, pairs=_protocol_pairs(cfg))
     echo = config_echo(
         cfg,
-        resolved_sparsity_k=cfg.solver.resolve_k(dictionary.num_atoms),
+        resolved_sparsity_k=gallery.k,
         pca_components=0 if model is None else model.num_components,
         num_atoms=dictionary.num_atoms,
         num_classes=dictionary.num_classes,
@@ -300,22 +289,12 @@ def cmd_identify(args: argparse.Namespace) -> int:
         )
 
     classifiers = classifiers or [cfg.classifier]
-    op = CrcOperator(dictionary, cfg.solver.ridge_lambda)
-    rows = []
-    for name in classifiers:
-        accuracy = rank1_identification(
-            probes,
-            name,
-            dictionary=dictionary,
-            op=op,
-            cfg=cfg.solver,
-            enrolment=enrolment,
-        )
-        rows.append((name, accuracy))
+    gallery = Gallery(dictionary, enrolment, cfg.solver)
+    rows = list(zip(classifiers, rank1_identification(probes, gallery, classifiers)))
 
     echo = config_echo(
         cfg,
-        resolved_sparsity_k=cfg.solver.resolve_k(dictionary.num_atoms),
+        resolved_sparsity_k=gallery.k,
         pca_components=0 if model is None else model.num_components,
         probes_used=probes.num_samples,
         probes_dropped=dropped,
@@ -364,8 +343,9 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
     for k in counts:
         reduced_enrol = dataset_from_arrays(enrol_all.features[:, :k].copy(), enrolment.labels, enrolment.ids)
         reduced_probes = dataset_from_arrays(probes_all.features[:, :k].copy(), probes.labels, probes.ids)
-        dictionary = build_dictionary(reduced_enrol)
-        scoreset = _scoreset_for(cfg, reduced_probes, dictionary, reduced_enrol, pairs)
+        gallery = Gallery(build_dictionary(reduced_enrol), reduced_enrol, cfg.solver)
+        scoreset = build_scoreset(reduced_probes, gallery, cfg.classifier, pairs=pairs)
+        del gallery  # free this row's dictionary and ridge map before the next row builds its own
         report = evaluate_verification(scoreset, cfg.far_targets)
         row = [str(k), f"{report.eer:.17g}"]
         row += [f"{g.gmr:.17g}" for g in report.gmr_at_far]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .classifiers import CLASSIFIERS, SacrcConfig
+from .classifiers import SacrcConfig, check_classifier
 from .errors import BadEncoding, ConfigError, InvalidParameters
 
 
@@ -128,8 +128,7 @@ def _apply_raw(cfg: RunConfig, key: str, value: str) -> RunConfig:
         parse_pca_selection(value)  # validate only; stored as written
         return replace(cfg, pca=value.strip())
     if key == "classifier":
-        if value not in CLASSIFIERS:
-            raise ConfigError(f"unknown classifier {value!r}; choose from {', '.join(CLASSIFIERS)}")
+        check_classifier(value)
         return replace(cfg, classifier=value)
     if key == "protocol":
         parse_protocol(value)

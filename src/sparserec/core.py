@@ -96,26 +96,6 @@ class Dictionary:
         return np.add.reduceat(alpha, self.class_starts, axis=-1)
 
 
-@dataclass(frozen=True)
-class RepresentationResult:
-    """Everything a sparsity-augmented classification produces.
-
-    `alpha_collab` is the dense ridge solution, `alpha_sparse` the greedy
-    l0-constrained one, `alpha_aug` their normalized sum (unit l2 norm),
-    `class_scores` the per-class sums of `alpha_aug` and
-    `predicted_class` its argmax with ties broken toward the lowest index.
-    `used_collab_fallback` flags the degenerate case where the two solutions
-    cancelled and the normalized collaborative solution was used alone.
-    """
-
-    alpha_collab: np.ndarray
-    alpha_sparse: np.ndarray
-    alpha_aug: np.ndarray
-    class_scores: np.ndarray
-    predicted_class: int
-    used_collab_fallback: bool = False
-
-
 def dataset_from_arrays(
     features: np.ndarray, labels: Sequence[int] | np.ndarray, ids: Sequence[str]
 ) -> Dataset:

@@ -1,7 +1,8 @@
 """Verification and identification evaluation: columnar score sets, one
 threshold sweep (compute_roc) from which evaluate_verification reads the EER
 and GMR-at-FAR metrics, rank-1 accuracy, and the union-of-subspaces
-synthetic generator used for desk-scale experiments.
+synthetic generator used for desk-scale experiments.  Scores come from a
+`Gallery`, which `build_scoreset` and `rank1_identification` take whole.
 
 Thresholding convention, used everywhere: a comparison is accepted at
 threshold t when its score is >= t.  FAR (false accept rate) is the accepted
@@ -17,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifiers import CrcOperator, SacrcConfig, score_matrix
-from .core import Dataset, Dictionary, _frozen, dataset_from_arrays
+from .classifiers import Gallery
+from .core import Dataset, _frozen, dataset_from_arrays
 from .errors import (
     DegenerateScoreSet,
     DimensionMismatch,
@@ -83,15 +84,12 @@ class EvalReport:
 
 def build_scoreset(
     probes: Dataset,
-    dictionary: Dictionary,
-    op: CrcOperator | None = None,
-    cfg: SacrcConfig | None = None,
+    gallery: Gallery,
+    classifier: str = "sacrc",
     *,
     pairs: Sequence[tuple[str, int]] | None = None,
-    classifier: str = "sacrc",
-    enrolment: Dataset | None = None,
 ) -> ScoreSet:
-    """Score probe/claim comparisons against an enrolled dictionary.
+    """Score probe/claim comparisons against an enrolled gallery.
 
     With `pairs` None (the all-vs-all protocol) every probe is compared
     against every enrolled class: one genuine record where the claim equals
@@ -99,14 +97,10 @@ def build_scoreset(
     With a `pairs` list (the pairs protocol) only its (probe_id,
     claimed_class) comparisons are scored, in list order.
     """
-    if probes.dim != dictionary.dim:
-        raise DimensionMismatch(
-            f"probes have dim {probes.dim}, dictionary has dim {dictionary.dim}"
-        )
-    c = dictionary.num_classes
+    c = gallery.dictionary.num_classes
 
     if pairs is None:
-        scores = score_matrix(classifier, probes.features, dictionary, op, cfg, enrolment)
+        (scores,) = gallery.scores([classifier], probes.features)
         probe = np.repeat(np.arange(probes.num_samples), c)
         claim = np.tile(np.arange(c), probes.num_samples)
         return ScoreSet(probes.ids, probe, claim, scores.ravel(), claim == probes.labels[probe])
@@ -125,7 +119,7 @@ def build_scoreset(
         raise UnknownClass(f"pair claims class {claims[bad[0]]}, enrolled range is [0, {c})")
     wanted = _sorted_unique(probe)
     row = np.searchsorted(wanted, probe)
-    scores = score_matrix(classifier, probes.features[wanted], dictionary, op, cfg, enrolment)
+    (scores,) = gallery.scores([classifier], probes.features[wanted])
     return ScoreSet(probes.ids, probe, claim, scores[row, claim], claim == probes.labels[probe])
 
 
@@ -185,30 +179,23 @@ def _gmr_at_far(roc: Roc, far_target: float, num_impostors: int) -> GmrAtFar:
     return GmrAtFar(far_target, float(gmr[-1]), float(thresholds[-1]), flag)
 
 
-def rank1_identification(
-    probes: Dataset,
-    classifier: str,
-    *,
-    dictionary: Dictionary,
-    op: CrcOperator | None = None,
-    cfg: SacrcConfig | None = None,
-    enrolment: Dataset | None = None,
-) -> float:
-    """Fraction of probes whose top-ranked class is their true class: the
-    argmax of each probe's `score_matrix` row, the lowest class index on ties.
+def rank1_identification(probes: Dataset, gallery: Gallery, kinds: Sequence[str]) -> list[float]:
+    """Per kind, in order, the fraction of probes whose top-ranked class is
+    their true class: the argmax of each probe's score row, the lowest class
+    index on ties.  Every kind is scored in one `Gallery.scores` pass.
 
     Callers filter probes to enrolled classes beforehand; a probe with a
-    label outside the dictionary's class space is an error.
+    label outside the gallery's class space is an error.
     """
-    c = dictionary.num_classes
+    c = gallery.dictionary.num_classes
     if int(probes.labels.max()) >= c:
         bad = int(np.nonzero(probes.labels >= c)[0][0])
         raise UnknownClass(
             f"probe {probes.ids[bad]!r} has class {int(probes.labels[bad])},"
             f" enrolled range is [0, {c})"
         )
-    scores = score_matrix(classifier, probes.features, dictionary, op, cfg, enrolment)
-    return float(np.mean(scores.argmax(axis=1) == probes.labels))
+    return [float(np.mean(scores.argmax(axis=1) == probes.labels))
+            for scores in gallery.scores(kinds, probes.features)]
 
 
 def generate_synthetic(

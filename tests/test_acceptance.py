@@ -22,7 +22,7 @@ from reference_impls import (
     roc_recount,
     sacrc_reference,
 )
-from sparserec.classifiers import CrcOperator, SacrcConfig, crc_solve, omp_solve, sacrc_classify
+from sparserec.classifiers import CrcOperator, Gallery, SacrcConfig, _augment, _omp_block, _unit_rows
 from sparserec.cli import main
 from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.evaluation import (
@@ -104,7 +104,7 @@ def test_criterion_2_ridge_correctness():
             d = build_dictionary(ds)
             op = CrcOperator(d, lam)
             y = rng.standard_normal(k)
-            alpha = crc_solve(y, op)
+            alpha = op.apply(y[None, :])[0]
             rhs = d.atoms.T @ y
             residual = d.atoms.T @ (d.atoms @ alpha) + lam * alpha - rhs
             assert np.max(np.abs(residual)) < 1e-8 * max(np.max(np.abs(rhs)), 1e-30)
@@ -126,7 +126,7 @@ def test_criterion_3_omp_exact_recovery():
             alpha_true = np.zeros(n)
             alpha_true[support] = coeffs
             y = d.atoms @ alpha_true
-            alpha = omp_solve(y, d, k=k)
+            alpha = _omp_block(d.atoms, y[None, :], k, 0.0)[0]
             assert set(np.nonzero(alpha)[0]) == set(support)
             assert np.max(np.abs(alpha - alpha_true)) < 1e-10
         for _ in range(20):
@@ -136,7 +136,7 @@ def test_criterion_3_omp_exact_recovery():
             d = build_dictionary(ds)
             k = int(rng.integers(1, 4))
             y = rng.standard_normal(kdim)
-            alpha = omp_solve(y, d, k=k, tol=0.0)
+            alpha = _omp_block(d.atoms, y[None, :], k, 0.0)[0]
             omp_residual = float(np.linalg.norm(y - d.atoms @ alpha))
             best_residual, best_support, _ = best_sparse_fit(d.atoms, y, k)
             assert omp_residual >= best_residual - 1e-10  # greedy never beats the optimum
@@ -159,17 +159,21 @@ def test_criterion_4_sacrc_reference_equivalence():
             lam = float(rng.choice([1e-2, 1e-1]))
             k = int(rng.integers(1, min(8, n) + 1))
             tol = 1e-9
-            op = CrcOperator(d, lam)
+            gallery = Gallery(d, ds, SacrcConfig(lam, k, tol))
             y = rng.standard_normal(kdim)
-            result = sacrc_classify(y, d, op, SacrcConfig(lam, k, tol))
+            (class_scores,) = gallery.scores(["sacrc"], y[None, :])[0]
+            y_hat = _unit_rows(y[None, :])
+            alpha_collab = gallery.operator.apply(y_hat)
+            alpha_sparse = _omp_block(d.atoms, y_hat, k, tol)
+            alpha_aug = _augment(alpha_collab, alpha_sparse)[0]
             collab_ref, sparse_ref, alpha_ref, q_ref, pred_ref = sacrc_reference(
                 d.atoms, label_matrix(d.column_labels, d.num_classes), y, lam, k, tol
             )
-            assert np.max(np.abs(result.class_scores - q_ref)) < 1e-8
-            assert result.predicted_class == pred_ref
-            assert np.max(np.abs(result.alpha_collab - collab_ref)) < 1e-8
-            assert np.max(np.abs(result.alpha_sparse - sparse_ref)) < 1e-8
-            assert np.max(np.abs(result.alpha_aug - alpha_ref)) < 1e-8
+            assert np.max(np.abs(class_scores - q_ref)) < 1e-8
+            assert int(np.argmax(class_scores)) == pred_ref
+            assert np.max(np.abs(alpha_collab[0] - collab_ref)) < 1e-8
+            assert np.max(np.abs(alpha_sparse[0] - sparse_ref)) < 1e-8
+            assert np.max(np.abs(alpha_aug[0] - alpha_ref)) < 1e-8
 
 
 def test_criterion_5_metric_brute_force_equivalence():
@@ -215,15 +219,10 @@ FROZEN_KNN_EER = 0.0955263157894737
 def test_criterion_6_desk_scale_gap():
     with criterion(6, "augmented classifier beats nearest neighbor on synthetic subspaces", 60.0):
         enrolment, probes = generate_synthetic(20, 10, 100, 5, 0.15, seed=42)
-        d = build_dictionary(enrolment)
-        op = CrcOperator(d, 0.01)
-        cfg = SacrcConfig()
-        sacrc_acc = rank1_identification(probes, "sacrc", dictionary=d, op=op, cfg=cfg)
-        knn_acc = rank1_identification(probes, "knn1", dictionary=d, enrolment=enrolment)
-        sacrc_scores = build_scoreset(probes, d, op, cfg)
-        knn_scores = build_scoreset(
-            probes, d, op, cfg, classifier="knn1", enrolment=enrolment
-        )
+        gallery = Gallery(build_dictionary(enrolment), enrolment)
+        sacrc_acc, knn_acc = rank1_identification(probes, gallery, ["sacrc", "knn1"])
+        sacrc_scores = build_scoreset(probes, gallery)
+        knn_scores = build_scoreset(probes, gallery, "knn1")
         sacrc_eer = _eer(sacrc_scores)
         knn_eer = _eer(knn_scores)
 
@@ -244,13 +243,9 @@ def test_criterion_7_gmr_monotonicity_panel():
             impostor = rng.normal(0.0, 1.0, size=int(rng.integers(10, 300)))
             score_sets.append(_scoreset(genuine, impostor))
         enrolment, probes = generate_synthetic(8, 6, 40, 3, 0.2, seed=1071)
-        d = build_dictionary(enrolment)
-        op = CrcOperator(d, 0.01)
-        cfg = SacrcConfig()
+        gallery = Gallery(build_dictionary(enrolment), enrolment)
         for name in ("sacrc", "crc", "src", "knn1"):
-            score_sets.append(
-                build_scoreset(probes, d, op, cfg, classifier=name, enrolment=enrolment)
-            )
+            score_sets.append(build_scoreset(probes, gallery, name))
         for s in score_sets:
             g1 = _gmr_at_far(s, 0.1).gmr
             g2 = _gmr_at_far(s, 0.01).gmr

@@ -1,16 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from reference_impls import best_sparse_fit, label_matrix, ridge_solve_reference, sacrc_reference
 from sparserec.classifiers import (
     CrcOperator,
+    Gallery,
     SacrcConfig,
     _augment,
     _class_residuals,
-    crc_solve,
-    omp_solve,
-    sacrc_classify,
-    score_matrix,
+    _omp_block,
+    _unit_rows,
 )
 from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.evaluation import build_scoreset
@@ -34,6 +35,37 @@ def _identity_dictionary(n, labels=None):
     return _dictionary(np.eye(n), labels or list(range(n)))
 
 
+def _gallery(d, cfg=SacrcConfig()):
+    """A gallery over d whose enrolment samples are d's own atoms."""
+    enrolment = dataset_from_arrays(d.atoms.T, d.column_labels, [str(i) for i in range(d.num_atoms)])
+    return Gallery(d, enrolment, cfg)
+
+
+def _crc(y, op):
+    """The ridge code of one probe."""
+    return op.apply(np.asarray(y, dtype=float)[None, :])[0]
+
+
+def _omp(y, d, k, tol=0.0):
+    """The sparse code of one probe."""
+    return _omp_block(d.atoms, np.asarray(y, dtype=float)[None, :], k, tol)[0]
+
+
+def _sacrc(y, d, cfg):
+    """One probe's ridge, sparse and augmented codes, fallback flag and
+    sacrc class scores, from the kernels and the gallery that score it."""
+    y = np.asarray(y, dtype=float)[None, :]
+    gallery = _gallery(d, cfg)
+    y_hat = _unit_rows(y)
+    collab = gallery.operator.apply(y_hat)
+    sparse = _omp_block(d.atoms, y_hat, gallery.k, cfg.residual_tol)
+    aug, fell_back = _augment(collab, sparse)
+    (scores,) = gallery.scores(["sacrc"], y)
+    return SimpleNamespace(alpha_collab=collab[0], alpha_sparse=sparse[0], alpha_aug=aug[0],
+                           class_scores=scores[0], predicted_class=int(np.argmax(scores[0])),
+                           used_collab_fallback=bool(fell_back[0]))
+
+
 # ---------------------------------------------------------------------------
 # collaborative solve
 
@@ -41,13 +73,13 @@ def _identity_dictionary(n, labels=None):
 def test_crc_identity_atoms_lambda_zero():
     d = _identity_dictionary(2)
     op = CrcOperator(d, 0.0)
-    assert np.allclose(crc_solve(np.array([0.6, 0.8]), op), [0.6, 0.8])
+    assert np.allclose(_crc(np.array([0.6, 0.8]), op), [0.6, 0.8])
 
 
 def test_crc_identity_atoms_lambda_one():
     d = _identity_dictionary(2)
     op = CrcOperator(d, 1.0)
-    assert np.allclose(crc_solve(np.array([0.6, 0.8]), op), [0.3, 0.4])
+    assert np.allclose(_crc(np.array([0.6, 0.8]), op), [0.3, 0.4])
 
 
 def test_crc_matches_dense_solve_oracle():
@@ -59,7 +91,7 @@ def test_crc_matches_dense_solve_oracle():
     for _ in range(5):
         y = rng.standard_normal(8)
         expected = ridge_solve_reference(d.atoms, y, 0.01)
-        assert np.max(np.abs(crc_solve(y, op) - expected)) < 1e-10
+        assert np.max(np.abs(_crc(y, op) - expected)) < 1e-10
 
 
 def test_crc_satisfies_normal_equations():
@@ -70,7 +102,7 @@ def test_crc_satisfies_normal_equations():
     for lam in (0.0, 1e-3, 1e-1):
         op = CrcOperator(d, lam)
         y = rng.standard_normal(15)
-        alpha = crc_solve(y, op)
+        alpha = _crc(y, op)
         rhs = d.atoms.T @ y
         lhs = d.atoms.T @ (d.atoms @ alpha) + lam * alpha
         assert np.max(np.abs(lhs - rhs)) < 1e-8 * np.max(np.abs(rhs))
@@ -100,7 +132,7 @@ def test_ridge_finite_difference_optimality():
     lam = 0.05
     op = CrcOperator(d, lam)
     y = rng.standard_normal(9)
-    alpha = crc_solve(y, op)
+    alpha = _crc(y, op)
 
     def objective(a):
         return float(np.sum((y - d.atoms @ a) ** 2) + lam * np.sum(a**2))
@@ -120,7 +152,7 @@ def test_ridge_finite_difference_optimality():
 def test_omp_single_atom_match():
     d = _identity_dictionary(4, [0, 0, 1, 1])
     y = 0.9 * d.atoms[:, 3]
-    alpha = omp_solve(y, d, k=1)
+    alpha = _omp(y, d, k=1)
     expected = np.zeros(4)
     expected[3] = 0.9
     assert np.max(np.abs(alpha - expected)) < 1e-12
@@ -128,7 +160,7 @@ def test_omp_single_atom_match():
 
 def test_omp_zero_probe():
     d = _identity_dictionary(3)
-    assert np.array_equal(omp_solve(np.zeros(3), d, k=2), np.zeros(3))
+    assert np.array_equal(_omp(np.zeros(3), d, k=2), np.zeros(3))
 
 
 def test_omp_recovers_planted_code_orthonormal():
@@ -139,7 +171,7 @@ def test_omp_recovers_planted_code_orthonormal():
     support = rng.choice(10, size=3, replace=False)
     alpha_true[support] = rng.standard_normal(3) + np.sign(rng.standard_normal(3)) * 0.5
     y = d.atoms @ alpha_true
-    alpha = omp_solve(y, d, k=3)
+    alpha = _omp(y, d, k=3)
     assert np.max(np.abs(alpha - alpha_true)) < 1e-10
     best_res, best_support, _ = best_sparse_fit(d.atoms, y, 3)
     assert set(np.nonzero(alpha)[0]) == set(best_support)
@@ -154,11 +186,11 @@ def test_omp_residual_monotone_and_orthogonal():
     y = rng.standard_normal(6)
     previous = np.linalg.norm(y)
     for k in range(1, 7):
-        alpha = omp_solve(y, d, k=k)
+        alpha = _omp(y, d, k=k)
         residual = np.linalg.norm(y - d.atoms @ alpha)
         assert residual <= previous + 1e-12
         previous = residual
-    alpha = omp_solve(y, d, k=6)
+    alpha = _omp(y, d, k=6)
     residual = y - d.atoms @ alpha
     support = np.nonzero(alpha)[0]
     assert np.max(np.abs(d.atoms[:, support].T @ residual)) < 1e-8
@@ -170,18 +202,19 @@ def test_omp_respects_sparsity_budget():
                              [str(i) for i in range(12)])
     d = build_dictionary(ds)
     for k in (1, 3, 5):
-        alpha = omp_solve(rng.standard_normal(7), d, k=k)
+        alpha = _omp(rng.standard_normal(7), d, k=k)
         assert np.count_nonzero(alpha) <= k
 
 
 def test_omp_parameter_validation():
+    # the sparse solve's settings are checked where a gallery takes them
     d = _identity_dictionary(3)
     with pytest.raises(InvalidParameters):
-        omp_solve(np.ones(3), d, k=0)
+        SacrcConfig(sparsity_k=0)
     with pytest.raises(InvalidParameters):
-        omp_solve(np.ones(3), d, k=4)
+        _gallery(d, SacrcConfig(sparsity_k=4))
     with pytest.raises(DimensionMismatch):
-        omp_solve(np.ones(2), d, k=1)
+        _gallery(d, SacrcConfig(sparsity_k=1)).scores(["src"], np.ones((1, 2)))
 
 
 @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
@@ -193,8 +226,8 @@ def test_solver_values_must_be_finite_and_nonnegative(value):
         SacrcConfig(residual_tol=value)
     with pytest.raises(InvalidParameters, match="lambda must be finite"):
         CrcOperator(d, value)
-    with pytest.raises(InvalidParameters, match="residual tolerance must be finite"):
-        omp_solve(np.ones(3), d, k=1, tol=value)
+    with pytest.raises(InvalidParameters, match="residual_tol must be finite"):
+        _gallery(d, SacrcConfig(sparsity_k=1, residual_tol=value))
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +236,8 @@ def test_solver_values_must_be_finite_and_nonnegative(value):
 
 def test_sacrc_exact_atom_match():
     d = _identity_dictionary(2, [0, 1])
-    op = CrcOperator(d, 0.0)
     cfg = SacrcConfig(ridge_lambda=0.0, sparsity_k=1)
-    result = sacrc_classify(d.atoms[:, 0], d, op, cfg)
+    result = _sacrc(d.atoms[:, 0], d, cfg)
     assert np.allclose(result.alpha_collab, [1.0, 0.0])
     assert np.allclose(result.alpha_sparse, [1.0, 0.0])
     assert np.allclose(result.alpha_aug, [1.0, 0.0])
@@ -219,8 +251,7 @@ def test_class_scores_are_label_matrix_times_alpha():
     ds = dataset_from_arrays(rng.standard_normal((9, 12)), [i % 3 for i in range(9)],
                              [str(i) for i in range(9)])
     d = build_dictionary(ds)
-    op = CrcOperator(d, 0.01)
-    result = sacrc_classify(rng.standard_normal(12), d, op, SacrcConfig())
+    result = _sacrc(rng.standard_normal(12), d, SacrcConfig())
     dense = label_matrix(d.column_labels, d.num_classes) @ result.alpha_aug
     assert np.max(np.abs(result.class_scores - dense)) < 1e-12
     assert result.predicted_class == int(np.argmax(result.class_scores))
@@ -231,11 +262,10 @@ def test_class_scores_are_label_matrix_times_alpha():
 def test_argmax_tie_breaks_to_lowest_class():
     # alpha [0.6, 0.8] on labels [0, 1] scores class 1; symmetric probe ties to class 0
     d = _identity_dictionary(2, [0, 1])
-    op = CrcOperator(d, 0.0)
-    result = sacrc_classify(np.array([0.6, 0.8]), d, op, SacrcConfig(ridge_lambda=0.0, sparsity_k=2))
+    result = _sacrc(np.array([0.6, 0.8]), d, SacrcConfig(ridge_lambda=0.0, sparsity_k=2))
     assert np.allclose(result.class_scores, [0.6, 0.8])
     assert result.predicted_class == 1
-    tie = sacrc_classify(np.array([0.5, 0.5]), d, op, SacrcConfig(ridge_lambda=0.0, sparsity_k=2))
+    tie = _sacrc(np.array([0.5, 0.5]), d, SacrcConfig(ridge_lambda=0.0, sparsity_k=2))
     assert tie.predicted_class == 0
 
 
@@ -244,12 +274,11 @@ def test_scale_invariance():
     ds = dataset_from_arrays(rng.standard_normal((10, 8)), [i % 4 for i in range(10)],
                              [str(i) for i in range(10)])
     d = build_dictionary(ds)
-    op = CrcOperator(d, 0.01)
     cfg = SacrcConfig()
     y = rng.standard_normal(8)
-    base = sacrc_classify(y, d, op, cfg)
+    base = _sacrc(y, d, cfg)
     for c in (1e-3, 7.5, 1e4):
-        scaled = sacrc_classify(c * y, d, op, cfg)
+        scaled = _sacrc(c * y, d, cfg)
         assert scaled.predicted_class == base.predicted_class
         assert np.max(np.abs(scaled.class_scores - base.class_scores)) < 1e-9
 
@@ -259,9 +288,8 @@ def test_orthonormal_full_sparsity_closed_form():
     rng = np.random.default_rng(9)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     d = _dictionary(q, [0, 0, 1, 1, 2, 2])
-    op = CrcOperator(d, 0.0)
     y = rng.standard_normal(6)
-    result = sacrc_classify(y, d, op, SacrcConfig(ridge_lambda=0.0, sparsity_k=6, residual_tol=0.0))
+    result = _sacrc(y, d, SacrcConfig(ridge_lambda=0.0, sparsity_k=6, residual_tol=0.0))
     y_hat = y / np.linalg.norm(y)
     expected = d.atoms.T @ y_hat
     assert np.max(np.abs(result.alpha_collab - expected)) < 1e-10
@@ -281,9 +309,8 @@ def test_sacrc_matches_reference_implementation():
         )
         d = build_dictionary(ds)
         lam, k, tol = 0.01, min(4, d.num_atoms), 1e-6
-        op = CrcOperator(d, lam)
         y = rng.standard_normal(dim)
-        result = sacrc_classify(y, d, op, SacrcConfig(lam, k, tol))
+        result = _sacrc(y, d, SacrcConfig(lam, k, tol))
         onehot = label_matrix(d.column_labels, n_classes)
         _, _, _, q_ref, pred_ref = sacrc_reference(d.atoms, onehot, y, lam, k, tol)
         assert np.max(np.abs(result.class_scores - q_ref)) < 1e-8
@@ -337,7 +364,7 @@ def test_src_residual_matches_masked_reconstruction():
 
 
 def _knn1_decision(y, ds):
-    return int(np.argmax(score_matrix("knn1", y[None, :], build_dictionary(ds), enrolment=ds)[0]))
+    return int(np.argmax(Gallery(build_dictionary(ds), ds).scores(["knn1"], y[None, :])[0][0]))
 
 
 def test_knn_exact_match_and_tie_break():
@@ -364,8 +391,8 @@ def test_knn_matches_event_by_event_scan():
 
 def test_knn_class_scores_are_negative_min_distances():
     ds = dataset_from_arrays(np.array([[0.0], [4.0], [10.0]]), [0, 0, 1], ["a", "b", "c"])
-    d = _dictionary([[1.0, 1.0]], [0, 1])  # dimension 1, two classes
-    scores = score_matrix("knn1", np.array([[1.0]]), d, enrolment=ds)[0]
+    d = _dictionary([[1.0, 1.0, 1.0]], [0, 0, 1])  # dimension 1, two classes
+    scores = Gallery(d, ds).scores(["knn1"], np.array([[1.0]]))[0][0]
     assert np.allclose(scores, [-1.0, -9.0])
 
 
@@ -373,26 +400,24 @@ def test_knn_class_scores_are_negative_min_distances():
 # verification scoring
 
 
-def _claimed_scores(probes, d, op, cfg, pairs):
+def _claimed_scores(probes, d, cfg, pairs):
     """The sacrc match score of each (probe id, claimed class) pair."""
-    return build_scoreset(probes, d, op, cfg, pairs=pairs).score
+    return build_scoreset(probes, _gallery(d, cfg), pairs=pairs).score
 
 
 def test_match_score_claimed_atom():
     d = _identity_dictionary(2, [0, 1])
-    op = CrcOperator(d, 0.0)
     cfg = SacrcConfig(ridge_lambda=0.0, sparsity_k=1)
     probes = dataset_from_arrays(d.atoms.T, [0, 1], ["a0", "a1"])
-    scores = _claimed_scores(probes, d, op, cfg, [("a0", 0), ("a1", 0)])
+    scores = _claimed_scores(probes, d, cfg, [("a0", 0), ("a1", 0)])
     assert scores.tolist() == pytest.approx([1.0, 0.0])
 
 
 def test_match_score_unknown_class():
     d = _identity_dictionary(2, [0, 1])
-    op = CrcOperator(d, 0.0)
     probes = dataset_from_arrays(np.array([[1.0, 0.0]]), [0], ["p"])
     with pytest.raises(UnknownClass):
-        _claimed_scores(probes, d, op, SacrcConfig(), [("p", 2)])
+        _claimed_scores(probes, d, SacrcConfig(), [("p", 2)])
 
 
 def test_genuine_scores_dominate_impostor_scores():
@@ -400,10 +425,9 @@ def test_genuine_scores_dominate_impostor_scores():
 
     enrolment, probes = generate_synthetic(6, 5, 40, 3, 0.1, seed=13)
     d = build_dictionary(enrolment)
-    op = CrcOperator(d, 0.01)
     cfg = SacrcConfig()
     pairs = [(pid, claim) for pid in probes.ids for claim in range(d.num_classes)]
-    scores = _claimed_scores(probes, d, op, cfg, pairs)
+    scores = _claimed_scores(probes, d, cfg, pairs)
     true = dict(zip(probes.ids, probes.labels))
     genuine = np.array([claim == true[pid] for pid, claim in pairs])
     assert np.median(scores[genuine]) > np.median(scores[~genuine])
@@ -416,7 +440,7 @@ def test_crc_class_scores_normalized():
     d = build_dictionary(ds)
     op = CrcOperator(d, 0.01)
     y = rng.standard_normal(10)
-    scores = score_matrix("crc", y[None, :], d, op)[0]
-    alpha = crc_solve(y / np.linalg.norm(y), op)
+    scores = _gallery(d).scores(["crc"], y[None, :])[0][0]
+    alpha = _crc(y / np.linalg.norm(y), op)
     dense = label_matrix(d.column_labels, d.num_classes) @ (alpha / np.linalg.norm(alpha))
     assert np.max(np.abs(scores - dense)) < 1e-12

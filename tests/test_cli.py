@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparserec.classifiers import CLASSIFIERS, CrcOperator, SacrcConfig
+from sparserec.classifiers import CLASSIFIERS, Gallery
 from sparserec import cli
 from sparserec.cli import _parse_k_list, main
 from sparserec.core import Dataset, build_dictionary, dataset_from_arrays
@@ -220,7 +220,7 @@ def test_verify_scores_csv_matches_library(tmp_path):
     enrolment = load_flat_dataset(tmp_path / "data" / "enrolment.feat")
     probes = load_flat_dataset(tmp_path / "data" / "probes.feat")
     d = build_dictionary(enrolment)
-    expected = build_scoreset(probes, d, CrcOperator(d, 0.01), SacrcConfig())
+    expected = build_scoreset(probes, Gallery(d, enrolment))
     assert scores.ids == expected.ids
     for column in ("probe", "claim", "score", "is_genuine"):
         assert np.array_equal(getattr(scores, column), getattr(expected, column))
@@ -268,12 +268,8 @@ def test_identify_matches_library_call(tmp_path):
     probes = load_flat_dataset(tmp_path / "data" / "probes.feat")
     model, reduced_enrol = pca_fit(enrolment, num_components=10)
     reduced_probes = transform_dataset(probes, model)
-    d = build_dictionary(reduced_enrol)
-    op = CrcOperator(d, 0.01)
-    expected_sacrc = rank1_identification(reduced_probes, "sacrc", dictionary=d, op=op,
-                                          cfg=SacrcConfig())
-    expected_knn = rank1_identification(reduced_probes, "knn1", dictionary=d,
-                                        enrolment=reduced_enrol)
+    gallery = Gallery(build_dictionary(reduced_enrol), reduced_enrol)
+    expected_sacrc, expected_knn = rank1_identification(reduced_probes, gallery, ["sacrc", "knn1"])
     assert float(rows["sacrc"]) == expected_sacrc
     assert float(rows["knn1"]) == expected_knn
 
@@ -326,6 +322,86 @@ def test_verify_and_identify_take_the_same_classifier_names(tmp_path, capsys):
                  for command in ("verify", "identify")]
         assert codes == ([0, 0] if name in CLASSIFIERS else [2, 2]), name
     capsys.readouterr()
+
+
+def _commands_on_a_wide_gallery(tmp_path):
+    """Scoring commands on 20 atoms in dimension 10, each without its
+    --classifier and --out."""
+    gen(tmp_path / "data", classes=4, samples=5, dim=10, subspace=3, sigma=0.1, seed=3)
+    enrol, probes = tmp_path / "data" / "enrolment.feat", tmp_path / "data" / "probes.feat"
+    assert run("fit", enrol, "--out", tmp_path / "bundle") == 0
+    return {
+        "verify": ["verify", probes, tmp_path / "bundle"],
+        "identify": ["identify", probes, tmp_path / "bundle"],
+        "sweep-pcs": ["sweep-pcs", enrol, probes, "--k-list", "5"],
+    }
+
+
+@pytest.mark.parametrize("command", ["verify", "identify", "sweep-pcs"])
+def test_lambda_zero_is_refused_only_by_the_ridge_classifiers(tmp_path, capsys, command):
+    # more atoms than dimensions: the ridge map is singular at lambda = 0, and
+    # only sacrc and crc use it
+    head = _commands_on_a_wide_gallery(tmp_path)[command]
+    for kind in CLASSIFIERS:
+        capsys.readouterr()
+        code = run(*head, "--classifier", kind, "--lambda", "0", "--out", tmp_path / kind)
+        err = capsys.readouterr().err
+        if kind in ("knn1", "src"):
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert err.startswith("error: lambda=0 with 20 atoms in dimension ")
+            assert err.endswith(": Phi^T Phi is rank-deficient\n") and len(err.splitlines()) == 1
+            assert not (tmp_path / kind).exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "identify", "sweep-pcs"])
+def test_sparsity_above_the_atom_count_is_refused_for_every_classifier(tmp_path, capsys, command):
+    head = _commands_on_a_wide_gallery(tmp_path)[command]
+    for kind in CLASSIFIERS:
+        capsys.readouterr()
+        assert run(*head, "--classifier", kind, "--k", "1000", "--out", tmp_path / kind) == 2
+        assert capsys.readouterr().err == "error: sparsity_k=1000 exceeds dictionary size 20\n"
+        assert not (tmp_path / kind).exists()
+
+
+def test_identify_runs_one_shared_pass_per_probe_block(tmp_path, monkeypatch):
+    from sparserec import classifiers
+
+    gen(tmp_path / "data", classes=4, samples=5, probes=70, dim=24, seed=35)  # 280 probes: two blocks
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
+    calls = {"omp": 0, "apply": 0, "operator": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(classifiers, "_omp_block", counted("omp", classifiers._omp_block))
+    monkeypatch.setattr(classifiers.CrcOperator, "apply", counted("apply", classifiers.CrcOperator.apply))
+    monkeypatch.setattr(classifiers.CrcOperator, "__init__",
+                        counted("operator", classifiers.CrcOperator.__init__))
+    assert run("identify", tmp_path / "data" / "probes.feat", tmp_path / "bundle",
+               "--classifier", "sacrc,src,crc", "--out", tmp_path / "ident") == 0
+    assert calls == {"omp": 2, "apply": 2, "operator": 1}
+
+
+def test_identify_with_several_classifiers_equals_one_run_each(tmp_path):
+    gen(tmp_path / "data", classes=4, samples=5, dim=24, seed=36)
+    probes, bundle = tmp_path / "data" / "probes.feat", tmp_path / "bundle"
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--pca", "10", "--out", bundle) == 0
+    kinds = ["sacrc", "src", "crc"]
+    for name in [",".join(kinds), *kinds]:
+        assert run("identify", probes, bundle, "--classifier", name, "--out", tmp_path / name) == 0
+    shared_csv, shared_txt = ((tmp_path / ",".join(kinds) / f).read_text().splitlines()
+                              for f in ("rank1.csv", "rank1.txt"))
+    alone_csv, alone_txt = ([(tmp_path / k / f).read_text().splitlines() for k in kinds]
+                            for f in ("rank1.csv", "rank1.txt"))
+    assert shared_csv == [alone_csv[0][0]] + [lines[1] for lines in alone_csv]
+    # rank1.txt: a title, a rule and a blank line, one line per classifier, then the config echo
+    assert shared_txt[3:6] == [lines[3] for lines in alone_txt]
+    assert shared_txt[:3] + shared_txt[6:] == alone_txt[0][:3] + alone_txt[0][4:]
 
 
 def test_verify_single_class_has_no_impostors(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reference_impls import eer_recount, gmr_at_far_recount, roc_recount
-from sparserec.classifiers import CrcOperator, SacrcConfig
+from sparserec.classifiers import Gallery, SacrcConfig
 from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.errors import (
     DegenerateScoreSet,
@@ -39,8 +39,7 @@ def _gmr_at_far(scoreset, target):
 def _fitted(num_classes=3, per_class=4, dim=20, seed=0):
     enrolment, probes = generate_synthetic(num_classes, per_class, dim, 3, 0.1, seed=seed)
     d = build_dictionary(enrolment)
-    op = CrcOperator(d, 0.01)
-    return enrolment, probes, d, op, SacrcConfig()
+    return enrolment, probes, d, Gallery(d, enrolment)
 
 
 # ---------------------------------------------------------------------------
@@ -48,25 +47,25 @@ def _fitted(num_classes=3, per_class=4, dim=20, seed=0):
 
 
 def test_all_vs_all_counting():
-    enrolment, probes, d, op, cfg = _fitted(num_classes=3)
+    enrolment, probes, d, gallery = _fitted(num_classes=3)
     two = dataset_from_arrays(probes.features[:2], probes.labels[:2], probes.ids[:2])
-    scoreset = build_scoreset(two, d, op, cfg)
+    scoreset = build_scoreset(two, gallery)
     assert scoreset.score.size == 6
     assert scoreset.is_genuine.sum() == 2
     assert not scoreset.score.flags.writeable and not scoreset.is_genuine.flags.writeable
 
 
 def test_probe_with_unenrolled_class_is_all_impostor():
-    enrolment, probes, d, op, cfg = _fitted(num_classes=3)
+    enrolment, probes, d, gallery = _fitted(num_classes=3)
     alien = dataset_from_arrays(probes.features[:1], [7], ["alien"])
-    scoreset = build_scoreset(alien, d, op, cfg)
+    scoreset = build_scoreset(alien, gallery)
     assert scoreset.score.size == 3
     assert not scoreset.is_genuine.any()
 
 
 def test_counts_match_combinatorial_formula():
-    enrolment, probes, d, op, cfg = _fitted(num_classes=5, per_class=3)
-    scoreset = build_scoreset(probes, d, op, cfg)
+    enrolment, probes, d, gallery = _fitted(num_classes=5, per_class=3)
+    scoreset = build_scoreset(probes, gallery)
     m, c = probes.num_samples, d.num_classes
     assert scoreset.score.size == m * c
     assert scoreset.is_genuine.sum() == m
@@ -79,26 +78,26 @@ def test_counts_match_combinatorial_formula():
 
 
 def test_pairs_protocol():
-    enrolment, probes, d, op, cfg = _fitted(num_classes=3)
+    enrolment, probes, d, gallery = _fitted(num_classes=3)
     pairs = [(probes.ids[0], 0), (probes.ids[0], 2), (probes.ids[3], 1)]
-    scoreset = build_scoreset(probes, d, op, cfg, pairs=pairs)
+    scoreset = build_scoreset(probes, gallery, pairs=pairs)
     assert scoreset.score.size == 3
     assert [(scoreset.ids[p], c) for p, c in zip(scoreset.probe, scoreset.claim)] == pairs
-    full = build_scoreset(probes, d, op, cfg)
+    full = build_scoreset(probes, gallery)
     rows = scoreset.probe * d.num_classes + scoreset.claim  # all-vs-all row of each pair
     assert np.array_equal(scoreset.score, full.score[rows])
     assert np.array_equal(scoreset.is_genuine, full.is_genuine[rows])
     with pytest.raises(UnknownClass):
-        build_scoreset(probes, d, op, cfg, pairs=[(probes.ids[0], 9)])
+        build_scoreset(probes, gallery, pairs=[(probes.ids[0], 9)])
     with pytest.raises(InvalidParameters):
-        build_scoreset(probes, d, op, cfg, pairs=[("nope", 0)])
+        build_scoreset(probes, gallery, pairs=[("nope", 0)])
 
 
 def test_scoreset_dimension_mismatch():
-    enrolment, probes, d, op, cfg = _fitted()
+    enrolment, probes, d, gallery = _fitted()
     bad = dataset_from_arrays(np.ones((2, d.dim + 1)), [0, 1], ["a", "b"])
     with pytest.raises(DimensionMismatch):
-        build_scoreset(bad, d, op, cfg)
+        build_scoreset(bad, gallery)
 
 
 # ---------------------------------------------------------------------------
@@ -249,55 +248,46 @@ def test_gmr_monotone_in_target():
 
 
 def test_rank1_probes_equal_atoms_is_perfect():
-    enrolment, _, d, op, cfg = _fitted(num_classes=4, per_class=3)
+    enrolment, _, d, gallery = _fitted(num_classes=4, per_class=3)
     atom_probes = dataset_from_arrays(d.atoms.T, d.column_labels,
                                       [f"p{i}" for i in range(d.num_atoms)])
-    for classifier in ("sacrc", "crc", "src", "knn1"):
-        acc = rank1_identification(
-            atom_probes, classifier, dictionary=d, op=op, cfg=cfg,
-            enrolment=dataset_from_arrays(d.atoms.T, d.column_labels,
-                                          [f"e{i}" for i in range(d.num_atoms)]),
-        )
+    gallery = Gallery(d, dataset_from_arrays(d.atoms.T, d.column_labels,
+                                             [f"e{i}" for i in range(d.num_atoms)]))
+    for acc in rank1_identification(atom_probes, gallery, ["sacrc", "crc", "src", "knn1"]):
         assert acc == 1.0
 
 
 def test_rank1_adversarial_labels_is_zero():
-    from sparserec import sacrc_classify
-
-    enrolment, probes, d, op, cfg = _fitted(num_classes=3, per_class=4, seed=7)
-    predicted = [
-        sacrc_classify(probes.features[i], d, op, cfg).predicted_class
-        for i in range(probes.num_samples)
-    ]
+    enrolment, probes, d, gallery = _fitted(num_classes=3, per_class=4, seed=7)
+    predicted = [int(np.argmax(gallery.scores(["sacrc"], probes.features[i : i + 1])[0]))
+                 for i in range(probes.num_samples)]
     wrong = [(p + 1) % d.num_classes for p in predicted]
     relabeled = dataset_from_arrays(probes.features, wrong, probes.ids)
-    assert rank1_identification(relabeled, "sacrc", dictionary=d, op=op, cfg=cfg) == 0.0
+    assert rank1_identification(relabeled, gallery, ["sacrc"]) == [0.0]
 
 
 def test_rank1_equals_confusion_matrix_trace():
-    from sparserec import sacrc_classify
-
-    enrolment, probes, d, op, cfg = _fitted(num_classes=6, per_class=4, dim=30, seed=8)
+    enrolment, probes, d, gallery = _fitted(num_classes=6, per_class=4, dim=30, seed=8)
     confusion = np.zeros((d.num_classes, d.num_classes), dtype=int)
     for i in range(probes.num_samples):
-        pred = sacrc_classify(probes.features[i], d, op, cfg).predicted_class
+        pred = int(np.argmax(gallery.scores(["sacrc"], probes.features[i : i + 1])[0]))
         confusion[int(probes.labels[i]), pred] += 1
-    acc = rank1_identification(probes, "sacrc", dictionary=d, op=op, cfg=cfg)
+    (acc,) = rank1_identification(probes, gallery, ["sacrc"])
     assert acc == np.trace(confusion) / probes.num_samples
 
 
 def test_rank1_unknown_class_rejected():
-    enrolment, probes, d, op, cfg = _fitted(num_classes=3)
+    enrolment, probes, d, gallery = _fitted(num_classes=3)
     bad = dataset_from_arrays(probes.features[:2], [0, 5], ["a", "b"])
     with pytest.raises(UnknownClass):
-        rank1_identification(bad, "sacrc", dictionary=d, op=op, cfg=cfg)
+        rank1_identification(bad, gallery, ["sacrc"])
 
 
 def test_rank1_rejects_unknown_classifier_names():
-    enrolment, probes, d, op, cfg = _fitted(num_classes=3, per_class=3, seed=11)
+    enrolment, probes, d, gallery = _fitted(num_classes=3, per_class=3, seed=11)
     for name in ("svm", "crc-only", "src-residual"):
         with pytest.raises(InvalidParameters):
-            rank1_identification(probes, name, dictionary=d, op=op, cfg=cfg)
+            rank1_identification(probes, gallery, [name])
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +313,9 @@ def test_generator_deterministic():
 
 def test_generator_noiseless_subspaces_classified_perfectly():
     enrolment, probes = generate_synthetic(4, 6, 30, 3, 0.0, seed=3)
-    d = build_dictionary(enrolment)
-    op = CrcOperator(d, 0.01)
-    cfg = SacrcConfig(sparsity_k=3)  # budget covers the subspace dimension
-    assert rank1_identification(probes, "sacrc", dictionary=d, op=op, cfg=cfg) == 1.0
+    gallery = Gallery(build_dictionary(enrolment), enrolment,
+                      SacrcConfig(sparsity_k=3))  # budget covers the subspace dimension
+    assert rank1_identification(probes, gallery, ["sacrc"]) == [1.0]
 
 
 def test_generator_validation():

@@ -1,4 +1,4 @@
-"""The batched score kernel: score_matrix against the one-row calls and the
+"""The batched score kernel: Gallery.scores against one-row calls and the
 straight-line oracles in reference_impls.py."""
 
 import tracemalloc
@@ -8,18 +8,9 @@ import pytest
 
 from reference_impls import label_matrix, omp_reference, ridge_solve_reference, sacrc_reference
 from sparserec import classifiers
-from sparserec.classifiers import (
-    CrcOperator,
-    SacrcConfig,
-    _augment,
-    _class_residuals,
-    _omp_block,
-    omp_solve,
-    sacrc_classify,
-    score_matrix,
-)
+from sparserec.classifiers import CrcOperator, Gallery, SacrcConfig, _augment, _omp_block
 from sparserec.core import build_dictionary, dataset_from_arrays
-from sparserec.errors import DegenerateAugmentation, InvalidParameters, ZeroNormSample
+from sparserec.errors import DegenerateAugmentation, DimensionMismatch, InvalidParameters, ZeroNormSample
 from sparserec.evaluation import build_scoreset, generate_synthetic, rank1_identification
 
 KINDS = ("sacrc", "crc", "src", "knn1")
@@ -31,18 +22,12 @@ def _fitted(num_classes, per_class, dim, probes_per_class, seed=0):
         num_classes, per_class, dim, 3, 0.2, seed=seed, probes_per_class=probes_per_class
     )
     d = build_dictionary(enrolment)
-    return enrolment, probes, d, CrcOperator(d, LAM), SacrcConfig(LAM, K, TOL)
+    return enrolment, probes, d, Gallery(d, enrolment, SacrcConfig(LAM, K, TOL))
 
 
-def _one_row(kind, y, d, op, cfg, enrolment):
-    if kind == "sacrc":
-        return sacrc_classify(y, d, op, cfg).class_scores
-    if kind == "crc":
-        return score_matrix("crc", y[None, :], d, op)[0]
-    if kind == "src":
-        y_hat = y / np.linalg.norm(y)
-        return -_class_residuals(y_hat[None, :], omp_solve(y_hat, d, K, TOL)[None, :], d)[0]
-    return score_matrix("knn1", y[None, :], d, enrolment=enrolment)[0]
+def _one_row(kind, y, gallery):
+    """The kind's scores of one probe, scored alone."""
+    return gallery.scores([kind], y[None, :])[0][0]
 
 
 def _oracle(kind, y, d, enrolment):
@@ -64,41 +49,75 @@ def _oracle(kind, y, d, enrolment):
     ])
 
 
-def _assert_rows_match(kind, scores, probes, d, op, cfg, enrolment):
+def _assert_rows_match(kind, scores, probes, gallery):
+    d = gallery.dictionary
     assert scores.shape == (probes.num_samples, d.num_classes)
     for y, row in zip(probes.features, scores):
-        one = _one_row(kind, y, d, op, cfg, enrolment)
+        one = _one_row(kind, y, gallery)
         assert np.max(np.abs(row - one)) <= 1e-12
-        assert np.max(np.abs(row - _oracle(kind, y, d, enrolment))) <= 1e-8
+        assert np.max(np.abs(row - _oracle(kind, y, d, gallery.enrolment))) <= 1e-8
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("dim", [20, 60], ids=["D<N", "D>=N"])
 def test_score_matrix_matches_rows_and_oracles(kind, dim):
-    enrolment, probes, d, op, cfg = _fitted(num_classes=8, per_class=5, dim=dim, probes_per_class=2)
+    enrolment, probes, d, gallery = _fitted(num_classes=8, per_class=5, dim=dim, probes_per_class=2)
     assert (d.dim < d.num_atoms) == (dim == 20)
-    scores = score_matrix(kind, probes.features, d, op, cfg, enrolment)
-    _assert_rows_match(kind, scores, probes, d, op, cfg, enrolment)
+    (scores,) = gallery.scores([kind], probes.features)
+    _assert_rows_match(kind, scores, probes, gallery)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_score_matrix_single_probe_and_block_boundary(kind):
     p = classifiers._PROBE_BLOCK + 1
-    enrolment, probes, d, op, cfg = _fitted(num_classes=2, per_class=4, dim=12,
+    enrolment, probes, d, gallery = _fitted(num_classes=2, per_class=4, dim=12,
                                             probes_per_class=p // 2 + 1, seed=3)
     probes = dataset_from_arrays(probes.features[:p], probes.labels[:p], probes.ids[:p])
-    scores = score_matrix(kind, probes.features, d, op, cfg, enrolment)
-    _assert_rows_match(kind, scores, probes, d, op, cfg, enrolment)
-    single = score_matrix(kind, probes.features[:1], d, op, cfg, enrolment)
+    (scores,) = gallery.scores([kind], probes.features)
+    _assert_rows_match(kind, scores, probes, gallery)
+    (single,) = gallery.scores([kind], probes.features[:1])
     assert np.max(np.abs(single[0] - scores[0])) <= 1e-12
+
+
+def test_shared_pass_equals_one_call_per_kind():
+    p = classifiers._PROBE_BLOCK + 1
+    enrolment, probes, d, gallery = _fitted(num_classes=2, per_class=4, dim=12,
+                                            probes_per_class=p // 2 + 1, seed=3)
+    kinds = ["src", "knn1", "sacrc", "crc", "src"]  # any order; a repeated kind scores twice
+    shared = gallery.scores(kinds, probes.features)
+    assert len(shared) == len(kinds)
+    for kind, scores in zip(kinds, shared):
+        # every kind takes 256-row blocks here, so the pass changes no bit
+        assert scores.tobytes() == gallery.scores([kind], probes.features)[0].tobytes()
+
+
+def test_knn1_and_src_set_up_no_ridge_map(monkeypatch):
+    enrolment, probes, d, gallery = _fitted(num_classes=3, per_class=3, dim=10, probes_per_class=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CrcOperator was built")
+
+    monkeypatch.setattr(classifiers.CrcOperator, "__init__", refuse)
+    gallery.scores(["knn1"], probes.features)
+    gallery.scores(["src"], probes.features)
+    assert "operator" not in vars(gallery)
+
+
+def test_gallery_enrolment_must_match_the_dictionary():
+    enrolment, probes, d, gallery = _fitted(num_classes=3, per_class=3, dim=10, probes_per_class=1)
+    fewer = dataset_from_arrays(enrolment.features[:-1], enrolment.labels[:-1], enrolment.ids[:-1])
+    narrower = dataset_from_arrays(enrolment.features[:, :9], enrolment.labels, enrolment.ids)
+    for other in (fewer, narrower):
+        with pytest.raises(DimensionMismatch, match="dictionary has 9 atoms of dim 10"):
+            Gallery(d, other)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_pairs_protocol_scores_equal_all_vs_all(kind):
-    enrolment, probes, d, op, cfg = _fitted(num_classes=5, per_class=4, dim=30, probes_per_class=2)
+    enrolment, probes, d, gallery = _fitted(num_classes=5, per_class=4, dim=30, probes_per_class=2)
     pairs = [(probes.ids[7], 1), (probes.ids[2], 0), (probes.ids[7], 4), (probes.ids[9], 3)]
-    subset = build_scoreset(probes, d, op, cfg, pairs=pairs, classifier=kind, enrolment=enrolment)
-    full = build_scoreset(probes, d, op, cfg, classifier=kind, enrolment=enrolment)
+    subset = build_scoreset(probes, gallery, kind, pairs=pairs)
+    full = build_scoreset(probes, gallery, kind)
     assert [(subset.ids[p], c) for p, c in zip(subset.probe, subset.claim)] == pairs
     rows = subset.probe * d.num_classes + subset.claim  # all-vs-all row of each pair
     assert np.max(np.abs(subset.score - full.score[rows])) <= 1e-12
@@ -106,17 +125,17 @@ def test_pairs_protocol_scores_equal_all_vs_all(kind):
 
 
 def test_zero_norm_probe_raises():
-    enrolment, probes, d, op, cfg = _fitted(num_classes=3, per_class=3, dim=10, probes_per_class=1)
+    enrolment, probes, d, gallery = _fitted(num_classes=3, per_class=3, dim=10, probes_per_class=1)
     features = probes.features.copy()
     features[1] = 0.0
     with_zero = dataset_from_arrays(features, probes.labels, probes.ids)
     for kind in ("sacrc", "crc", "src"):
         with pytest.raises(ZeroNormSample):
-            score_matrix(kind, features, d, op, cfg)
+            gallery.scores([kind], features)
         with pytest.raises(ZeroNormSample):
-            build_scoreset(with_zero, d, op, cfg, classifier=kind)
+            build_scoreset(with_zero, gallery, kind)
     # nearest neighbor needs no normalization: the zero probe is scored
-    scores = score_matrix("knn1", features, d, enrolment=enrolment)
+    (scores,) = gallery.scores(["knn1"], features)
     assert np.allclose(scores[1], _oracle("knn1", features[1], d, enrolment))
 
 
@@ -141,11 +160,11 @@ def test_collaborative_fallback_rows():
 def test_probe_orthogonal_to_every_atom_is_degenerate():
     # atoms span the first two coordinates; a probe along the third has zero
     # collaborative and zero sparse coefficients
-    d = build_dictionary(dataset_from_arrays(np.array([[1.0, 0, 0], [0, 1.0, 0]]), [0, 1], ["a", "b"]))
-    op = CrcOperator(d, LAM)
+    enrolment = dataset_from_arrays(np.array([[1.0, 0, 0], [0, 1.0, 0]]), [0, 1], ["a", "b"])
+    gallery = Gallery(build_dictionary(enrolment), enrolment, SacrcConfig(LAM, 2, TOL))
     probes = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     with pytest.raises(DegenerateAugmentation):
-        score_matrix("sacrc", probes, d, op, SacrcConfig(LAM, 2, TOL))
+        gallery.scores(["sacrc"], probes)
 
 
 def test_lockstep_omp_rows_stop_independently():
@@ -163,7 +182,7 @@ def test_lockstep_omp_rows_stop_independently():
         expected = omp_reference(d.atoms, row, 5, 1e-9)
         assert np.array_equal(np.flatnonzero(alpha), np.flatnonzero(expected))
         assert np.max(np.abs(alpha - expected)) <= 1e-12
-        assert np.max(np.abs(alpha - omp_solve(row, d, 5, 1e-9))) <= 1e-12
+        assert np.max(np.abs(alpha - _omp_block(d.atoms, row[None, :], 5, 1e-9)[0])) <= 1e-12
     assert [np.count_nonzero(a) for a in batched] == [1, 3, 5, 0]
 
 
@@ -173,37 +192,39 @@ def test_knn1_identification_is_argmax_of_score_rows():
     # every classifier
     enrolment = dataset_from_arrays(np.array([[0.0, 1.0], [2.0, 1.0]]), [1, 0], ["a", "b"])
     probes = np.array([[1.0, 1.0], [0.1, 1.0]])
-    d = build_dictionary(enrolment)
-    scores = score_matrix("knn1", probes, d, enrolment=enrolment)
+    gallery = Gallery(build_dictionary(enrolment), enrolment)
+    (scores,) = gallery.scores(["knn1"], probes)
     assert scores[0, 0] == scores[0, 1]
     assert scores.argmax(axis=1).tolist() == [0, 1]
     for labels, accuracy in (([0, 1], 1.0), ([1, 1], 0.5), ([1, 0], 0.0)):
         labelled = dataset_from_arrays(probes, labels, ["p", "q"])
-        assert rank1_identification(labelled, "knn1", dictionary=d, enrolment=enrolment) == accuracy
+        assert rank1_identification(labelled, gallery, ["knn1"]) == [accuracy]
 
 
 def test_unknown_classifier_refused_on_an_empty_block():
-    enrolment, probes, d, op, cfg = _fitted(num_classes=2, per_class=2, dim=6, probes_per_class=1)
+    # three samples per class: K = 5 must fit in the dictionary
+    enrolment, probes, d, gallery = _fitted(num_classes=2, per_class=3, dim=6, probes_per_class=1)
     for name in ("svm", "crc-only", "src-residual", ""):
         with pytest.raises(InvalidParameters):
-            score_matrix(name, np.empty((0, d.dim)), d, op, cfg, enrolment)
+            gallery.scores([name], np.empty((0, d.dim)))
         with pytest.raises(InvalidParameters):
-            build_scoreset(probes, d, op, cfg, pairs=[], classifier=name)
-    assert build_scoreset(probes, d, op, cfg, pairs=[]).score.shape == (0,)
+            build_scoreset(probes, gallery, name, pairs=[])
+    assert build_scoreset(probes, gallery, pairs=[]).score.shape == (0,)
 
 
 def test_no_n_by_n_matrix_when_atoms_outnumber_dimensions():
     rng = np.random.default_rng(2)
     n, dim = 1500, 16
-    d = build_dictionary(dataset_from_arrays(rng.standard_normal((n, dim)), [i % 300 for i in range(n)],
-                                             [str(i) for i in range(n)]))
+    enrolment = dataset_from_arrays(rng.standard_normal((n, dim)), [i % 300 for i in range(n)],
+                                    [str(i) for i in range(n)])
+    d = build_dictionary(enrolment)
     n_by_n = n * n * 8
     tracemalloc.start()
     try:
         op = CrcOperator(d, LAM)
         crc_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        score_matrix("src", rng.standard_normal((4, dim)), d, op, SacrcConfig(LAM, 10, TOL))
+        Gallery(d, enrolment, SacrcConfig(LAM, 10, TOL)).scores(["src"], rng.standard_normal((4, dim)))
         omp_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -218,23 +239,23 @@ def _gallery(class_sizes, dim, seed):
     rng.shuffle(labels)
     ds = dataset_from_arrays(rng.standard_normal((labels.size, dim)), labels,
                              [str(i) for i in range(labels.size)])
-    return build_dictionary(ds), rng.standard_normal((5, dim))
+    return Gallery(build_dictionary(ds), ds, SacrcConfig(LAM, K, TOL)), rng.standard_normal((5, dim))
 
 
-def _summed_codes(kind, y, d, op, cfg):
+def _summed_codes(kind, y, gallery):
     """The unit-norm code whose per-class sums are each row's class evidence."""
     y_hat = classifiers._unit_rows(y)
+    alpha = gallery.operator.apply(y_hat)
     if kind == "sacrc":
-        return classifiers._sacrc_block(y_hat, d, op, cfg.resolve_k(d.num_atoms), cfg.residual_tol)[2]
-    alpha = op.apply(y_hat)
+        return _augment(alpha, _omp_block(gallery.dictionary.atoms, y_hat, gallery.k, TOL))[0]
     return alpha / np.linalg.norm(alpha, axis=1, keepdims=True)
 
 
 @pytest.mark.parametrize("dim", [6, 40], ids=["D<N", "D>=N"])
 @pytest.mark.parametrize("sizes", [(2,) * 9, (1, 3, 7, 3, 1)], ids=["two-per-class", "unequal"])
 def test_class_evidence_equals_the_dense_label_matrix_product(sizes, dim):
-    d, y = _gallery(sizes, dim, seed=len(sizes) + dim)
-    op, cfg = CrcOperator(d, LAM), SacrcConfig(LAM, K, TOL)
+    gallery, y = _gallery(sizes, dim, seed=len(sizes) + dim)
+    d = gallery.dictionary
     labels = label_matrix(d.column_labels, d.num_classes)
     exact = set(sizes) == {2}  # a two-atom class sum takes a single rounding
 
@@ -245,10 +266,9 @@ def test_class_evidence_equals_the_dense_label_matrix_product(sizes, dim):
             assert np.max(np.abs(q - dense)) <= 1e-15 * np.max(np.abs(q))
 
     for kind in ("crc", "sacrc"):
-        check(score_matrix(kind, y, d, op, cfg), _summed_codes(kind, y, d, op, cfg) @ labels.T)
-    for row in y:
-        result = sacrc_classify(row, d, op, cfg)
-        check(result.class_scores, labels @ result.alpha_aug)
+        check(gallery.scores([kind], y)[0], _summed_codes(kind, y, gallery) @ labels.T)
+    for row in y[:, None, :]:
+        check(gallery.scores(["sacrc"], row)[0][0], labels @ _summed_codes("sacrc", row, gallery)[0])
 
 
 @pytest.mark.parametrize("kind", ["crc", "sacrc"])
@@ -262,8 +282,8 @@ def test_class_evidence_holds_no_class_by_atom_matrix(kind):
     probes = rng.standard_normal((4, dim))
     tracemalloc.start()
     try:
-        d = build_dictionary(enrolment)
-        scores = score_matrix(kind, probes, d, CrcOperator(d, LAM), SacrcConfig(LAM, K, TOL))
+        gallery = Gallery(build_dictionary(enrolment), enrolment, SacrcConfig(LAM, K, TOL))
+        (scores,) = gallery.scores([kind], probes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
