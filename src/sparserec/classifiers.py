@@ -3,8 +3,9 @@ l0-constrained sparse solve, their normalized augmentation summed per class
 as evidence, and the residual / nearest-neighbor baselines.
 
 `Gallery` is the one place that knows how each classifier in `CLASSIFIERS`
-scores.  Built once per dictionary, its `scores(kinds, probes)` maps a P x D
-probe block to one P x c per-class score matrix per kind, one probe per row.
+scores.  Built from an enrolment, whose l2-normalized samples are its
+dictionary, its `scores(kinds, probes)` maps a P x D probe block to one
+P x c per-class score matrix per kind, one probe per row.
 Kinds asked for together share their solves: sacrc adds the ridge and sparse
 codes that crc and src score alone.  A probe's decision is the argmax of its
 row, so equal scores go to the lowest class index for every classifier.
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, Dictionary, _frozen
+from .core import Dataset, Dictionary, _frozen, build_dictionary
 from .errors import (
     DegenerateAugmentation,
     DimensionMismatch,
@@ -234,28 +235,24 @@ def check_classifier(kind: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Gallery:
-    """An enrolled gallery ready to score probes: the dictionary, the
-    enrolment samples its atoms were built from (knn1 measures distances to
-    those) and the solver settings.
+    """An enrolled gallery ready to score probes: the enrolment samples
+    (knn1 measures distances to those), the dictionary built from them by
+    `build_dictionary` and the solver settings.
 
-    The sparsity k is resolved against the dictionary once, at construction.
-    The ridge map is set up the first time sacrc or crc is scored, so knn1
-    and src never need one.
+    The dictionary is built and the sparsity k resolved against it once, at
+    construction.  The ridge map is set up the first time sacrc or crc is
+    scored, so knn1 and src never need one.
     """
 
-    dictionary: Dictionary
     enrolment: Dataset
     solver: SacrcConfig = SacrcConfig()
+    dictionary: Dictionary = field(init=False)
     k: int = field(init=False)
 
     def __post_init__(self):
-        d, e = self.dictionary, self.enrolment
-        if (e.num_samples, e.dim) != (d.num_atoms, d.dim):
-            raise DimensionMismatch(
-                f"enrolment has {e.num_samples} samples of dim {e.dim},"
-                f" dictionary has {d.num_atoms} atoms of dim {d.dim}"
-            )
-        object.__setattr__(self, "k", self.solver.resolve_k(d.num_atoms))
+        dictionary = build_dictionary(self.enrolment)
+        object.__setattr__(self, "dictionary", dictionary)
+        object.__setattr__(self, "k", self.solver.resolve_k(dictionary.num_atoms))
 
     @cached_property
     def operator(self) -> CrcOperator:

@@ -16,8 +16,9 @@ from pathlib import Path
 from .classifiers import CLASSIFIERS, Gallery, check_classifier
 from .config import (RunConfig, _apply_raw, apply_setting, config_echo, parse_pca_selection, parse_protocol,
                      read_settings)
-from .core import Dataset, build_dictionary, dataset_from_arrays
-from .errors import DimensionMismatch, InconsistentBundle, InvalidParameters, SparserecError
+from .core import Dataset, dataset_from_arrays
+from .errors import (DimensionMismatch, InconsistentBundle, InvalidParameters, MissingClass, SparserecError,
+                     ZeroNormSample)
 from .evaluation import (
     build_scoreset,
     evaluate_verification,
@@ -29,7 +30,6 @@ from .fileio import (
     format_report_text,
     load_flat_dataset,
     load_tensor_set,
-    read_dictionary,
     read_pairs_csv,
     read_pca_model,
     write_dictionary,
@@ -90,10 +90,12 @@ def _write_manifest(path: Path, entries: dict[str, str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_bundle(bundle_dir: str):
-    bundle = Path(bundle_dir)
+def _load_bundle(args: argparse.Namespace):
+    """The bundle's PCA model (or None), its gallery, built from enrolment.feat,
+    and the run's configuration: the fit's hyperparameters from the manifest,
+    then the config file and flags.  dictionary.bin is not read."""
+    bundle = Path(args.bundle)
     manifest = {key: (value, where) for key, value, where in read_settings(bundle / MANIFEST_NAME)}
-    dictionary = read_dictionary(bundle / DICTIONARY_NAME)
     model = read_pca_model(bundle / PCA_NAME) if (bundle / PCA_NAME).exists() else None
     enrolment = load_flat_dataset(bundle / ENROLMENT_NAME)
     # Check every file against the manifest, so a file copied in from another
@@ -103,32 +105,32 @@ def _load_bundle(bundle_dir: str):
     if model is not None:
         checks.append((PCA_NAME, "input dim", model.dim_in, "dim_input"))
     checks += [
-        (DICTIONARY_NAME, "dim", dictionary.dim, dim_key),
-        (DICTIONARY_NAME, "atoms", dictionary.num_atoms, "num_atoms"),
-        (DICTIONARY_NAME, "classes", dictionary.num_classes, "num_classes"),
         (ENROLMENT_NAME, "dim", enrolment.dim, dim_key),
         (ENROLMENT_NAME, "samples", enrolment.num_samples, "num_atoms"),
+        (ENROLMENT_NAME, "classes", enrolment.num_classes, "num_classes"),
     ]
     for name, what, got, key in checks:
         said = manifest.get(key, (None,))[0]
         if str(got) != said:
             raise InconsistentBundle(
                 f"{bundle / name}: {what} {got}, but {MANIFEST_NAME} says {key} = {said}")
-    # the dictionary's columns are the enrolment's samples, ordered class-major
-    if sorted(enrolment.labels.tolist()) != dictionary.column_labels.tolist():
-        raise InconsistentBundle(f"{bundle / ENROLMENT_NAME}: class labels differ from {DICTIONARY_NAME}'s")
     # the fit's hyperparameters, the base that a config file and flags override
     cfg = RunConfig()
     for key in ("lambda", "sparsity_k", "residual_tol", "pca"):
         if key in manifest:
             cfg = apply_setting(cfg, key, *manifest[key])
-    return dictionary, model, enrolment, cfg
+    cfg = _resolve_config(args, cfg)
+    try:
+        gallery = Gallery(enrolment, cfg.solver)
+    except (MissingClass, ZeroNormSample) as exc:
+        raise type(exc)(f"{bundle / ENROLMENT_NAME}: {exc}") from None
+    return model, gallery, cfg
 
 
-def _load_probes(path: str, model, dictionary) -> Dataset:
+def _load_probes(path: str, model, gallery: Gallery) -> Dataset:
     """The probe file, checked against the bundle's input dim and reduced."""
     probes = load_flat_dataset(path)
-    expected = dictionary.dim if model is None else model.dim_in
+    expected = gallery.dictionary.dim if model is None else model.dim_in
     if probes.dim != expected:
         raise DimensionMismatch(f"{path}: dim {probes.dim}, but the bundle expects dim {expected}")
     return probes if model is None else transform_dataset(probes, model)
@@ -199,8 +201,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     elif mode != "off":
         model, reduced = pca_fit(enrolment, retain=float(param))
 
-    dictionary = build_dictionary(reduced)
-    gallery = Gallery(dictionary, reduced, cfg.solver)
+    gallery = Gallery(reduced, cfg.solver)
+    if cfg.solver.ridge_lambda == 0.0:
+        # a positive lambda always gives a ridge map; at 0 the bundle's default
+        # classifier would refuse it, so the fit refuses now and writes nothing
+        gallery.operator
+    dictionary = gallery.dictionary
 
     out = _out_dir(args)
     write_dictionary(out / DICTIONARY_NAME, dictionary)
@@ -235,18 +241,15 @@ def _protocol_pairs(cfg: RunConfig):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    dictionary, model, enrolment, base = _load_bundle(args.bundle)
-    cfg = _resolve_config(args, base)
-    probes = _load_probes(args.probes, model, dictionary)
-
-    gallery = Gallery(dictionary, enrolment, cfg.solver)
+    model, gallery, cfg = _load_bundle(args)
+    probes = _load_probes(args.probes, model, gallery)
     scoreset = build_scoreset(probes, gallery, cfg.classifier, pairs=_protocol_pairs(cfg))
     echo = config_echo(
         cfg,
         resolved_sparsity_k=gallery.k,
         pca_components=0 if model is None else model.num_components,
-        num_atoms=dictionary.num_atoms,
-        num_classes=dictionary.num_classes,
+        num_atoms=gallery.dictionary.num_atoms,
+        num_classes=gallery.dictionary.num_classes,
     )
     report = evaluate_verification(scoreset, cfg.far_targets, echo)
 
@@ -272,12 +275,11 @@ def cmd_identify(args: argparse.Namespace) -> int:
     # a comma list, checked whole before any work and kept out of the config
     classifiers = None if args.classifier is None else _parse_classifier_list(args.classifier)
     args.classifier = None
-    dictionary, model, enrolment, base = _load_bundle(args.bundle)
-    cfg = _resolve_config(args, base)
-    probes = _load_probes(args.probes, model, dictionary)
+    model, gallery, cfg = _load_bundle(args)
+    probes = _load_probes(args.probes, model, gallery)
 
     # Mirror the identification protocol: keep only probes whose class is enrolled.
-    enrolled = probes.labels < dictionary.num_classes
+    enrolled = probes.labels < gallery.dictionary.num_classes
     dropped = probes.num_samples - int(enrolled.sum())
     if dropped:
         if not enrolled.any():
@@ -289,7 +291,6 @@ def cmd_identify(args: argparse.Namespace) -> int:
         )
 
     classifiers = classifiers or [cfg.classifier]
-    gallery = Gallery(dictionary, enrolment, cfg.solver)
     rows = list(zip(classifiers, rank1_identification(probes, gallery, classifiers)))
 
     echo = config_echo(
@@ -343,7 +344,7 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
     for k in counts:
         reduced_enrol = dataset_from_arrays(enrol_all.features[:, :k].copy(), enrolment.labels, enrolment.ids)
         reduced_probes = dataset_from_arrays(probes_all.features[:, :k].copy(), probes.labels, probes.ids)
-        gallery = Gallery(build_dictionary(reduced_enrol), reduced_enrol, cfg.solver)
+        gallery = Gallery(reduced_enrol, cfg.solver)
         scoreset = build_scoreset(reduced_probes, gallery, cfg.classifier, pairs=pairs)
         del gallery  # free this row's dictionary and ridge map before the next row builds its own
         report = evaluate_verification(scoreset, cfg.far_targets)

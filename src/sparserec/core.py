@@ -66,7 +66,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Column-stacked l2-normalized gallery features plus class labels.
+    """Column-stacked l2-normalized gallery features plus class labels,
+    built from an enrolment by `build_dictionary` (a `Gallery` builds its own).
 
     `atoms` is K x N with unit-norm columns ordered class-major (then input
     order within a class), `column_labels` maps each column to its class and

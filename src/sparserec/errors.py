@@ -96,7 +96,3 @@ class TrailingData(FeatureFileError):
 class BadEncoding(FeatureFileError):
     """Bytes that are not valid UTF-8 where text is expected (a stored sample
     id, a CSV, a config file or a bundle manifest)."""
-
-
-class BadLabel(FeatureFileError):
-    """Stored class labels that disagree with the class count the file declares."""

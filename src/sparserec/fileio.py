@@ -14,7 +14,9 @@ Binary layout (all integers and floats little-endian):
                  row-major)
   dictionary     magic 'CDIC' | u32 version=1 | u32 K | u32 N | u32 c |
                  atoms (K*N f64, row-major) | column labels (N u32)
-                 class-major (non-decreasing), every class in [0, c) present
+                 class-major (non-decreasing), every class in [0, c) present;
+                 written for a fit bundle but never read: a gallery is
+                 built from the bundle's enrolment file
 
 Declared sizes must match the payload exactly; short files raise
 TruncatedFile with the failing byte offset, extra bytes raise TrailingData.
@@ -40,7 +42,6 @@ import numpy as np
 from .core import Dataset, Dictionary, _all_finite, _frozen, dataset_from_arrays
 from .errors import (
     BadEncoding,
-    BadLabel,
     BadMagic,
     DegenerateData,
     InvalidParameters,
@@ -383,37 +384,6 @@ def write_dictionary(path: str | Path, dictionary: Dictionary) -> None:
         "<IIII", FORMAT_VERSION, dictionary.dim, dictionary.num_atoms, dictionary.num_classes
     )
     _write_parts(path, header, _f64(dictionary.atoms), _u32(dictionary.column_labels))
-
-
-def read_dictionary(path: str | Path) -> Dictionary:
-    path = str(path)
-    with _ByteReader(path) as reader:
-        _check_header(reader, DICT_MAGIC, path)
-        k = reader.u32("atom dimension")
-        n = reader.u32("atom count")
-        c = reader.u32("class count")
-        atoms = _finite(reader.f64_array(k * n, "atoms"), path, "atoms").reshape(k, n)
-        column_labels = reader.u32_array(n, "column labels")
-        reader.finish()
-    bad = np.flatnonzero(column_labels >= c)
-    if bad.size:
-        j = int(bad[0])
-        raise BadLabel(
-            f"{path}: column {j} has class label {column_labels[j]}, but the file declares {c} classes"
-        )
-    if c == 0:
-        raise BadLabel(f"{path}: declares 0 classes")
-    # class evidence sums runs of columns, so the labels must be class-major
-    down = np.flatnonzero(column_labels[1:] < column_labels[:-1])
-    if down.size:
-        j = int(down[0]) + 1
-        raise BadLabel(f"{path}: column {j} has class label {column_labels[j]} after {column_labels[j - 1]};"
-                       " column labels must be class-major (non-decreasing)")
-    # every class needs a column, as build_dictionary ensures; c <= N bounds the count
-    if c > n or not (counts := np.bincount(column_labels, minlength=c)).all():
-        raise BadLabel(f"{path}: declares {c} classes, but some class has no column")
-    starts = np.cumsum(counts) - counts  # first column of each class
-    return Dictionary(_frozen(atoms), _frozen(column_labels), _frozen(starts))
 
 
 # ---------------------------------------------------------------------------

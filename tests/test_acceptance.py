@@ -155,11 +155,11 @@ def test_criterion_4_sacrc_reference_equivalence():
             ds = dataset_from_arrays(
                 rng.standard_normal((n, kdim)), labels, [str(i) for i in range(n)]
             )
-            d = build_dictionary(ds)
             lam = float(rng.choice([1e-2, 1e-1]))
             k = int(rng.integers(1, min(8, n) + 1))
             tol = 1e-9
-            gallery = Gallery(d, ds, SacrcConfig(lam, k, tol))
+            gallery = Gallery(ds, SacrcConfig(lam, k, tol))
+            d = gallery.dictionary
             y = rng.standard_normal(kdim)
             (class_scores,) = gallery.scores(["sacrc"], y[None, :])[0]
             y_hat = _unit_rows(y[None, :])
@@ -219,7 +219,7 @@ FROZEN_KNN_EER = 0.0955263157894737
 def test_criterion_6_desk_scale_gap():
     with criterion(6, "augmented classifier beats nearest neighbor on synthetic subspaces", 60.0):
         enrolment, probes = generate_synthetic(20, 10, 100, 5, 0.15, seed=42)
-        gallery = Gallery(build_dictionary(enrolment), enrolment)
+        gallery = Gallery(enrolment)
         sacrc_acc, knn_acc = rank1_identification(probes, gallery, ["sacrc", "knn1"])
         sacrc_scores = build_scoreset(probes, gallery)
         knn_scores = build_scoreset(probes, gallery, "knn1")
@@ -243,7 +243,7 @@ def test_criterion_7_gmr_monotonicity_panel():
             impostor = rng.normal(0.0, 1.0, size=int(rng.integers(10, 300)))
             score_sets.append(_scoreset(genuine, impostor))
         enrolment, probes = generate_synthetic(8, 6, 40, 3, 0.2, seed=1071)
-        gallery = Gallery(build_dictionary(enrolment), enrolment)
+        gallery = Gallery(enrolment)
         for name in ("sacrc", "crc", "src", "knn1"):
             score_sets.append(build_scoreset(probes, gallery, name))
         for s in score_sets:

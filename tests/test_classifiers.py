@@ -36,9 +36,10 @@ def _identity_dictionary(n, labels=None):
 
 
 def _gallery(d, cfg=SacrcConfig()):
-    """A gallery over d whose enrolment samples are d's own atoms."""
+    """A gallery whose enrolment samples are d's own atoms.  They have unit
+    norm already, so its dictionary is d up to the last bit."""
     enrolment = dataset_from_arrays(d.atoms.T, d.column_labels, [str(i) for i in range(d.num_atoms)])
-    return Gallery(d, enrolment, cfg)
+    return Gallery(enrolment, cfg)
 
 
 def _crc(y, op):
@@ -58,7 +59,7 @@ def _sacrc(y, d, cfg):
     gallery = _gallery(d, cfg)
     y_hat = _unit_rows(y)
     collab = gallery.operator.apply(y_hat)
-    sparse = _omp_block(d.atoms, y_hat, gallery.k, cfg.residual_tol)
+    sparse = _omp_block(gallery.dictionary.atoms, y_hat, gallery.k, cfg.residual_tol)
     aug, fell_back = _augment(collab, sparse)
     (scores,) = gallery.scores(["sacrc"], y)
     return SimpleNamespace(alpha_collab=collab[0], alpha_sparse=sparse[0], alpha_aug=aug[0],
@@ -364,7 +365,7 @@ def test_src_residual_matches_masked_reconstruction():
 
 
 def _knn1_decision(y, ds):
-    return int(np.argmax(Gallery(build_dictionary(ds), ds).scores(["knn1"], y[None, :])[0][0]))
+    return int(np.argmax(Gallery(ds).scores(["knn1"], y[None, :])[0][0]))
 
 
 def test_knn_exact_match_and_tie_break():
@@ -390,9 +391,8 @@ def test_knn_matches_event_by_event_scan():
 
 
 def test_knn_class_scores_are_negative_min_distances():
-    ds = dataset_from_arrays(np.array([[0.0], [4.0], [10.0]]), [0, 0, 1], ["a", "b", "c"])
-    d = _dictionary([[1.0, 1.0, 1.0]], [0, 0, 1])  # dimension 1, two classes
-    scores = Gallery(d, ds).scores(["knn1"], np.array([[1.0]]))[0][0]
+    ds = dataset_from_arrays(np.array([[2.0], [4.0], [10.0]]), [0, 0, 1], ["a", "b", "c"])
+    scores = Gallery(ds).scores(["knn1"], np.array([[1.0]]))[0][0]
     assert np.allclose(scores, [-1.0, -9.0])
 
 

@@ -1,4 +1,5 @@
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -132,10 +133,14 @@ def test_fit_without_pca_keeps_dimension(tmp_path):
     manifest = (tmp_path / "bundle" / "manifest.txt").read_text()
     assert "pca = off" in manifest
     assert "dim_input = 24" in manifest
-    from sparserec.fileio import read_dictionary
-
-    d = read_dictionary(tmp_path / "bundle" / "dictionary.bin")
-    assert d.dim == 24
+    # dictionary.bin: magic, version, atom dim, atom count, class count, then
+    # the K x N atoms and the column labels
+    data = (tmp_path / "bundle" / "dictionary.bin").read_bytes()
+    magic, version, dim, num_atoms, num_classes = struct.unpack("<4sIIII", data[:20])
+    assert dim == 24
+    d = build_dictionary(load_flat_dataset(tmp_path / "data" / "enrolment.feat"))
+    assert (magic, version, num_atoms, num_classes) == (b"CDIC", 1, d.num_atoms, d.num_classes)
+    assert data[20:] == d.atoms.astype("<f8").tobytes() + d.column_labels.astype("<u4").tobytes()
 
 
 def test_fit_k_too_large_fails_cleanly(tmp_path, capsys):
@@ -219,8 +224,7 @@ def test_verify_scores_csv_matches_library(tmp_path):
     scores = read_scores_csv(tmp_path / "ver" / "scores.csv")
     enrolment = load_flat_dataset(tmp_path / "data" / "enrolment.feat")
     probes = load_flat_dataset(tmp_path / "data" / "probes.feat")
-    d = build_dictionary(enrolment)
-    expected = build_scoreset(probes, Gallery(d, enrolment))
+    expected = build_scoreset(probes, Gallery(enrolment))
     assert scores.ids == expected.ids
     for column in ("probe", "claim", "score", "is_genuine"):
         assert np.array_equal(getattr(scores, column), getattr(expected, column))
@@ -268,7 +272,7 @@ def test_identify_matches_library_call(tmp_path):
     probes = load_flat_dataset(tmp_path / "data" / "probes.feat")
     model, reduced_enrol = pca_fit(enrolment, num_components=10)
     reduced_probes = transform_dataset(probes, model)
-    gallery = Gallery(build_dictionary(reduced_enrol), reduced_enrol)
+    gallery = Gallery(reduced_enrol)
     expected_sacrc, expected_knn = rank1_identification(reduced_probes, gallery, ["sacrc", "knn1"])
     assert float(rows["sacrc"]) == expected_sacrc
     assert float(rows["knn1"]) == expected_knn
@@ -353,6 +357,21 @@ def test_lambda_zero_is_refused_only_by_the_ridge_classifiers(tmp_path, capsys, 
             assert err.startswith("error: lambda=0 with 20 atoms in dimension ")
             assert err.endswith(": Phi^T Phi is rank-deficient\n") and len(err.splitlines()) == 1
             assert not (tmp_path / kind).exists()
+
+
+def test_fit_refuses_a_lambda_its_ridge_classifiers_refuse(tmp_path, capsys):
+    # 20 atoms in dimension 10: at lambda = 0 the default classifier (sacrc)
+    # could score nothing, so fit writes no bundle
+    gen(tmp_path / "data", classes=4, samples=5, dim=10, subspace=3, sigma=0.1, seed=3)
+    capsys.readouterr()
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--lambda", "0", "--out", tmp_path / "bundle") == 2
+    err = capsys.readouterr().err
+    assert err == "error: lambda=0 with 20 atoms in dimension 10: Phi^T Phi is rank-deficient\n"
+    assert not (tmp_path / "bundle").exists()
+    # with no more atoms than dimensions the ridge map exists at lambda = 0
+    gen(tmp_path / "tall", classes=4, samples=5, dim=24, subspace=3, sigma=0.1, seed=3)
+    assert run("fit", tmp_path / "tall" / "enrolment.feat", "--lambda", "0", "--out", tmp_path / "tall-bundle") == 0
+    assert run("verify", tmp_path / "tall" / "probes.feat", tmp_path / "tall-bundle", "--out", tmp_path / "ver") == 0
 
 
 @pytest.mark.parametrize("command", ["verify", "identify", "sweep-pcs"])
@@ -804,16 +823,14 @@ def test_bad_features_csv_row_fails_cleanly(tmp_path, capsys, row):
 SWAPPED_FILE_CASES = {
     "pca-components": ("10", "data", "8", "pca.bin"),
     "pca-input-dim": ("10", "wide", "10", "pca.bin"),
-    "dictionary-dim": ("10", "data", "8", "dictionary.bin"),
     "enrolment-dim": ("10", "data", "8", "enrolment.feat"),
     "enrolment-samples": ("10", "fewer", "10", "enrolment.feat"),
-    "pca-off-dictionary-dim": ("off", "wide", "off", "dictionary.bin"),
     "pca-off-stray-pca-file": ("off", "data", "10", "pca.bin"),
 }
 # A manifest entry that disagrees with the stored files: (key, value, file named).
 MANIFEST_EDIT_CASES = {
-    "manifest-num-atoms": ("num_atoms", "21", "dictionary.bin"),
-    "manifest-num-classes": ("num_classes", "5", "dictionary.bin"),
+    "manifest-num-atoms": ("num_atoms", "21", "enrolment.feat"),
+    "manifest-num-classes": ("num_classes", "5", "enrolment.feat"),
     "manifest-pca-components": ("pca_components", "8", "pca.bin"),
 }
 
@@ -844,7 +861,7 @@ def test_bundle_with_swapped_file_names_it(tmp_path, capsys, case):
     _verify_fails_naming(tmp_path, capsys, bundle, name)
 
 
-@pytest.mark.parametrize("label", [7, 1], ids=["past-class-count", "moved-class"])
+@pytest.mark.parametrize("label", [7], ids=["past-class-count"])
 @pytest.mark.parametrize("command", ["verify", "identify"])
 def test_bundle_enrolment_labels_must_match_the_dictionary(tmp_path, capsys, label, command):
     from sparserec.fileio import write_flat_features
@@ -876,46 +893,47 @@ def test_bundle_manifest_mismatch_names_the_file(tmp_path, capsys, case):
     _verify_fails_naming(tmp_path, capsys, bundle, named)
 
 
-# dictionary.bin edits: (byte offset from the start, or negative from the end;
-# u32 written there; text the error must carry).  The header is magic, version,
-# atom dim, atom count and class count; the column labels end the file.
-DICTIONARY_LABEL_CASES = {
-    "label-past-class-count": (-4, 1005, "class label 1005"),
-    "zero-classes": (16, 0, "declares 0 classes"),
-    "class-without-column": (16, 5, "declares 5 classes"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(DICTIONARY_LABEL_CASES))
-def test_dictionary_with_bad_labels_fails_cleanly(tmp_path, capsys, case):
-    offset, value, text = DICTIONARY_LABEL_CASES[case]
+@pytest.mark.parametrize("pca, donor_pca", [("10", "8"), ("off", "10")], ids=["pca", "pca-off"])
+def test_scoring_commands_do_not_read_the_stored_dictionary(tmp_path, pca, donor_pca):
+    # the gallery is built from enrolment.feat: a bundle without dictionary.bin,
+    # or with one from another fit, scores exactly as the intact bundle does
     gen(tmp_path / "data", dim=30)
-    bundle = tmp_path / "bundle"
-    assert run("fit", tmp_path / "data" / "enrolment.feat", "--pca", "10", "--out", bundle) == 0
-    path = bundle / "dictionary.bin"
-    data = bytearray(path.read_bytes())
-    start = offset % len(data)
-    data[start : start + 4] = struct.pack("<I", value)
-    path.write_bytes(bytes(data))
-    code = run("verify", tmp_path / "data" / "probes.feat", bundle, "--out", tmp_path / "ver")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(path) in err and text in err
-    assert len(err.splitlines()) == 1
+    enrol, probes = tmp_path / "data" / "enrolment.feat", tmp_path / "data" / "probes.feat"
+    intact, missing, swapped, donor = (tmp_path / name for name in ("intact", "missing", "swapped", "donor"))
+    assert run("fit", enrol, "--pca", pca, "--out", intact) == 0
+    assert run("fit", enrol, "--pca", donor_pca, "--out", donor) == 0
+    for bundle in (missing, swapped):
+        shutil.copytree(intact, bundle)
+    (missing / "dictionary.bin").unlink()
+    (swapped / "dictionary.bin").write_bytes((donor / "dictionary.bin").read_bytes())
+    outputs = {}
+    for bundle in (intact, missing, swapped):
+        for command, extra in (("verify", []), ("identify", ["--classifier", "sacrc,crc,src,knn1"])):
+            out = tmp_path / "out" / bundle.name / command
+            assert run(command, probes, bundle, *extra, "--out", out) == 0
+            outputs.setdefault(command, []).append({p.name: p.read_bytes() for p in out.iterdir()})
+    for command, (first, *rest) in outputs.items():
+        assert len(first) >= 2 and all(other == first for other in rest), command
 
 
 # Damaged payloads: (file under tmp_path, byte offset, bytes written there,
 # command, text the error must carry).  The bundle is fit with --pca 10 on
-# dim 30: pca.bin holds a 16-byte header, the mean (30 f64), the eigenvalues
-# (10 f64) and the projection; dictionary.bin's atoms follow a 20-byte header
-# and a flat feature file's payload a 17-byte one.
+# dim 30 from 4 classes x 5 samples, class-major: pca.bin holds a 16-byte
+# header, the mean (30 f64), the eigenvalues (10 f64) and the projection; a
+# flat feature file's payload follows a 17-byte header, and the bundle's
+# enrolment.feat holds 20 x 10 f64 there, then 20 u32 labels.
 NAN, INF = struct.pack("<d", float("nan")), struct.pack("<d", float("inf"))
 DAMAGED_PAYLOAD_CASES = {
     "pca-nan-projection": ("bundle/pca.bin", 16 + 8 * 40, NAN, "verify", "projection matrix contains a NaN"),
     "pca-nan-mean": ("bundle/pca.bin", 16, NAN, "identify", "mean vector contains a NaN"),
     "pca-zero-eigenvalues": ("bundle/pca.bin", 16 + 8 * 30, bytes(8 * 10), "verify", "eigenvalue 0 is 0"),
-    "dictionary-inf-atom-verify": ("bundle/dictionary.bin", 20, INF, "verify", "atoms contains a NaN or infinity"),
-    "dictionary-inf-atom-identify": ("bundle/dictionary.bin", 20, INF, "identify", "atoms contains"),
+    "enrolment-zero-row-verify": ("bundle/enrolment.feat", 17, bytes(8 * 10), "verify", "has zero norm"),
+    "enrolment-zero-row-identify": ("bundle/enrolment.feat", 17, bytes(8 * 10), "identify", "has zero norm"),
+    # class 1's samples relabelled 2, then class 3's relabelled 2
+    "enrolment-class-gap": ("bundle/enrolment.feat", 17 + 8 * 200 + 4 * 5, struct.pack("<5I", *[2] * 5),
+                            "identify", "class 1 has no enrolment samples"),
+    "enrolment-top-class-gone": ("bundle/enrolment.feat", 17 + 8 * 200 + 4 * 15, struct.pack("<5I", *[2] * 5),
+                                 "verify", "classes 3, but manifest.txt says num_classes = 4"),
     "probes-nan": ("data/probes.feat", 17, NAN, "verify", "contains a NaN or infinity"),
 }
 
@@ -935,3 +953,4 @@ def test_damaged_payload_names_its_file(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and text in err
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()

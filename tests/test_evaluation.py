@@ -3,7 +3,7 @@ import pytest
 
 from reference_impls import eer_recount, gmr_at_far_recount, roc_recount
 from sparserec.classifiers import Gallery, SacrcConfig
-from sparserec.core import build_dictionary, dataset_from_arrays
+from sparserec.core import dataset_from_arrays
 from sparserec.errors import (
     DegenerateScoreSet,
     DimensionMismatch,
@@ -38,8 +38,8 @@ def _gmr_at_far(scoreset, target):
 
 def _fitted(num_classes=3, per_class=4, dim=20, seed=0):
     enrolment, probes = generate_synthetic(num_classes, per_class, dim, 3, 0.1, seed=seed)
-    d = build_dictionary(enrolment)
-    return enrolment, probes, d, Gallery(d, enrolment)
+    gallery = Gallery(enrolment)
+    return enrolment, probes, gallery.dictionary, gallery
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +251,8 @@ def test_rank1_probes_equal_atoms_is_perfect():
     enrolment, _, d, gallery = _fitted(num_classes=4, per_class=3)
     atom_probes = dataset_from_arrays(d.atoms.T, d.column_labels,
                                       [f"p{i}" for i in range(d.num_atoms)])
-    gallery = Gallery(d, dataset_from_arrays(d.atoms.T, d.column_labels,
-                                             [f"e{i}" for i in range(d.num_atoms)]))
+    gallery = Gallery(dataset_from_arrays(d.atoms.T, d.column_labels,
+                                          [f"e{i}" for i in range(d.num_atoms)]))
     for acc in rank1_identification(atom_probes, gallery, ["sacrc", "crc", "src", "knn1"]):
         assert acc == 1.0
 
@@ -313,8 +313,7 @@ def test_generator_deterministic():
 
 def test_generator_noiseless_subspaces_classified_perfectly():
     enrolment, probes = generate_synthetic(4, 6, 30, 3, 0.0, seed=3)
-    gallery = Gallery(build_dictionary(enrolment), enrolment,
-                      SacrcConfig(sparsity_k=3))  # budget covers the subspace dimension
+    gallery = Gallery(enrolment, SacrcConfig(sparsity_k=3))  # budget covers the subspace dimension
     assert rank1_identification(probes, gallery, ["sacrc"]) == [1.0]
 
 

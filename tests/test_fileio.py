@@ -8,7 +8,6 @@ import pytest
 from reference_impls import flatten_reference
 from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.errors import (
-    BadLabel,
     BadMagic,
     InvalidParameters,
     MalformedLine,
@@ -20,7 +19,6 @@ from sparserec.evaluation import ScoreSet, evaluate_verification, generate_synth
 from sparserec.fileio import (
     load_flat_dataset,
     load_tensor_set,
-    read_dictionary,
     read_feature_file,
     read_features_csv,
     read_pairs_csv,
@@ -197,26 +195,19 @@ def test_pca_model_round_trip(tmp_path):
 
 
 def test_dictionary_round_trip(tmp_path):
+    # the layout in fileio's docstring: magic, version, atom dim K, atom count
+    # N, class count c, the K x N atoms row-major, then the N column labels
     enrolment, _ = generate_synthetic(3, 4, 10, 2, 0.2, seed=6)
     d = build_dictionary(enrolment)
     path = tmp_path / "dict.bin"
     write_dictionary(path, d)
-    loaded = read_dictionary(path)
-    assert loaded.atoms.tobytes() == d.atoms.tobytes()
-    assert np.array_equal(loaded.column_labels, d.column_labels)
-    assert np.array_equal(loaded.class_starts, d.class_starts)
-
-
-def test_dictionary_labels_must_be_class_major(tmp_path):
-    # 2 x 4 atoms in classes 0, 1, 0, 1: every class present, but out of order
-    path = tmp_path / "unsorted.bin"
-    path.write_bytes(b"CDIC" + struct.pack("<IIII", 1, 2, 4, 2) + struct.pack("<8d", *range(1, 9))
-                     + struct.pack("<4I", 0, 1, 0, 1))
-    with pytest.raises(BadLabel, match="column 2 has class label 0 after 1") as info:
-        read_dictionary(path)
-    assert str(path) in str(info.value)
-    path.write_bytes(path.read_bytes()[:-16] + struct.pack("<4I", 0, 0, 1, 1))
-    assert read_dictionary(path).class_starts.tolist() == [0, 2]
+    data = path.read_bytes()
+    assert data[:20] == b"CDIC" + struct.pack("<IIII", 1, 10, 12, 3)
+    atoms = np.frombuffer(data[20 : 20 + 8 * 120], dtype="<f8").reshape(10, 12)
+    assert atoms.tobytes() == d.atoms.tobytes()
+    column_labels = np.frombuffer(data[20 + 8 * 120 :], dtype="<u4")
+    assert np.array_equal(column_labels, d.column_labels)
+    assert np.array_equal(np.flatnonzero(np.diff(column_labels, prepend=-1)), d.class_starts)
 
 
 def test_scores_csv_round_trip(tmp_path):

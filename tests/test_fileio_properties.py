@@ -11,17 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparserec.core import build_dictionary
 from sparserec.errors import SparserecError
 from sparserec.evaluation import ScoreSet, generate_synthetic
 from sparserec.fileio import (
-    read_dictionary,
     read_feature_file,
     read_features_csv,
     read_pairs_csv,
     read_pca_model,
     read_scores_csv,
-    write_dictionary,
     write_features_csv,
     write_flat_features,
     write_pca_model,
@@ -34,7 +31,6 @@ READERS = {
     "flat": read_feature_file,
     "tensor": read_feature_file,
     "pca": read_pca_model,
-    "dictionary": read_dictionary,
 }
 CSV_READERS = {
     "features.csv": read_features_csv,
@@ -54,7 +50,6 @@ def scratch(tmp_path_factory) -> Path:
     tensors = enrolment.features.reshape(-1, 2, 2, 2)
     write_tensor_features(directory / "tensor", tensors, enrolment.labels, ids)
     write_pca_model(directory / "pca", pca_fit(enrolment, num_components=3)[0])
-    write_dictionary(directory / "dictionary", build_dictionary(enrolment))
     write_features_csv(directory / "features.csv", enrolment)
     write_scores_csv(directory / "scores.csv",
                      ScoreSet(("p0", "p,1"), [0, 0, 1], [0, 1, 2], [0.5, -1.25e-3, 2.0], [1, 0, 0]))

@@ -10,7 +10,7 @@ from reference_impls import label_matrix, omp_reference, ridge_solve_reference, 
 from sparserec import classifiers
 from sparserec.classifiers import CrcOperator, Gallery, SacrcConfig, _augment, _omp_block
 from sparserec.core import build_dictionary, dataset_from_arrays
-from sparserec.errors import DegenerateAugmentation, DimensionMismatch, InvalidParameters, ZeroNormSample
+from sparserec.errors import DegenerateAugmentation, InvalidParameters, MissingClass, ZeroNormSample
 from sparserec.evaluation import build_scoreset, generate_synthetic, rank1_identification
 
 KINDS = ("sacrc", "crc", "src", "knn1")
@@ -21,8 +21,8 @@ def _fitted(num_classes, per_class, dim, probes_per_class, seed=0):
     enrolment, probes = generate_synthetic(
         num_classes, per_class, dim, 3, 0.2, seed=seed, probes_per_class=probes_per_class
     )
-    d = build_dictionary(enrolment)
-    return enrolment, probes, d, Gallery(d, enrolment, SacrcConfig(LAM, K, TOL))
+    gallery = Gallery(enrolment, SacrcConfig(LAM, K, TOL))
+    return enrolment, probes, gallery.dictionary, gallery
 
 
 def _one_row(kind, y, gallery):
@@ -103,13 +103,19 @@ def test_knn1_and_src_set_up_no_ridge_map(monkeypatch):
     assert "operator" not in vars(gallery)
 
 
-def test_gallery_enrolment_must_match_the_dictionary():
+def test_gallery_builds_its_dictionary_from_the_enrolment():
     enrolment, probes, d, gallery = _fitted(num_classes=3, per_class=3, dim=10, probes_per_class=1)
-    fewer = dataset_from_arrays(enrolment.features[:-1], enrolment.labels[:-1], enrolment.ids[:-1])
-    narrower = dataset_from_arrays(enrolment.features[:, :9], enrolment.labels, enrolment.ids)
-    for other in (fewer, narrower):
-        with pytest.raises(DimensionMismatch, match="dictionary has 9 atoms of dim 10"):
-            Gallery(d, other)
+    built = build_dictionary(enrolment)
+    assert d.atoms.tobytes() == built.atoms.tobytes()
+    assert np.array_equal(d.column_labels, built.column_labels)
+    assert np.array_equal(d.class_starts, built.class_starts)
+    zero_row = enrolment.features.copy()
+    zero_row[4] = 0.0
+    with pytest.raises(ZeroNormSample, match="sample 'enrol-1-1' has zero norm"):
+        Gallery(dataset_from_arrays(zero_row, enrolment.labels, enrolment.ids))
+    gap = np.where(enrolment.labels == 1, 2, enrolment.labels)
+    with pytest.raises(MissingClass, match="class 1 has no enrolment samples"):
+        Gallery(dataset_from_arrays(enrolment.features, gap, enrolment.ids))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -161,7 +167,7 @@ def test_probe_orthogonal_to_every_atom_is_degenerate():
     # atoms span the first two coordinates; a probe along the third has zero
     # collaborative and zero sparse coefficients
     enrolment = dataset_from_arrays(np.array([[1.0, 0, 0], [0, 1.0, 0]]), [0, 1], ["a", "b"])
-    gallery = Gallery(build_dictionary(enrolment), enrolment, SacrcConfig(LAM, 2, TOL))
+    gallery = Gallery(enrolment, SacrcConfig(LAM, 2, TOL))
     probes = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     with pytest.raises(DegenerateAugmentation):
         gallery.scores(["sacrc"], probes)
@@ -192,7 +198,7 @@ def test_knn1_identification_is_argmax_of_score_rows():
     # every classifier
     enrolment = dataset_from_arrays(np.array([[0.0, 1.0], [2.0, 1.0]]), [1, 0], ["a", "b"])
     probes = np.array([[1.0, 1.0], [0.1, 1.0]])
-    gallery = Gallery(build_dictionary(enrolment), enrolment)
+    gallery = Gallery(enrolment)
     (scores,) = gallery.scores(["knn1"], probes)
     assert scores[0, 0] == scores[0, 1]
     assert scores.argmax(axis=1).tolist() == [0, 1]
@@ -224,7 +230,7 @@ def test_no_n_by_n_matrix_when_atoms_outnumber_dimensions():
         op = CrcOperator(d, LAM)
         crc_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        Gallery(d, enrolment, SacrcConfig(LAM, 10, TOL)).scores(["src"], rng.standard_normal((4, dim)))
+        Gallery(enrolment, SacrcConfig(LAM, 10, TOL)).scores(["src"], rng.standard_normal((4, dim)))
         omp_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -239,7 +245,7 @@ def _gallery(class_sizes, dim, seed):
     rng.shuffle(labels)
     ds = dataset_from_arrays(rng.standard_normal((labels.size, dim)), labels,
                              [str(i) for i in range(labels.size)])
-    return Gallery(build_dictionary(ds), ds, SacrcConfig(LAM, K, TOL)), rng.standard_normal((5, dim))
+    return Gallery(ds, SacrcConfig(LAM, K, TOL)), rng.standard_normal((5, dim))
 
 
 def _summed_codes(kind, y, gallery):
@@ -282,7 +288,7 @@ def test_class_evidence_holds_no_class_by_atom_matrix(kind):
     probes = rng.standard_normal((4, dim))
     tracemalloc.start()
     try:
-        gallery = Gallery(build_dictionary(enrolment), enrolment, SacrcConfig(LAM, K, TOL))
+        gallery = Gallery(enrolment, SacrcConfig(LAM, K, TOL))
         (scores,) = gallery.scores([kind], probes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
