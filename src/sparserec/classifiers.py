@@ -214,17 +214,16 @@ def _class_residuals(y: np.ndarray, alpha: np.ndarray, dictionary: Dictionary) -
     return residuals
 
 
-def _knn1_distances(y: np.ndarray, enrolment: Dataset) -> np.ndarray:
-    """Euclidean distance from every row to every enrolment sample, (P, M),
+def _knn1_distances(y: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Euclidean distance from every row of y to every row of e, (P, M),
     from the expansion ||y||^2 - 2 y.e + ||e||^2."""
-    e = enrolment.features
     sq = np.einsum("pd,pd->p", y, y)[:, None] - 2.0 * (y @ e.T) + np.einsum("md,md->m", e, e)
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _knn1_scores(y: np.ndarray, enrolment: Dataset, num_classes: int) -> np.ndarray:
+def _knn1_scores(y: np.ndarray, samples: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
     best = np.full((y.shape[0], num_classes), np.inf)
-    np.minimum.at(best, (slice(None), enrolment.labels), _knn1_distances(y, enrolment))
+    np.minimum.at(best, (slice(None), labels), _knn1_distances(y, samples))
     return np.where(np.isfinite(best), -best, -np.inf)
 
 
@@ -257,6 +256,13 @@ class Gallery:
     @cached_property
     def operator(self) -> CrcOperator:
         return CrcOperator(self.dictionary, self.solver.ridge_lambda)
+
+    @cached_property
+    def _aligned_samples(self) -> np.ndarray:
+        # knn1 multiplies the enrolment samples, and numpy multiplies a
+        # misaligned operand (a mapped file's payload) outside BLAS, slowly
+        # and with other rounding.
+        return np.require(self.enrolment.features, requirements="A")
 
     def scores(self, kinds: Sequence[str], probes: np.ndarray) -> list[np.ndarray]:
         """Per-class match scores of every probe row, one (P, c) matrix per
@@ -308,5 +314,6 @@ class Gallery:
         if "src" in kinds:
             out["src"] = -_class_residuals(y_hat, sparse, d)
         if "knn1" in kinds:
-            out["knn1"] = _knn1_scores(y, self.enrolment, d.num_classes)
+            out["knn1"] = _knn1_scores(np.require(y, requirements="A"), self._aligned_samples,
+                                       self.enrolment.labels, d.num_classes)
         return out

@@ -20,18 +20,26 @@ Binary layout (all integers and floats little-endian):
 
 Declared sizes must match the payload exactly; short files raise
 TruncatedFile with the failing byte offset, extra bytes raise TrailingData.
-Files are read front to back: each declared size is checked against the
-file's size before anything is allocated for it, and float payloads are
-read in place, straight into their aligned arrays, so loading a file holds
-no copy of it beside the result.  A NaN or infinity in a payload raises
-NonFiniteValue naming the file.
+A file is mapped read-only once and read front to back: each declared size
+is checked against the mapped length before it is read, and float payloads
+are read-only views of the mapping, so loading a file copies no payload.
+A feature payload starts at byte 17 (flat) or 25 (tensor), so its view is
+not 8-byte aligned; code that multiplies loaded arrays hands BLAS aligned
+copies.  A NaN or infinity in a payload raises NonFiniteValue naming the
+file.
+
+A binary output is written as a fresh file: an existing file at its path is
+unlinked first, never truncated, because a live mapping may still read it
+(the output may even be written from that mapping).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import mmap
 import os
 import struct
 from pathlib import Path
@@ -65,26 +73,24 @@ SCORES_HEADER = ["probe_id", "claimed_class", "score", "is_genuine"]
 
 
 class _ByteReader:
-    """Reads an open file front to back.
+    """Reads a file front to back through one read-only mapping of it.
 
-    Every declared size is checked against the file's size before anything
-    is allocated for it, so a damaged count cannot ask for gigabytes, and
-    float payloads are read straight into fresh aligned arrays.
+    Every declared size is checked against the mapped length before it is
+    read, so a damaged count cannot ask for gigabytes and a short file raises
+    TruncatedFile; arrays are read-only views of the mapping.
     """
 
     def __init__(self, path: str):
         self._path = path
-        self._file = open(path, "rb")
-        self._size = os.fstat(self._file.fileno()).st_size
+        with open(path, "rb") as fh:
+            try:
+                self._data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except ValueError:  # an empty file cannot be mapped
+                self._data = b""
         self.offset = 0
 
-    def __enter__(self) -> "_ByteReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._file.close()
-
-    def _check(self, count: int, what: str, left: int) -> None:
+    def _check(self, count: int, what: str) -> None:
+        left = len(self._data) - self.offset
         if count > left:
             raise TruncatedFile(
                 f"{self._path}: truncated while reading {what} at byte offset {self.offset}"
@@ -92,11 +98,9 @@ class _ByteReader:
             )
 
     def take(self, count: int, what: str) -> bytes:
-        self._check(count, what, self._size - self.offset)
-        data = self._file.read(count)
-        self._check(count, what, len(data))  # the file may have shrunk since it was opened
+        self._check(count, what)
         self.offset += count
-        return data
+        return self._data[self.offset - count : self.offset]
 
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
@@ -104,17 +108,23 @@ class _ByteReader:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def _view(self, dtype: str, count: int, what: str) -> np.ndarray:
+        itemsize = np.dtype(dtype).itemsize
+        self._check(itemsize * count, what)
+        values = np.frombuffer(self._data, dtype=dtype, count=count, offset=self.offset)
+        self.offset += itemsize * count
+        return values
+
     def f64_array(self, count: int, what: str) -> np.ndarray:
-        # A fresh array is aligned; a view at the header's odd offset would
-        # not be, and BLAS may round such operands differently.
-        self._check(8 * count, what, self._size - self.offset)
-        values = np.empty(count, dtype="<f8")
-        self._check(8 * count, what, self._file.readinto(values.view(np.uint8)))
-        self.offset += 8 * count
-        return values.astype(np.float64, copy=False)
+        # A view of the mapping, not a copy.  At a header's odd offset it is
+        # not 8-byte aligned, and numpy multiplies such an operand in a slow
+        # loop instead of BLAS, which rounds differently, so every product
+        # of a loaded array takes an aligned copy first: PCA's centred
+        # chunks, the dictionary's gathered rows, knn1's operands.
+        return self._view("<f8", count, what).astype(np.float64, copy=False)
 
     def u32_array(self, count: int, what: str) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count, what), dtype="<u4").astype(np.int64)
+        return self._view("<u4", count, what).astype(np.int64)
 
     def utf8(self, what: str) -> str:
         length = self.u32(f"{what} length")
@@ -127,9 +137,9 @@ class _ByteReader:
             ) from None
 
     def finish(self) -> None:
-        if self.offset != self._size:
+        if self.offset != len(self._data):
             raise TrailingData(
-                f"{self._path}: {self._size - self.offset} unexpected bytes"
+                f"{self._path}: {len(self._data) - self.offset} unexpected bytes"
                 f" after declared payload (offset {self.offset})"
             )
 
@@ -160,7 +170,13 @@ def _u32(a: np.ndarray) -> np.ndarray:
 
 def _write_parts(path: str | Path, *parts) -> None:
     """Write each bytes-like part in turn: arrays go to the file from their own
-    buffers instead of through one joined copy of the whole file."""
+    buffers instead of through one joined copy of the whole file.
+
+    An existing file is unlinked and a new one created, not truncated in
+    place: a mapping of the old file, perhaps the source of `parts`, would
+    read past its end and the process would die with SIGBUS."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
     with open(path, "wb") as fh:
         for part in parts:
             fh.write(part)
@@ -220,26 +236,26 @@ class TensorFeatureSet:
 def read_feature_file(path: str | Path) -> Dataset | TensorFeatureSet:
     """Read a binary feature file; the flag byte decides flat vs tensor."""
     path = str(path)
-    with _ByteReader(path) as reader:
-        _check_header(reader, FEATURE_MAGIC, path)
-        flag = reader.u8("layout flag")
-        if flag == FLAG_FLAT:
-            shape = (reader.u32("feature dimension"),)
-            m = reader.u32("sample count")
-            what = "feature payload"
-        elif flag == FLAG_TENSOR:
-            n1 = reader.u32("map rows")
-            n2 = reader.u32("map cols")
-            n = reader.u32("map count")
-            m = reader.u32("sample count")
-            shape, what = (n, n1, n2), "tensor payload"
-        else:
-            raise InvalidParameters(f"{path}: unknown layout flag {flag}")
-        dim = math.prod(shape)
-        values = reader.f64_array(m * dim, what).reshape(m, *shape)
-        labels = reader.u32_array(m, "class labels")
-        ids = tuple(reader.utf8(f"id {i}") for i in range(m))
-        reader.finish()
+    reader = _ByteReader(path)
+    _check_header(reader, FEATURE_MAGIC, path)
+    flag = reader.u8("layout flag")
+    if flag == FLAG_FLAT:
+        shape = (reader.u32("feature dimension"),)
+        m = reader.u32("sample count")
+        what = "feature payload"
+    elif flag == FLAG_TENSOR:
+        n1 = reader.u32("map rows")
+        n2 = reader.u32("map cols")
+        n = reader.u32("map count")
+        m = reader.u32("sample count")
+        shape, what = (n, n1, n2), "tensor payload"
+    else:
+        raise InvalidParameters(f"{path}: unknown layout flag {flag}")
+    dim = math.prod(shape)
+    values = reader.f64_array(m * dim, what).reshape(m, *shape)
+    labels = reader.u32_array(m, "class labels")
+    ids = tuple(reader.utf8(f"id {i}") for i in range(m))
+    reader.finish()
     try:
         flat = dataset_from_arrays(values.reshape(m, dim), labels, ids)
     except SparserecError as exc:
@@ -361,15 +377,15 @@ def read_pca_model(path: str | Path) -> PcaModel:
     recomputed relative to the stored (possibly truncated) spectrum.
     """
     path = str(path)
-    with _ByteReader(path) as reader:
-        _check_header(reader, PCA_MAGIC, path)
-        d = reader.u32("input dimension")
-        k = reader.u32("component count")
-        mean = _finite(reader.f64_array(d, "mean vector"), path, "mean vector")
-        eigenvalues = _finite(reader.f64_array(k, "eigenvalues"), path, "eigenvalues")
-        projection = reader.f64_array(d * k, "projection matrix").reshape(d, k)
-        _finite(projection, path, "projection matrix")
-        reader.finish()
+    reader = _ByteReader(path)
+    _check_header(reader, PCA_MAGIC, path)
+    d = reader.u32("input dimension")
+    k = reader.u32("component count")
+    mean = _finite(reader.f64_array(d, "mean vector"), path, "mean vector")
+    eigenvalues = _finite(reader.f64_array(k, "eigenvalues"), path, "eigenvalues")
+    projection = reader.f64_array(d * k, "projection matrix").reshape(d, k)
+    _finite(projection, path, "projection matrix")
+    reader.finish()
     if not np.all(eigenvalues > 0.0):
         j = int(np.argmax(eigenvalues <= 0.0))
         raise DegenerateData(

@@ -444,3 +444,26 @@ def test_crc_class_scores_normalized():
     alpha = _crc(y / np.linalg.norm(y), op)
     dense = label_matrix(d.column_labels, d.num_classes) @ (alpha / np.linalg.norm(alpha))
     assert np.max(np.abs(scores - dense)) < 1e-12
+
+
+def _unaligned(a):
+    """`a`'s values as a float64 view at byte offset 1 of a uint8 buffer, laid
+    out like a mapped feature payload (not 8-byte aligned)."""
+    buffer = np.zeros(a.nbytes + 1, dtype=np.uint8)
+    buffer[1:] = np.frombuffer(np.ascontiguousarray(a, dtype=np.float64).tobytes(), dtype=np.uint8)
+    view = np.frombuffer(buffer, dtype=np.float64, count=a.size, offset=1).reshape(a.shape)
+    assert not view.flags.aligned
+    return view
+
+
+def test_unaligned_inputs_score_the_same_bits():
+    rng = np.random.default_rng(31)
+    labels = np.repeat(np.arange(8), 5)
+    enrolment = dataset_from_arrays(rng.standard_normal((40, 300)), labels, [f"e{i}" for i in range(40)])
+    probes = rng.standard_normal((13, 300))
+    kinds = ["sacrc", "crc", "src", "knn1"]
+    expected = Gallery(enrolment).scores(kinds, probes)
+    unaligned = dataset_from_arrays(_unaligned(enrolment.features), labels, enrolment.ids)
+    got = Gallery(unaligned).scores(kinds, _unaligned(probes))
+    for kind, want, have in zip(kinds, expected, got):
+        assert have.tobytes() == want.tobytes(), kind

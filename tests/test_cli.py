@@ -97,6 +97,16 @@ def test_flattened_payload_is_the_tensor_payload(tmp_path):
     assert (tmp_path / "flat" / "features.feat").read_bytes()[17:] == tensor.read_bytes()[25:]
 
 
+def test_flatten_can_overwrite_its_input(tmp_path):
+    # the output is written from the input's mapped payload, at the same path
+    gen(tmp_path / "data", dim=24, tensor="2x3x4")
+    tensor = tmp_path / "data" / "enrolment.feat"
+    shutil.copy(tensor, tmp_path / "features.feat")
+    assert run("flatten", tmp_path / "features.feat", "--out", tmp_path) == 0
+    assert (tmp_path / "features.feat").read_bytes()[17:] == tensor.read_bytes()[25:]
+    assert load_flat_dataset(tmp_path / "features.feat").dim == 24
+
+
 def test_flatten_rejects_a_non_finite_tensor_value(tmp_path, capsys):
     gen(tmp_path / "data", dim=24, tensor="2x3x4")
     path = tmp_path / "data" / "enrolment.feat"
@@ -141,6 +151,16 @@ def test_fit_without_pca_keeps_dimension(tmp_path):
     d = build_dictionary(load_flat_dataset(tmp_path / "data" / "enrolment.feat"))
     assert (magic, version, num_atoms, num_classes) == (b"CDIC", 1, d.num_atoms, d.num_classes)
     assert data[20:] == d.atoms.astype("<f8").tobytes() + d.column_labels.astype("<u4").tobytes()
+
+
+def test_fit_can_rewrite_the_bundle_it_reads(tmp_path):
+    gen(tmp_path / "data", dim=30)
+    bundle, fresh = tmp_path / "bundle", tmp_path / "fresh"
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--pca", "8", "--out", bundle) == 0
+    assert run("fit", bundle / "enrolment.feat", "--pca", "off", "--out", fresh) == 0
+    assert run("fit", bundle / "enrolment.feat", "--pca", "off", "--out", bundle) == 0
+    for path in fresh.iterdir():
+        assert (bundle / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_fit_k_too_large_fails_cleanly(tmp_path, capsys):

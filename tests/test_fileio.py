@@ -119,23 +119,36 @@ def test_truncated_payload_reports_offset(tmp_path):
         read_feature_file(path)
 
 
-def test_reading_a_flat_file_allocates_only_its_payload(tmp_path):
-    # D >> M, a 16 MB payload: the file is read straight into the array, with
-    # no copy of the file beside it and no per-value temporary.
+@pytest.mark.parametrize("layout", ["flat", "tensor"])
+def test_reading_a_feature_file_copies_no_payload(tmp_path, layout):
+    # D >> M, a 16 MB payload: the features are a view of the file's mapping,
+    # so reading allocates far less than the payload.
     m, d = 8, 250_000
-    ds = dataset_from_arrays(np.random.default_rng(5).standard_normal((m, d)), [0] * m,
-                             [f"s{i}" for i in range(m)])
+    values = np.random.default_rng(5).standard_normal((m, d))
     path = tmp_path / "wide.feat"
-    write_flat_features(path, ds)
-    del ds
+    if layout == "flat":
+        write_flat_features(path, dataset_from_arrays(values, [0] * m, [f"s{i}" for i in range(m)]))
+    else:
+        write_tensor_features(path, values.reshape(m, 10, 125, 200), [0] * m, [f"s{i}" for i in range(m)])
+    del values
     tracemalloc.start()
     try:
-        loaded = read_feature_file(path)
+        loaded = load_flat_dataset(path) if layout == "flat" else load_tensor_set(path).flatten()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert loaded.features.shape == (m, d)
-    assert peak < m * d * 8 + 256 * 1024
+    assert peak < m * d * 8 / 4
+
+
+def test_rewriting_a_loaded_file_in_place_round_trips(tmp_path):
+    # The loaded arrays read the file through its mapping, so writing them
+    # back to the same path must not truncate that file under them.
+    path = tmp_path / "same.feat"
+    write_flat_features(path, _dataset(np.random.default_rng(7), m=40, d=300))
+    written = path.read_bytes()
+    write_flat_features(path, load_flat_dataset(path))
+    assert path.read_bytes() == written
 
 
 def test_declared_sizes_are_checked_before_allocating(tmp_path):

@@ -429,3 +429,32 @@ def test_gram_sweep_holds_no_direction_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < limit, (peak, limit)
+
+
+def _unaligned(ds):
+    """`ds` with its features as a float64 view at byte offset 1 of a uint8
+    buffer, laid out like a mapped feature payload (not 8-byte aligned)."""
+    buffer = np.zeros(ds.features.nbytes + 1, dtype=np.uint8)
+    buffer[1:] = np.frombuffer(ds.features.tobytes(), dtype=np.uint8)
+    view = np.frombuffer(buffer, dtype=np.float64, count=ds.features.size, offset=1)
+    unaligned = dataset_from_arrays(view.reshape(ds.features.shape), ds.labels, ds.ids)
+    assert not unaligned.features.flags.aligned
+    return unaligned
+
+
+@pytest.mark.parametrize("shape", [GRAM_SHAPE, SCATTER_SHAPE, CHUNKED_SHAPE], ids=["gram", "scatter", "chunked"])
+def test_unaligned_inputs_give_the_same_bits(shape):
+    rng = np.random.default_rng(41)
+    ds, probes = _random_ds(rng, *shape), _random_ds(rng, 7, shape[1])
+    model, reduced = pca_fit(ds, num_components=10)
+    model_u, reduced_u = pca_fit(_unaligned(ds), num_components=10)
+    for field in ("mean", "projection", "eigenvalues", "variance_fractions"):
+        assert getattr(model_u, field).tobytes() == getattr(model, field).tobytes(), field
+    assert reduced_u.features.tobytes() == reduced.features.tobytes()
+    assert (transform_dataset(_unaligned(probes), model).features.tobytes()
+            == transform_dataset(probes, model).features.tobytes())
+    swept = pca_sweep(ds, probes, [4, 10])
+    swept_u = pca_sweep(_unaligned(ds), _unaligned(probes), [4, 10])
+    assert swept_u[0] == swept[0]
+    for want, have in zip(swept[1:], swept_u[1:]):
+        assert have.features.tobytes() == want.features.tobytes()
