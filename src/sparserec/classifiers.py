@@ -214,16 +214,26 @@ def _class_residuals(y: np.ndarray, alpha: np.ndarray, dictionary: Dictionary) -
     return residuals
 
 
-def _knn1_distances(y: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Euclidean distance from every row of y to every row of e, (P, M),
-    from the expansion ||y||^2 - 2 y.e + ||e||^2."""
-    sq = np.einsum("pd,pd->p", y, y)[:, None] - 2.0 * (y @ e.T) + np.einsum("md,md->m", e, e)
-    return np.sqrt(np.maximum(sq, 0.0))
-
-
 def _knn1_scores(y: np.ndarray, samples: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Minus the Euclidean distance from every row of y to each class's
+    nearest sample, (P, c), from the expansion ||y||^2 - 2 y.e + ||e||^2.
+
+    The samples are taken in evenly split row chunks of at most
+    `_BLOCK_ELEMENTS` values, each aligned (a mapped file's payload is not,
+    and numpy multiplies a misaligned operand outside BLAS, slowly and with
+    other rounding) and each folded into the per-class minima, so no aligned
+    copy of the whole enrolment is made.  OpenBLAS picks its thread split and
+    kernel tails by shape, so a gallery of several chunks may round unlike
+    one product in the last bits."""
+    m, dim = samples.shape
+    chunks = min(m, -(-m * dim // _BLOCK_ELEMENTS))
+    bounds = [m * i // chunks for i in range(chunks + 1)]
+    y_sq = np.einsum("pd,pd->p", y, y)[:, None]
     best = np.full((y.shape[0], num_classes), np.inf)
-    np.minimum.at(best, (slice(None), labels), _knn1_distances(y, samples))
+    for lo, hi in zip(bounds, bounds[1:]):
+        e = np.require(samples[lo:hi], requirements="A")
+        sq = y_sq - 2.0 * (y @ e.T) + np.einsum("md,md->m", e, e)
+        np.minimum.at(best, (slice(None), labels[lo:hi]), np.sqrt(np.maximum(sq, 0.0)))
     return np.where(np.isfinite(best), -best, -np.inf)
 
 
@@ -256,13 +266,6 @@ class Gallery:
     @cached_property
     def operator(self) -> CrcOperator:
         return CrcOperator(self.dictionary, self.solver.ridge_lambda)
-
-    @cached_property
-    def _aligned_samples(self) -> np.ndarray:
-        # knn1 multiplies the enrolment samples, and numpy multiplies a
-        # misaligned operand (a mapped file's payload) outside BLAS, slowly
-        # and with other rounding.
-        return np.require(self.enrolment.features, requirements="A")
 
     def scores(self, kinds: Sequence[str], probes: np.ndarray) -> list[np.ndarray]:
         """Per-class match scores of every probe row, one (P, c) matrix per
@@ -314,6 +317,6 @@ class Gallery:
         if "src" in kinds:
             out["src"] = -_class_residuals(y_hat, sparse, d)
         if "knn1" in kinds:
-            out["knn1"] = _knn1_scores(np.require(y, requirements="A"), self._aligned_samples,
+            out["knn1"] = _knn1_scores(np.require(y, requirements="A"), self.enrolment.features,
                                        self.enrolment.labels, d.num_classes)
         return out

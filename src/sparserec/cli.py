@@ -325,6 +325,19 @@ def _parse_k_list(text: str) -> list[int]:
     return ks
 
 
+def _sweep_row(k: int, enrol_all: Dataset, probes_all: Dataset, cfg: RunConfig, pairs) -> str:
+    """One sweep.csv row: verification at the leading k columns, read as views.
+    The row's gallery, score set and report are freed when it returns, before
+    the next row builds its own."""
+    gallery = Gallery(dataset_from_arrays(enrol_all.features[:, :k], enrol_all.labels, enrol_all.ids),
+                      cfg.solver)
+    probes = dataset_from_arrays(probes_all.features[:, :k], probes_all.labels, probes_all.ids)
+    scoreset = build_scoreset(probes, gallery, cfg.classifier, pairs=pairs)
+    del gallery  # free the dictionary and ridge map before the ROC sweep
+    report = evaluate_verification(scoreset, cfg.far_targets)
+    return ",".join([str(k), f"{report.eer:.17g}", *(f"{g.gmr:.17g}" for g in report.gmr_at_far)])
+
+
 def cmd_sweep_pcs(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     k_values = _parse_k_list(args.k_list)
@@ -341,16 +354,7 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
     counts, enrol_all, probes_all = pca_sweep(enrolment, probes, k_values)
     header = ["num_components", "eer"] + [f"gmr_at_far_{t:g}" for t in cfg.far_targets]
     lines = [",".join(header)]
-    for k in counts:
-        reduced_enrol = dataset_from_arrays(enrol_all.features[:, :k].copy(), enrolment.labels, enrolment.ids)
-        reduced_probes = dataset_from_arrays(probes_all.features[:, :k].copy(), probes.labels, probes.ids)
-        gallery = Gallery(reduced_enrol, cfg.solver)
-        scoreset = build_scoreset(reduced_probes, gallery, cfg.classifier, pairs=pairs)
-        del gallery  # free this row's dictionary and ridge map before the next row builds its own
-        report = evaluate_verification(scoreset, cfg.far_targets)
-        row = [str(k), f"{report.eer:.17g}"]
-        row += [f"{g.gmr:.17g}" for g in report.gmr_at_far]
-        lines.append(",".join(row))
+    lines += [_sweep_row(k, enrol_all, probes_all, cfg, pairs) for k in counts]
     out = _out_dir(args)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     echo = config_echo(cfg, k_list=",".join(str(k) for k in k_values))

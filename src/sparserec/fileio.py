@@ -25,8 +25,12 @@ is checked against the mapped length before it is read, and float payloads
 are read-only views of the mapping, so loading a file copies no payload.
 A feature payload starts at byte 17 (flat) or 25 (tensor), so its view is
 not 8-byte aligned; code that multiplies loaded arrays hands BLAS aligned
-copies.  A NaN or infinity in a payload raises NonFiniteValue naming the
-file.
+copies, chunk by chunk.  A NaN or infinity in a payload raises
+NonFiniteValue naming the file.
+
+CSV outputs (scores, ROC, features) are formatted and written in blocks of
+`_WRITE_CELLS` cells, so writing one holds one block's Python objects,
+however many rows the file has.
 
 A binary output is written as a fresh file: an existing file at its path is
 unlinked first, never truncated, because a live mapping may still read it
@@ -70,6 +74,10 @@ FORMAT_VERSION = 1
 FLAG_FLAT = 0
 FLAG_TENSOR = 1
 SCORES_HEADER = ["probe_id", "claimed_class", "score", "is_genuine"]
+
+# Cells per block when writing a CSV (about 2 MB of Python objects): a score
+# set, ROC table or feature file costs one block's memory, not the file's.
+_WRITE_CELLS = 1 << 15
 
 
 class _ByteReader:
@@ -295,20 +303,28 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _write_rows(path: str | Path, header: str, template: str, *columns: list) -> None:
-    """Write a header line, then one `template` line per row of `columns`."""
-    cells: list = [None] * (len(columns) * len(columns[0]))
-    for k, column in enumerate(columns):
-        cells[k :: len(columns)] = column
+def _write_rows(path: str | Path, header: str, template: str, rows: int, block) -> None:
+    """Write a header line, then one `template` line per row.  `block(lo, hi)`
+    returns rows lo:hi as a list of columns, each a list of cells; rows are
+    formatted and written `_WRITE_CELLS` cells at a time, so only one block's
+    cells are ever Python objects."""
+    width = template.count("%")
+    step = max(1, _WRITE_CELLS // width)
     with open(path, "w", newline="") as fh:
-        fh.write(header + (template * len(columns[0])) % tuple(cells))
+        fh.write(header)
+        for lo in range(0, rows, step):
+            columns = block(lo, min(rows, lo + step))
+            cells: list = [None] * (width * len(columns[0]))
+            for k, column in enumerate(columns):
+                cells[k::width] = column
+            fh.write((template * len(columns[0])) % tuple(cells))
 
 
 def write_features_csv(path: str | Path, dataset: Dataset) -> None:
     header = ",".join(["id", "class_label"] + [f"v{i}" for i in range(dataset.dim)]) + "\n"
-    ids = [_csv_field(pid) for pid in dataset.ids]
-    _write_rows(path, header, "%s,%d" + ",%.17g" * dataset.dim + "\n",
-                ids, dataset.labels.tolist(), *dataset.features.T.tolist())
+    _write_rows(path, header, "%s,%d" + ",%.17g" * dataset.dim + "\n", dataset.num_samples,
+                lambda lo, hi: [[_csv_field(pid) for pid in dataset.ids[lo:hi]],
+                                dataset.labels[lo:hi].tolist(), *dataset.features[lo:hi].T.tolist()])
 
 
 def _read_csv(path: str | Path, header_ok, header_text: str, convert, row_text: str) -> list:
@@ -409,10 +425,10 @@ def write_dictionary(path: str | Path, dictionary: Dictionary) -> None:
 def write_scores_csv(path: str | Path, scoreset: ScoreSet) -> None:
     # 17 significant digits keep the float64 scores lossless across the round trip.
     ids = np.array([_csv_field(pid) for pid in scoreset.ids], dtype=object)
+    columns = (scoreset.claim, scoreset.score, scoreset.is_genuine)
     _write_rows(
-        path, ",".join(SCORES_HEADER) + "\n", "%s,%d,%.17g,%d\n",
-        ids[scoreset.probe].tolist(), scoreset.claim.tolist(),
-        scoreset.score.tolist(), scoreset.is_genuine.tolist(),
+        path, ",".join(SCORES_HEADER) + "\n", "%s,%d,%.17g,%d\n", len(scoreset.score),
+        lambda lo, hi: [ids[scoreset.probe[lo:hi]].tolist(), *(c[lo:hi].tolist() for c in columns)],
     )
 
 
@@ -429,10 +445,8 @@ def read_scores_csv(path: str | Path) -> ScoreSet:
 
 def write_roc_csv(path: str | Path, report: EvalReport) -> None:
     roc = report.roc
-    _write_rows(
-        path, "threshold,far,gmr\n", "%.17g,%.17g,%.17g\n",
-        roc.threshold.tolist(), roc.far.tolist(), roc.gmr.tolist(),
-    )
+    _write_rows(path, "threshold,far,gmr\n", "%.17g,%.17g,%.17g\n", len(roc.threshold),
+                lambda lo, hi: [c[lo:hi].tolist() for c in (roc.threshold, roc.far, roc.gmr)])
 
 
 def read_pairs_csv(path: str | Path) -> list[tuple[str, int]]:

@@ -90,7 +90,9 @@ def _fit(enrolment: Dataset, choose_k) -> tuple[PcaModel, Dataset]:
         directions = _gram_directions(x, mean, weights, min(_BLOCK, len(evals)))
     else:
         mean = x.mean(axis=0)
-        evals, evecs, fractions = _ranked_eigh((centered := x - mean).T @ centered)
+        centered = x - mean
+        evals, evecs, fractions = _ranked_eigh(centered.T @ centered)
+        del centered  # transform_dataset centres the enrolment again, in row blocks
         directions = np.ascontiguousarray(evecs[:, : choose_k(fractions)])
     signs = _make_peaks_positive(directions)
     k = directions.shape[1]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reference_impls import best_sparse_fit, label_matrix, ridge_solve_reference, sacrc_reference
+from sparserec import classifiers
 from sparserec.classifiers import (
     CrcOperator,
     Gallery,
@@ -467,3 +468,19 @@ def test_unaligned_inputs_score_the_same_bits():
     got = Gallery(unaligned).scores(kinds, _unaligned(probes))
     for kind, want, have in zip(kinds, expected, got):
         assert have.tobytes() == want.tobytes(), kind
+
+
+def test_knn1_over_several_enrolment_chunks_scores_unaligned_inputs_the_same_bits(monkeypatch):
+    # 120 x 256 samples in chunks of at most 4096 values: eight chunks of 15 rows
+    monkeypatch.setattr(classifiers, "_BLOCK_ELEMENTS", 1 << 12)
+    rng = np.random.default_rng(32)
+    labels = np.repeat(np.arange(40), 3)
+    enrolment = dataset_from_arrays(rng.standard_normal((120, 256)), labels, [f"e{i}" for i in range(120)])
+    probes = rng.standard_normal((9, 256))
+    (expected,) = Gallery(enrolment).scores(["knn1"], probes)
+    unaligned = dataset_from_arrays(_unaligned(enrolment.features), labels, enrolment.ids)
+    (got,) = Gallery(unaligned).scores(["knn1"], _unaligned(probes))
+    assert got.tobytes() == expected.tobytes()
+    distances = np.linalg.norm(probes[:, None, :] - enrolment.features[None, :, :], axis=2)
+    nearest = np.array([[distances[p, labels == c].min() for c in range(40)] for p in range(9)])
+    assert np.max(np.abs(got + nearest)) < 1e-12

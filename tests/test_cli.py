@@ -482,6 +482,32 @@ def test_sweep_reads_the_pairs_file_once(tmp_path, monkeypatch):
     assert reads == [str(pairs)]
 
 
+@pytest.mark.parametrize("dim", [120, 40], ids=["gram", "scatter"])
+@pytest.mark.parametrize("classifier", ["crc", "src", "knn1"])
+def test_sweep_rows_equal_fit_and_verify_runs(tmp_path, classifier, dim):
+    # Sweep rows score column views of one widest projection; each must give
+    # the metrics of its own fit at that K (criterion 9 checks sacrc).  120
+    # enrolment samples: dim 120 takes the Gram route, dim 40 the scatter route.
+    # K starts at 10, as in criterion 9.  At K = 5 the Gram route's src row
+    # reads EER 0.291 against 0.302 from fit + verify: the sweep projects the
+    # probes through the cross-Gram and verify through the directions, scores
+    # then differ by up to 6e-16, and that reorders src's near-tied scores.
+    gen(tmp_path / "data", classes=12, samples=10, dim=dim, subspace=5, sigma=0.2, seed=89)
+    enrol, probes = tmp_path / "data" / "enrolment.feat", tmp_path / "data" / "probes.feat"
+    k_values = [10, 20, 40]
+    assert run("sweep-pcs", enrol, probes, "--classifier", classifier,
+               "--k-list", ",".join(map(str, k_values)), "--out", tmp_path / "sweep") == 0
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [str(k) for k in k_values]
+    for row, k in zip(rows, k_values):
+        assert run("fit", enrol, "--pca", k, "--out", tmp_path / f"bundle{k}") == 0
+        assert run("verify", probes, tmp_path / f"bundle{k}", "--classifier", classifier,
+                   "--out", tmp_path / f"verify{k}") == 0
+        kv = dict(line.split(" = ") for line in (tmp_path / f"verify{k}" / "report.kv").read_text().splitlines())
+        expected = [kv["eer"]] + [kv[f"gmr_at_far_{t}"] for t in ("0.1", "0.01", "0.001")]
+        assert [float(v) for v in row.split(",")[1:]] == [float(v) for v in expected], f"K={k}"
+
+
 def test_fit_calls_pca_fit_by_name_with_the_enrolment(tmp_path, monkeypatch):
     # perfbench's traced runs time the fit, and check its peak allocation, by
     # wrapping `pca_fit` where the CLI looks it up

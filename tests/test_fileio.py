@@ -15,8 +15,9 @@ from sparserec.errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from sparserec.evaluation import ScoreSet, evaluate_verification, generate_synthetic
+from sparserec.evaluation import EvalReport, Roc, ScoreSet, evaluate_verification, generate_synthetic
 from sparserec.fileio import (
+    _WRITE_CELLS,
     load_flat_dataset,
     load_tensor_set,
     read_feature_file,
@@ -272,6 +273,82 @@ def test_csv_writers_match_reference_writer(tmp_path):
     lines = written.decode().splitlines()
     assert lines[1].startswith("-inf,1,1") and lines[-1] == "inf,0,0"
     assert any(line.startswith("-0,") for line in lines)
+
+
+# Row counts against a writer's block of _WRITE_CELLS // width rows.
+_BLOCK_CASES = {"one-row": lambda block: 1, "one-block": lambda block: block,
+                "block-plus-one": lambda block: block + 1, "several-blocks": lambda block: 3 * block + 5}
+
+
+def _with_specials(values):
+    """`values` with signed zero, denormals and extremes at every fifth entry."""
+    specials = np.array([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300])
+    values[::5] = np.resize(specials, values[::5].shape)
+    return values
+
+
+@pytest.mark.parametrize("rows", _BLOCK_CASES.values(), ids=_BLOCK_CASES.keys())
+def test_scores_csv_matches_reference_writer_across_blocks(tmp_path, rows):
+    n = rows(_WRITE_CELLS // 4)
+    rng = np.random.default_rng(n)
+    ids = _awkward_scoreset().ids
+    s = ScoreSet(ids, np.arange(n) % len(ids), rng.integers(0, 5, n), _with_specials(rng.standard_normal(n)),
+                 rng.random(n) < 0.3)
+    write_scores_csv(tmp_path / "scores.csv", s)
+    _reference_csv(tmp_path / "scores_ref.csv", ["probe_id", "claimed_class", "score", "is_genuine"],
+                   [(s.ids[p], c, v, int(g)) for p, c, v, g in
+                    zip(s.probe.tolist(), s.claim.tolist(), s.score.tolist(), s.is_genuine.tolist())])
+    assert (tmp_path / "scores.csv").read_bytes() == (tmp_path / "scores_ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", _BLOCK_CASES.values(), ids=_BLOCK_CASES.keys())
+def test_roc_csv_matches_reference_writer_across_blocks(tmp_path, rows):
+    n = rows(_WRITE_CELLS // 3)
+    rng = np.random.default_rng(n)
+    threshold = _with_specials(rng.standard_normal(n))
+    threshold[-1], threshold[0] = np.inf, -np.inf  # the sentinel rows
+    roc = Roc(threshold, _with_specials(rng.random(n)), _with_specials(rng.random(n)))
+    write_roc_csv(tmp_path / "roc.csv", EvalReport(0.0, (), roc, ()))
+    _reference_csv(tmp_path / "roc_ref.csv", ["threshold", "far", "gmr"],
+                   zip(roc.threshold.tolist(), roc.far.tolist(), roc.gmr.tolist()))
+    written = (tmp_path / "roc.csv").read_bytes()
+    assert written == (tmp_path / "roc_ref.csv").read_bytes()
+    assert written.decode().splitlines()[1].startswith("-inf,")
+
+
+@pytest.mark.parametrize("m, d", [(3, _WRITE_CELLS + 5), (70, 1000)],
+                         ids=["rows-wider-than-a-block", "several-rows-per-block"])
+def test_features_csv_matches_reference_writer_across_blocks(tmp_path, m, d):
+    rng = np.random.default_rng(d)
+    ids = [f'{i},"{i}"' for i in range(m)]
+    ds = dataset_from_arrays(_with_specials(rng.standard_normal(m * d)).reshape(m, d), np.arange(m) % 4, ids)
+    write_features_csv(tmp_path / "f.csv", ds)
+    _reference_csv(tmp_path / "f_ref.csv", ["id", "class_label"] + [f"v{i}" for i in range(d)],
+                   [(pid, label, *row) for pid, label, row in zip(ds.ids, ds.labels.tolist(), ds.features.tolist())])
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "f_ref.csv").read_bytes()
+
+
+# Traced peak of writing a 200,000-row score set and its ROC.  Blocks of
+# _WRITE_CELLS cells keep it at 2.5 MB; formatting whole columns at once
+# (about 250 bytes a row) took 46 MB.
+WRITE_PEAK_BOUND_MB = 8
+
+
+def test_score_and_roc_writes_use_bounded_memory(tmp_path):
+    n = 200_000
+    rng = np.random.default_rng(8)
+    ids = tuple(f"probe{i}" for i in range(500))
+    s = ScoreSet(ids, np.arange(n) % 500, np.arange(n) // 500, rng.standard_normal(n), rng.random(n) < 0.01)
+    report = evaluate_verification(s)
+    tracemalloc.start()
+    try:
+        write_scores_csv(tmp_path / "scores.csv", s)
+        write_roc_csv(tmp_path / "roc.csv", report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.roc.threshold) == n + 2
+    assert peak < WRITE_PEAK_BOUND_MB * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_scores_csv_round_trips_awkward_ids_and_scores(tmp_path):
