@@ -3,9 +3,10 @@ l0-constrained sparse solve, their normalized augmentation summed per class
 as evidence, and the residual / nearest-neighbor baselines.
 
 `Gallery` is the one place that knows how each classifier in `CLASSIFIERS`
-scores.  Built from an enrolment, whose l2-normalized samples are its
-dictionary, its `scores(kinds, probes)` maps a P x D probe block to one
-P x c per-class score matrix per kind, one probe per row.
+scores.  Built from an enrolment, it keeps only the dictionary of the
+enrolment's l2-normalized samples and their squared norms (knn1 measures
+distances from those), and its `scores(kinds, probes)` maps a P x D probe
+block to one P x c per-class score matrix per kind, one probe per row.
 Kinds asked for together share their solves: sacrc adds the ridge and sparse
 codes that crc and src score alone.  A probe's decision is the argmax of its
 row, so equal scores go to the lowest class index for every classifier.
@@ -19,7 +20,7 @@ map is applied to a probe block with two matrix products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -104,9 +105,9 @@ class CrcOperator:
             raise SingularSystem(
                 f"lambda=0 with {n} atoms in dimension {d}: Phi^T Phi is rank-deficient"
             )
-        atoms = dictionary.atoms
+        atoms = dictionary.atoms  # Phi^T
         self.wide = d < n
-        gram = atoms @ atoms.T if self.wide else atoms.T @ atoms
+        gram = atoms.T @ atoms if self.wide else atoms @ atoms.T
         gram[np.diag_indices_from(gram)] += ridge_lambda
         try:
             np.linalg.cholesky(gram)
@@ -119,7 +120,7 @@ class CrcOperator:
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Collaborative coefficients of probe rows: (..., D) -> (..., N)."""
         atoms, inverse_t = self.dictionary.atoms, self.gram_inverse.T
-        return (y @ inverse_t) @ atoms if self.wide else (y @ atoms) @ inverse_t
+        return (y @ inverse_t) @ atoms.T if self.wide else (y @ atoms.T) @ inverse_t
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,8 @@ def _unit_rows(y: np.ndarray) -> np.ndarray:
 
 
 def _omp_block(atoms: np.ndarray, y: np.ndarray, k: int, tol: float) -> np.ndarray:
-    """Orthogonal matching pursuit run in lockstep over the rows of y.
+    """Orthogonal matching pursuit over the atoms (rows) run in lockstep over
+    the rows of y.
 
     Each step correlates every residual with every atom in one product.  The
     Cholesky factor L of Phi_S^T Phi_S grows by one bordered row per step and
@@ -144,8 +146,8 @@ def _omp_block(atoms: np.ndarray, y: np.ndarray, k: int, tol: float) -> np.ndarr
     size k, residual norm <= tol, or a residual orthogonal to every atom.
     """
     p, dim = y.shape
-    alpha = np.zeros((p, atoms.shape[1]))
-    sq_norms = np.einsum("dn,dn->n", atoms, atoms)
+    alpha = np.zeros((p, atoms.shape[0]))
+    sq_norms = np.einsum("nd,nd->n", atoms, atoms)
     live = np.arange(p)  # output row of each probe still in the block
     residual = y.copy()
     support = np.empty((p, k), dtype=np.intp)
@@ -154,9 +156,9 @@ def _omp_block(atoms: np.ndarray, y: np.ndarray, k: int, tol: float) -> np.ndarr
     z = np.empty((p, k))  # Linv Phi_S^T y
     coeffs = np.empty((p, 0))
     for t in range(k):
-        correlations = residual @ atoms
+        correlations = residual @ atoms.T
         j = np.abs(correlations).argmax(axis=1)  # first index on ties
-        atom = atoms.T[j]
+        atom = atoms[j]
         w = (linv[:, :t, :t] @ (chosen[:, :t] @ atom[:, :, None]))[:, :, 0]
         delta_sq = sq_norms[j] - np.einsum("bt,bt->b", w, w)
         stop = (
@@ -204,36 +206,24 @@ def _augment(alpha_collab: np.ndarray, alpha_sparse: np.ndarray) -> tuple[np.nda
 
 def _class_residuals(y: np.ndarray, alpha: np.ndarray, dictionary: Dictionary) -> np.ndarray:
     """||y - Phi_i alpha_i|| for every row and class i, from each class's
-    columns alone: (P, D), (P, N) -> (P, c)."""
+    atoms alone: (P, D), (P, N) -> (P, c)."""
     bounds = [*dictionary.class_starts.tolist(), dictionary.num_atoms]
     residuals = np.empty((y.shape[0], dictionary.num_classes))
-    for i in range(dictionary.num_classes):
-        cols = np.arange(bounds[i], bounds[i + 1])  # gathered: a strided view rounds differently
-        reconstruction = alpha[:, cols] @ dictionary.atoms[:, cols].T
-        residuals[:, i] = np.linalg.norm(y - reconstruction, axis=1)
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        residuals[:, i] = np.linalg.norm(y - alpha[:, lo:hi] @ dictionary.atoms[lo:hi], axis=1)
     return residuals
 
 
-def _knn1_scores(y: np.ndarray, samples: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
+def _knn1_scores(y: np.ndarray, dictionary: Dictionary) -> np.ndarray:
     """Minus the Euclidean distance from every row of y to each class's
-    nearest sample, (P, c), from the expansion ||y||^2 - 2 y.e + ||e||^2.
-
-    The samples are taken in evenly split row chunks of at most
-    `_BLOCK_ELEMENTS` values, each aligned (a mapped file's payload is not,
-    and numpy multiplies a misaligned operand outside BLAS, slowly and with
-    other rounding) and each folded into the per-class minima, so no aligned
-    copy of the whole enrolment is made.  OpenBLAS picks its thread split and
-    kernel tails by shape, so a gallery of several chunks may round unlike
-    one product in the last bits."""
-    m, dim = samples.shape
-    chunks = min(m, -(-m * dim // _BLOCK_ELEMENTS))
-    bounds = [m * i // chunks for i in range(chunks + 1)]
-    y_sq = np.einsum("pd,pd->p", y, y)[:, None]
-    best = np.full((y.shape[0], num_classes), np.inf)
-    for lo, hi in zip(bounds, bounds[1:]):
-        e = np.require(samples[lo:hi], requirements="A")
-        sq = y_sq - 2.0 * (y @ e.T) + np.einsum("md,md->m", e, e)
-        np.minimum.at(best, (slice(None), labels[lo:hi]), np.sqrt(np.maximum(sq, 0.0)))
+    nearest enrolment sample, (P, c).  Sample j is n_j a_j, for atom a_j and
+    n_j^2 = sq_norms[j], so its squared distance is ||y||^2 - 2 n_j (y.a_j)
+    + n_j^2; the per-class minima are taken over each class's run of atoms."""
+    sq_norms = dictionary.sq_norms
+    sq = (y @ dictionary.atoms.T) * (-2.0 * np.sqrt(sq_norms))
+    sq += np.einsum("pd,pd->p", y, y)[:, None]
+    sq += sq_norms
+    best = np.minimum.reduceat(np.sqrt(np.maximum(sq, 0.0)), dictionary.class_starts, axis=1)
     return np.where(np.isfinite(best), -best, -np.inf)
 
 
@@ -244,22 +234,22 @@ def check_classifier(kind: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Gallery:
-    """An enrolled gallery ready to score probes: the enrolment samples
-    (knn1 measures distances to those), the dictionary built from them by
-    `build_dictionary` and the solver settings.
+    """An enrolled gallery ready to score probes: the solver settings, the
+    dictionary that `build_dictionary` makes of the enrolment passed in, and
+    the sparsity k resolved against it.
 
-    The dictionary is built and the sparsity k resolved against it once, at
-    construction.  The ridge map is set up the first time sacrc or crc is
-    scored, so knn1 and src never need one.
+    The enrolment itself is not kept: knn1 measures distances from the
+    dictionary's atoms and squared norms.  The ridge map is set up the first
+    time sacrc or crc is scored, so knn1 and src never need one.
     """
 
-    enrolment: Dataset
+    enrolment: InitVar[Dataset]
     solver: SacrcConfig = SacrcConfig()
     dictionary: Dictionary = field(init=False)
     k: int = field(init=False)
 
-    def __post_init__(self):
-        dictionary = build_dictionary(self.enrolment)
+    def __post_init__(self, enrolment: Dataset):
+        dictionary = build_dictionary(enrolment)
         object.__setattr__(self, "dictionary", dictionary)
         object.__setattr__(self, "k", self.solver.resolve_k(dictionary.num_atoms))
 
@@ -300,7 +290,7 @@ class Gallery:
         per-probe temporaries, so a one-kind call keeps that kind's blocks."""
         d, n, c, k = self.dictionary.dim, self.dictionary.num_atoms, self.dictionary.num_classes, self.k
         per_row = {"sacrc": k * (d + k) + 4 * n, "crc": 2 * n + c, "src": k * (d + k) + 2 * n + c,
-                   "knn1": 2 * self.enrolment.num_samples + c}
+                   "knn1": 2 * n + c}
         widest = max([per_row[kind] for kind in kinds], default=1)
         return max(1, min(_PROBE_BLOCK, _BLOCK_ELEMENTS // widest))
 
@@ -317,6 +307,6 @@ class Gallery:
         if "src" in kinds:
             out["src"] = -_class_residuals(y_hat, sparse, d)
         if "knn1" in kinds:
-            out["knn1"] = _knn1_scores(np.require(y, requirements="A"), self.enrolment.features,
-                                       self.enrolment.labels, d.num_classes)
+            # knn1 takes the raw probes, which may be a mapped file's unaligned payload
+            out["knn1"] = _knn1_scores(np.require(y, requirements="A"), d)
         return out

@@ -10,6 +10,7 @@ like) set how many cores those use.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -17,28 +18,12 @@ from .classifiers import CLASSIFIERS, Gallery, check_classifier
 from .config import (RunConfig, _apply_raw, apply_setting, config_echo, parse_pca_selection, parse_protocol,
                      read_settings)
 from .core import Dataset, dataset_from_arrays
-from .errors import (DimensionMismatch, InconsistentBundle, InvalidParameters, MissingClass, SparserecError,
-                     ZeroNormSample)
-from .evaluation import (
-    build_scoreset,
-    evaluate_verification,
-    generate_synthetic,
-    rank1_identification,
-)
-from .fileio import (
-    format_report_kv,
-    format_report_text,
-    load_flat_dataset,
-    load_tensor_set,
-    read_pairs_csv,
-    read_pca_model,
-    write_dictionary,
-    write_flat_features,
-    write_pca_model,
-    write_roc_csv,
-    write_scores_csv,
-    write_tensor_features,
-)
+from .errors import (DegenerateAugmentation, DimensionMismatch, InconsistentBundle, InvalidParameters,
+                     MissingClass, NonFiniteValue, SparserecError, ZeroNormSample)
+from .evaluation import build_scoreset, evaluate_verification, generate_synthetic, rank1_identification
+from .fileio import (format_report_kv, format_report_text, load_flat_dataset, load_tensor_set, read_pairs_csv,
+                     read_pca_model, write_dictionary, write_flat_features, write_pca_model, write_roc_csv,
+                     write_scores_csv, write_tensor_features)
 from .pca import pca_fit, pca_sweep, transform_dataset
 
 MANIFEST_NAME = "manifest.txt"
@@ -81,6 +66,15 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _naming(path, *errors: type[SparserecError]):
+    """Re-raise any of `errors` from the block with `path` before its message."""
+    try:
+        yield
+    except errors as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # model bundles
 
@@ -120,10 +114,8 @@ def _load_bundle(args: argparse.Namespace):
         if key in manifest:
             cfg = apply_setting(cfg, key, *manifest[key])
     cfg = _resolve_config(args, cfg)
-    try:
+    with _naming(bundle / ENROLMENT_NAME, MissingClass, ZeroNormSample):
         gallery = Gallery(enrolment, cfg.solver)
-    except (MissingClass, ZeroNormSample) as exc:
-        raise type(exc)(f"{bundle / ENROLMENT_NAME}: {exc}") from None
     return model, gallery, cfg
 
 
@@ -201,7 +193,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     elif mode != "off":
         model, reduced = pca_fit(enrolment, retain=float(param))
 
-    gallery = Gallery(reduced, cfg.solver)
+    with _naming(args.enrolment, MissingClass, ZeroNormSample):
+        gallery = Gallery(reduced, cfg.solver)
     if cfg.solver.ridge_lambda == 0.0:
         # a positive lambda always gives a ridge map; at 0 the bundle's default
         # classifier would refuse it, so the fit refuses now and writes nothing
@@ -243,7 +236,7 @@ def _protocol_pairs(cfg: RunConfig):
 def cmd_verify(args: argparse.Namespace) -> int:
     model, gallery, cfg = _load_bundle(args)
     probes = _load_probes(args.probes, model, gallery)
-    scoreset = build_scoreset(probes, gallery, cfg.classifier, pairs=_protocol_pairs(cfg))
+    pairs = _protocol_pairs(cfg)
     echo = config_echo(
         cfg,
         resolved_sparsity_k=gallery.k,
@@ -251,7 +244,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         num_atoms=gallery.dictionary.num_atoms,
         num_classes=gallery.dictionary.num_classes,
     )
-    report = evaluate_verification(scoreset, cfg.far_targets, echo)
+    with _naming(args.probes, DegenerateAugmentation, NonFiniteValue):
+        scoreset = build_scoreset(probes, gallery, cfg.classifier, pairs=pairs)
+        report = evaluate_verification(scoreset, cfg.far_targets, echo)
 
     out = _out_dir(args)
     write_scores_csv(out / "scores.csv", scoreset)
@@ -291,7 +286,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
         )
 
     classifiers = classifiers or [cfg.classifier]
-    rows = list(zip(classifiers, rank1_identification(probes, gallery, classifiers)))
+    with _naming(args.probes, DegenerateAugmentation):
+        rows = list(zip(classifiers, rank1_identification(probes, gallery, classifiers)))
 
     echo = config_echo(
         cfg,

@@ -1,6 +1,6 @@
 """Shared domain types: the validated dataset (samples as rows, with
 row-aligned labels and ids, built by `dataset_from_arrays`) and the
-class-labeled, column-normalized dictionary every classifier solves against.
+class-labeled dictionary of unit rows every classifier solves against.
 """
 
 from __future__ import annotations
@@ -66,34 +66,40 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Column-stacked l2-normalized gallery features plus class labels,
-    built from an enrolment by `build_dictionary` (a `Gallery` builds its own).
+    """Row-stacked l2-normalized gallery features plus class labels, built
+    from an enrolment by `build_dictionary` (a `Gallery` builds its own).
 
-    `atoms` is K x N with unit-norm columns ordered class-major (then input
-    order within a class), `column_labels` maps each column to its class and
-    `class_starts` holds each class's first column, so class i owns the
-    columns from class_starts[i] up to the next class's start.  A class's
-    evidence is the sum of a code over its own columns (`class_sums`).
+    `atoms` is N x K with one unit-norm row per sample, ordered class-major
+    (then input order within a class); the matrix Phi of the ridge and sparse
+    solves is its transpose.  `sq_norms` holds each sample's squared l2 norm
+    before normalization, row-aligned, so sample j is sqrt(sq_norms[j]) *
+    atoms[j]; squared, because a sample's sum of squares can be exact where
+    the square of its rounded root is not.
+    `column_labels` maps each atom to its class and `class_starts` holds each
+    class's first atom, so class i owns the atoms from class_starts[i] up to
+    the next class's start.  A class's evidence is the sum of a code over its
+    own atoms (`class_sums`).
     """
 
     atoms: np.ndarray
+    sq_norms: np.ndarray
     column_labels: np.ndarray
     class_starts: np.ndarray
 
     @property
     def dim(self) -> int:
-        return int(self.atoms.shape[0])
+        return int(self.atoms.shape[1])
 
     @property
     def num_atoms(self) -> int:
-        return int(self.atoms.shape[1])
+        return int(self.atoms.shape[0])
 
     @property
     def num_classes(self) -> int:
         return int(self.class_starts.shape[0])
 
     def class_sums(self, alpha: np.ndarray) -> np.ndarray:
-        """Per-class sums over the class-major columns: (..., N) -> (..., c)."""
+        """Per-class sums over the class-major atoms: (..., N) -> (..., c)."""
         return np.add.reduceat(alpha, self.class_starts, axis=-1)
 
 
@@ -130,12 +136,12 @@ def dataset_from_arrays(
 
 
 def build_dictionary(enrolment: Dataset) -> Dictionary:
-    """Stack l2-normalized enrolment features as dictionary columns.
+    """Stack l2-normalized enrolment features as dictionary rows, keeping
+    each sample's squared norm.
 
-    Columns are ordered class-major, then input order within each class, so
-    each class owns one run of columns.  Every class index in
-    [0, num_classes) must have at least one sample and no sample may have
-    zero norm.
+    Rows are ordered class-major, then input order within each class, so
+    each class owns one run of rows.  Every class index in [0, num_classes)
+    must have at least one sample and no sample may have zero norm.
     """
     labels = enrolment.labels
     c = enrolment.num_classes
@@ -147,19 +153,16 @@ def build_dictionary(enrolment: Dataset) -> Dictionary:
     order = np.argsort(labels, kind="stable")  # class-major, input order preserved
     features = enrolment.features
     m, d = features.shape
-    # norms and atoms go through row chunks: no M x D temporary beside the atoms
+    # atoms and norms go through row chunks: no M x D temporary beside the atoms
     step = max(1, _CHUNK_VALUES // d)
-    norms = np.concatenate([
-        np.linalg.norm(features[start : start + step], axis=1) for start in range(0, m, step)
-    ])[order]
-    if np.any(norms == 0.0):
-        bad = int(np.nonzero(norms == 0.0)[0][0])
-        raise ZeroNormSample(f"sample {enrolment.ids[int(order[bad])]!r} has zero norm")
-
-    atoms = np.empty((d, m))
+    atoms, sq_norms = np.empty((m, d)), np.empty(m)
     for start in range(0, m, step):
-        block = features[order[start : start + step]]
-        block /= norms[start : start + step, None]
-        atoms[:, start : start + step] = block.T
-    starts = np.cumsum(present) - present  # first column of each class
-    return Dictionary(_frozen(atoms), _frozen(labels[order]), _frozen(starts))
+        block, out = features[order[start : start + step]], atoms[start : start + step]
+        # the squares go through the chunk's atoms; the root of their sum is np.linalg.norm's bits
+        sq = sq_norms[start : start + step] = np.square(block, out=out).sum(axis=1)
+        if np.any(sq == 0.0):
+            bad = int(order[start + np.argmax(sq == 0.0)])
+            raise ZeroNormSample(f"sample {enrolment.ids[bad]!r} has zero norm")
+        np.divide(block, np.sqrt(sq)[:, None], out=out)
+    starts = np.cumsum(present) - present  # first row of each class
+    return Dictionary(_frozen(atoms), _frozen(sq_norms), _frozen(labels[order]), _frozen(starts))

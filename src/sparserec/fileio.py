@@ -13,10 +13,11 @@ Binary layout (all integers and floats little-endian):
                  mean (D f64) | eigenvalues (K f64) | projection (D*K f64,
                  row-major)
   dictionary     magic 'CDIC' | u32 version=1 | u32 K | u32 N | u32 c |
-                 atoms (K*N f64, row-major) | column labels (N u32)
-                 class-major (non-decreasing), every class in [0, c) present;
-                 written for a fit bundle but never read: a gallery is
-                 built from the bundle's enrolment file
+                 Phi (K*N f64, row-major: one atom per column, the
+                 transpose of the N x K `Dictionary.atoms` in memory) |
+                 column labels (N u32) class-major (non-decreasing), every
+                 class in [0, c) present; written for a fit bundle but never
+                 read: a gallery is built from the bundle's enrolment file
 
 Declared sizes must match the payload exactly; short files raise
 TruncatedFile with the failing byte offset, extra bytes raise TrailingData.
@@ -42,16 +43,17 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import math
 import mmap
 import os
 import struct
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Dataset, Dictionary, _all_finite, _frozen, dataset_from_arrays
+from .core import _CHUNK_VALUES, Dataset, Dictionary, _all_finite, _frozen, dataset_from_arrays
 from .errors import (
     BadEncoding,
     BadMagic,
@@ -128,7 +130,7 @@ class _ByteReader:
         # not 8-byte aligned, and numpy multiplies such an operand in a slow
         # loop instead of BLAS, which rounds differently, so every product
         # of a loaded array takes an aligned copy first: PCA's centred
-        # chunks, the dictionary's gathered rows, knn1's operands.
+        # chunks, the dictionary's gathered rows, knn1's probe blocks.
         return self._view("<f8", count, what).astype(np.float64, copy=False)
 
     def u32_array(self, count: int, what: str) -> np.ndarray:
@@ -176,7 +178,7 @@ def _u32(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype="<u4")
 
 
-def _write_parts(path: str | Path, *parts) -> None:
+def _write_parts(path: str | Path, parts: Iterable) -> None:
     """Write each bytes-like part in turn: arrays go to the file from their own
     buffers instead of through one joined copy of the whole file.
 
@@ -186,8 +188,7 @@ def _write_parts(path: str | Path, *parts) -> None:
     with contextlib.suppress(FileNotFoundError):
         os.unlink(path)
     with open(path, "wb") as fh:
-        for part in parts:
-            fh.write(part)
+        fh.writelines(parts)
 
 
 def _id_block(ids: Sequence[str]) -> bytes:
@@ -207,7 +208,7 @@ def write_flat_features(path: str | Path, dataset: Dataset) -> None:
     header = FEATURE_MAGIC + struct.pack(
         "<IBII", FORMAT_VERSION, FLAG_FLAT, dataset.dim, dataset.num_samples
     )
-    _write_parts(path, header, _f64(dataset.features), _u32(dataset.labels), _id_block(dataset.ids))
+    _write_parts(path, (header, _f64(dataset.features), _u32(dataset.labels), _id_block(dataset.ids)))
 
 
 def write_tensor_features(
@@ -222,7 +223,7 @@ def write_tensor_features(
     m, n, n1, n2 = tensors.shape
     labels = np.asarray(labels, dtype=np.int64)
     header = FEATURE_MAGIC + struct.pack("<IBIIII", FORMAT_VERSION, FLAG_TENSOR, n1, n2, n, m)
-    _write_parts(path, header, _f64(tensors), _u32(labels), _id_block(list(ids)))
+    _write_parts(path, (header, _f64(tensors), _u32(labels), _id_block(list(ids))))
 
 
 class TensorFeatureSet:
@@ -383,7 +384,7 @@ def read_features_csv(path: str | Path) -> Dataset:
 
 def write_pca_model(path: str | Path, model: PcaModel) -> None:
     header = PCA_MAGIC + struct.pack("<III", FORMAT_VERSION, model.dim_in, model.num_components)
-    _write_parts(path, header, _f64(model.mean), _f64(model.eigenvalues), _f64(model.projection))
+    _write_parts(path, (header, _f64(model.mean), _f64(model.eigenvalues), _f64(model.projection)))
 
 
 def read_pca_model(path: str | Path) -> PcaModel:
@@ -415,7 +416,10 @@ def write_dictionary(path: str | Path, dictionary: Dictionary) -> None:
     header = DICT_MAGIC + struct.pack(
         "<IIII", FORMAT_VERSION, dictionary.dim, dictionary.num_atoms, dictionary.num_classes
     )
-    _write_parts(path, header, _f64(dictionary.atoms), _u32(dictionary.column_labels))
+    # Phi, the transpose of the atoms, is copied out a chunk of its rows at a time
+    atoms, step = dictionary.atoms, max(1, _CHUNK_VALUES // dictionary.num_atoms)
+    phi = (_f64(atoms[:, lo : lo + step].T) for lo in range(0, dictionary.dim, step))
+    _write_parts(path, itertools.chain([header], phi, [_u32(dictionary.column_labels)]))
 
 
 # ---------------------------------------------------------------------------

@@ -105,10 +105,10 @@ def test_criterion_2_ridge_correctness():
             op = CrcOperator(d, lam)
             y = rng.standard_normal(k)
             alpha = op.apply(y[None, :])[0]
-            rhs = d.atoms.T @ y
-            residual = d.atoms.T @ (d.atoms @ alpha) + lam * alpha - rhs
+            rhs = d.atoms @ y
+            residual = d.atoms @ (d.atoms.T @ alpha) + lam * alpha - rhs
             assert np.max(np.abs(residual)) < 1e-8 * max(np.max(np.abs(rhs)), 1e-30)
-            expected = ridge_solve_reference(d.atoms, y, lam)
+            expected = ridge_solve_reference(d.atoms.T, y, lam)
             assert np.max(np.abs(alpha - expected)) < 1e-8 * max(1.0, np.max(np.abs(expected)))
 
 
@@ -125,7 +125,7 @@ def test_criterion_3_omp_exact_recovery():
             coeffs += np.where(coeffs >= 0, 0.5, -0.5)  # keep coefficients away from 0
             alpha_true = np.zeros(n)
             alpha_true[support] = coeffs
-            y = d.atoms @ alpha_true
+            y = d.atoms.T @ alpha_true
             alpha = _omp_block(d.atoms, y[None, :], k, 0.0)[0]
             assert set(np.nonzero(alpha)[0]) == set(support)
             assert np.max(np.abs(alpha - alpha_true)) < 1e-10
@@ -137,8 +137,8 @@ def test_criterion_3_omp_exact_recovery():
             k = int(rng.integers(1, 4))
             y = rng.standard_normal(kdim)
             alpha = _omp_block(d.atoms, y[None, :], k, 0.0)[0]
-            omp_residual = float(np.linalg.norm(y - d.atoms @ alpha))
-            best_residual, best_support, _ = best_sparse_fit(d.atoms, y, k)
+            omp_residual = float(np.linalg.norm(y - d.atoms.T @ alpha))
+            best_residual, best_support, _ = best_sparse_fit(d.atoms.T, y, k)
             assert omp_residual >= best_residual - 1e-10  # greedy never beats the optimum
             if set(np.nonzero(alpha)[0]) == set(best_support):
                 assert abs(omp_residual - best_residual) < 1e-8
@@ -167,7 +167,7 @@ def test_criterion_4_sacrc_reference_equivalence():
             alpha_sparse = _omp_block(d.atoms, y_hat, k, tol)
             alpha_aug = _augment(alpha_collab, alpha_sparse)[0]
             collab_ref, sparse_ref, alpha_ref, q_ref, pred_ref = sacrc_reference(
-                d.atoms, label_matrix(d.column_labels, d.num_classes), y, lam, k, tol
+                d.atoms.T, label_matrix(d.column_labels, d.num_classes), y, lam, k, tol
             )
             assert np.max(np.abs(class_scores - q_ref)) < 1e-8
             assert int(np.argmax(class_scores)) == pred_ref

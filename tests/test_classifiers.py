@@ -39,7 +39,7 @@ def _identity_dictionary(n, labels=None):
 def _gallery(d, cfg=SacrcConfig()):
     """A gallery whose enrolment samples are d's own atoms.  They have unit
     norm already, so its dictionary is d up to the last bit."""
-    enrolment = dataset_from_arrays(d.atoms.T, d.column_labels, [str(i) for i in range(d.num_atoms)])
+    enrolment = dataset_from_arrays(d.atoms, d.column_labels, [str(i) for i in range(d.num_atoms)])
     return Gallery(enrolment, cfg)
 
 
@@ -92,7 +92,7 @@ def test_crc_matches_dense_solve_oracle():
     op = CrcOperator(d, 0.01)
     for _ in range(5):
         y = rng.standard_normal(8)
-        expected = ridge_solve_reference(d.atoms, y, 0.01)
+        expected = ridge_solve_reference(d.atoms.T, y, 0.01)
         assert np.max(np.abs(_crc(y, op) - expected)) < 1e-10
 
 
@@ -105,8 +105,8 @@ def test_crc_satisfies_normal_equations():
         op = CrcOperator(d, lam)
         y = rng.standard_normal(15)
         alpha = _crc(y, op)
-        rhs = d.atoms.T @ y
-        lhs = d.atoms.T @ (d.atoms @ alpha) + lam * alpha
+        rhs = d.atoms @ y
+        lhs = d.atoms @ (d.atoms.T @ alpha) + lam * alpha
         assert np.max(np.abs(lhs - rhs)) < 1e-8 * np.max(np.abs(rhs))
 
 
@@ -137,7 +137,7 @@ def test_ridge_finite_difference_optimality():
     alpha = _crc(y, op)
 
     def objective(a):
-        return float(np.sum((y - d.atoms @ a) ** 2) + lam * np.sum(a**2))
+        return float(np.sum((y - d.atoms.T @ a) ** 2) + lam * np.sum(a**2))
 
     base = objective(alpha)
     for i in range(alpha.size):
@@ -153,7 +153,7 @@ def test_ridge_finite_difference_optimality():
 
 def test_omp_single_atom_match():
     d = _identity_dictionary(4, [0, 0, 1, 1])
-    y = 0.9 * d.atoms[:, 3]
+    y = 0.9 * d.atoms.T[:, 3]
     alpha = _omp(y, d, k=1)
     expected = np.zeros(4)
     expected[3] = 0.9
@@ -172,10 +172,10 @@ def test_omp_recovers_planted_code_orthonormal():
     alpha_true = np.zeros(10)
     support = rng.choice(10, size=3, replace=False)
     alpha_true[support] = rng.standard_normal(3) + np.sign(rng.standard_normal(3)) * 0.5
-    y = d.atoms @ alpha_true
+    y = d.atoms.T @ alpha_true
     alpha = _omp(y, d, k=3)
     assert np.max(np.abs(alpha - alpha_true)) < 1e-10
-    best_res, best_support, _ = best_sparse_fit(d.atoms, y, 3)
+    best_res, best_support, _ = best_sparse_fit(d.atoms.T, y, 3)
     assert set(np.nonzero(alpha)[0]) == set(best_support)
     assert best_res < 1e-10
 
@@ -189,13 +189,13 @@ def test_omp_residual_monotone_and_orthogonal():
     previous = np.linalg.norm(y)
     for k in range(1, 7):
         alpha = _omp(y, d, k=k)
-        residual = np.linalg.norm(y - d.atoms @ alpha)
+        residual = np.linalg.norm(y - d.atoms.T @ alpha)
         assert residual <= previous + 1e-12
         previous = residual
     alpha = _omp(y, d, k=6)
-    residual = y - d.atoms @ alpha
+    residual = y - d.atoms.T @ alpha
     support = np.nonzero(alpha)[0]
-    assert np.max(np.abs(d.atoms[:, support].T @ residual)) < 1e-8
+    assert np.max(np.abs(d.atoms[support] @ residual)) < 1e-8
 
 
 def test_omp_respects_sparsity_budget():
@@ -239,7 +239,7 @@ def test_solver_values_must_be_finite_and_nonnegative(value):
 def test_sacrc_exact_atom_match():
     d = _identity_dictionary(2, [0, 1])
     cfg = SacrcConfig(ridge_lambda=0.0, sparsity_k=1)
-    result = _sacrc(d.atoms[:, 0], d, cfg)
+    result = _sacrc(d.atoms.T[:, 0], d, cfg)
     assert np.allclose(result.alpha_collab, [1.0, 0.0])
     assert np.allclose(result.alpha_sparse, [1.0, 0.0])
     assert np.allclose(result.alpha_aug, [1.0, 0.0])
@@ -293,7 +293,7 @@ def test_orthonormal_full_sparsity_closed_form():
     y = rng.standard_normal(6)
     result = _sacrc(y, d, SacrcConfig(ridge_lambda=0.0, sparsity_k=6, residual_tol=0.0))
     y_hat = y / np.linalg.norm(y)
-    expected = d.atoms.T @ y_hat
+    expected = d.atoms @ y_hat
     assert np.max(np.abs(result.alpha_collab - expected)) < 1e-10
     assert np.max(np.abs(result.alpha_sparse - expected)) < 1e-10
     assert np.max(np.abs(result.alpha_aug - expected / np.linalg.norm(expected))) < 1e-10
@@ -314,7 +314,7 @@ def test_sacrc_matches_reference_implementation():
         y = rng.standard_normal(dim)
         result = _sacrc(y, d, SacrcConfig(lam, k, tol))
         onehot = label_matrix(d.column_labels, n_classes)
-        _, _, _, q_ref, pred_ref = sacrc_reference(d.atoms, onehot, y, lam, k, tol)
+        _, _, _, q_ref, pred_ref = sacrc_reference(d.atoms.T, onehot, y, lam, k, tol)
         assert np.max(np.abs(result.class_scores - q_ref)) < 1e-8
         assert result.predicted_class == pred_ref
 
@@ -339,7 +339,7 @@ def _residuals(y, d, alpha):
 def test_src_residual_examples():
     # the src score row is minus these residuals; its argmax is the decision
     d = _identity_dictionary(2, [0, 1])
-    y = d.atoms[:, 0]
+    y = d.atoms.T[:, 0]
     residuals = _residuals(y, d, [1.0, 0.0])
     assert int(np.argmax(-residuals)) == 0
     assert np.allclose(residuals, [0.0, 1.0])
@@ -358,7 +358,7 @@ def test_src_residual_matches_masked_reconstruction():
     residuals = _residuals(y, d, alpha)
     for i in range(3):
         masked = alpha * (d.column_labels == i)
-        assert abs(residuals[i] - np.linalg.norm(y - d.atoms @ masked)) < 1e-12
+        assert abs(residuals[i] - np.linalg.norm(y - d.atoms.T @ masked)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +409,7 @@ def _claimed_scores(probes, d, cfg, pairs):
 def test_match_score_claimed_atom():
     d = _identity_dictionary(2, [0, 1])
     cfg = SacrcConfig(ridge_lambda=0.0, sparsity_k=1)
-    probes = dataset_from_arrays(d.atoms.T, [0, 1], ["a0", "a1"])
+    probes = dataset_from_arrays(d.atoms, [0, 1], ["a0", "a1"])
     scores = _claimed_scores(probes, d, cfg, [("a0", 0), ("a1", 0)])
     assert scores.tolist() == pytest.approx([1.0, 0.0])
 
@@ -470,9 +470,10 @@ def test_unaligned_inputs_score_the_same_bits():
         assert have.tobytes() == want.tobytes(), kind
 
 
-def test_knn1_over_several_enrolment_chunks_scores_unaligned_inputs_the_same_bits(monkeypatch):
-    # 120 x 256 samples in chunks of at most 4096 values: eight chunks of 15 rows
-    monkeypatch.setattr(classifiers, "_BLOCK_ELEMENTS", 1 << 12)
+def test_knn1_over_several_probe_blocks_scores_unaligned_inputs_the_same_bits(monkeypatch):
+    # 2 x 120 atoms + 40 classes = 280 values per probe row, so blocks of at
+    # most 1024 values take the 9 probes three rows at a time
+    monkeypatch.setattr(classifiers, "_BLOCK_ELEMENTS", 1 << 10)
     rng = np.random.default_rng(32)
     labels = np.repeat(np.arange(40), 3)
     enrolment = dataset_from_arrays(rng.standard_normal((120, 256)), labels, [f"e{i}" for i in range(120)])

@@ -150,7 +150,7 @@ def test_fit_without_pca_keeps_dimension(tmp_path):
     assert dim == 24
     d = build_dictionary(load_flat_dataset(tmp_path / "data" / "enrolment.feat"))
     assert (magic, version, num_atoms, num_classes) == (b"CDIC", 1, d.num_atoms, d.num_classes)
-    assert data[20:] == d.atoms.astype("<f8").tobytes() + d.column_labels.astype("<u4").tobytes()
+    assert data[20:] == d.atoms.T.astype("<f8").tobytes() + d.column_labels.astype("<u4").tobytes()
 
 
 def test_fit_can_rewrite_the_bundle_it_reads(tmp_path):
@@ -999,4 +999,56 @@ def test_damaged_payload_names_its_file(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and text in err
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+# An enrolment that cannot make a gallery: (how it is damaged, the error text).
+UNBUILDABLE_ENROLMENT_CASES = {
+    "zero-row": "sample 'enrol-0-2' has zero norm",
+    "missing-class": "class 2 has no enrolment samples",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBUILDABLE_ENROLMENT_CASES))
+def test_fit_names_the_enrolment_it_cannot_build_a_gallery_from(tmp_path, capsys, case):
+    from sparserec.fileio import write_flat_features
+
+    gen(tmp_path / "data", classes=5, samples=4, dim=30, subspace=3, sigma=0.1, seed=3)
+    enrol = load_flat_dataset(tmp_path / "data" / "enrolment.feat")
+    features, labels = enrol.features.copy(), enrol.labels.copy()
+    if case == "zero-row":
+        features[2] = 0.0
+    else:
+        labels[labels == 2] = 4
+    path = tmp_path / "enrol.feat"
+    write_flat_features(path, dataset_from_arrays(features, labels, enrol.ids))
+    capsys.readouterr()
+    assert run("fit", path, "--out", tmp_path / "bundle") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {UNBUILDABLE_ENROLMENT_CASES[case]}\n"
+    assert not (tmp_path / "bundle").exists()
+
+
+# the probe's norm overflows, and numpy warns of that before the error is raised
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command, classifier, text", [
+    ("verify", "sacrc", "both coefficient vectors are zero"),
+    ("identify", "sacrc", "both coefficient vectors are zero"),
+    ("verify", "knn1", "score set contains a non-finite score"),
+])
+def test_scoring_errors_name_the_probe_file(tmp_path, capsys, command, classifier, text):
+    from sparserec.fileio import write_flat_features
+
+    gen(tmp_path / "data", classes=5, samples=4, dim=30, subspace=3, sigma=0.1, seed=3)
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--pca", "off", "--out", tmp_path / "bundle") == 0
+    probes = load_flat_dataset(tmp_path / "data" / "probes.feat")
+    features = probes.features.copy()
+    features[1, 4] = 1e200  # squares to infinity
+    path = tmp_path / "probes.feat"
+    write_flat_features(path, dataset_from_arrays(features, probes.labels, probes.ids))
+    capsys.readouterr()
+    code = run(command, path, tmp_path / "bundle", "--classifier", classifier, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {path}: {text}\n"
     assert not (tmp_path / "out").exists()

@@ -67,8 +67,8 @@ def test_samples_round_trip():
 def test_build_dictionary_345_normalization():
     ds = rows([0, 1], [[3, 4], [0, 5]], ["a", "b"])
     d = build_dictionary(ds)
-    assert np.allclose(d.atoms[:, 0], [0.6, 0.8])
-    assert np.allclose(d.atoms[:, 1], [0.0, 1.0])
+    assert np.allclose(d.atoms.T[:, 0], [0.6, 0.8])
+    assert np.allclose(d.atoms.T[:, 1], [0.0, 1.0])
     assert np.array_equal(label_matrix(d.column_labels, d.num_classes), [[1, 0], [0, 1]])
 
 
@@ -92,9 +92,9 @@ def test_column_order_class_major_then_input_order():
     ds = rows([1, 0, 1], [[0, 2], [3, 0], [2, 0]], ["x", "y", "z"])
     d = build_dictionary(ds)
     assert np.array_equal(d.column_labels, [0, 1, 1])
-    assert np.allclose(d.atoms[:, 0], [1, 0])  # "y"
-    assert np.allclose(d.atoms[:, 1], [0, 1])  # "x" before "z"
-    assert np.allclose(d.atoms[:, 2], [1, 0])
+    assert np.allclose(d.atoms.T[:, 0], [1, 0])  # "y"
+    assert np.allclose(d.atoms.T[:, 1], [0, 1])  # "x" before "z"
+    assert np.allclose(d.atoms.T[:, 2], [1, 0])
 
 
 def test_missing_class_rejected():
@@ -107,7 +107,7 @@ def test_idempotent_on_normalized_input():
     rng = np.random.default_rng(0)
     ds = dataset_from_arrays(rng.standard_normal((6, 4)), [0, 0, 1, 1, 2, 2], list("abcdef"))
     d1 = build_dictionary(ds)
-    ds2 = dataset_from_arrays(d1.atoms.T, d1.column_labels, [str(i) for i in range(6)])
+    ds2 = dataset_from_arrays(d1.atoms, d1.column_labels, [str(i) for i in range(6)])
     d2 = build_dictionary(ds2)
     assert np.max(np.abs(d1.atoms - d2.atoms)) < 1e-12
 
@@ -127,7 +127,7 @@ def test_unit_columns():
     ds = dataset_from_arrays(rng.standard_normal((10, 7)), [i % 2 for i in range(10)],
                              [str(i) for i in range(10)])
     d = build_dictionary(ds)
-    assert np.max(np.abs(np.linalg.norm(d.atoms, axis=0) - 1.0)) < 1e-9
+    assert np.max(np.abs(np.linalg.norm(d.atoms.T, axis=0) - 1.0)) < 1e-9
 
 
 def test_build_dictionary_holds_no_copy_beside_the_atoms():
@@ -141,7 +141,7 @@ def test_build_dictionary_holds_no_copy_beside_the_atoms():
     finally:
         tracemalloc.stop()
     assert dictionary.atoms.flags.c_contiguous
-    # the D x M atoms, plus chunks of at most 4 MB
+    # the M x D atoms, plus chunks of at most 4 MB
     assert peak < m * d * 8 + 4e6
 
 

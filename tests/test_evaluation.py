@@ -249,9 +249,9 @@ def test_gmr_monotone_in_target():
 
 def test_rank1_probes_equal_atoms_is_perfect():
     enrolment, _, d, gallery = _fitted(num_classes=4, per_class=3)
-    atom_probes = dataset_from_arrays(d.atoms.T, d.column_labels,
+    atom_probes = dataset_from_arrays(d.atoms, d.column_labels,
                                       [f"p{i}" for i in range(d.num_atoms)])
-    gallery = Gallery(dataset_from_arrays(d.atoms.T, d.column_labels,
+    gallery = Gallery(dataset_from_arrays(d.atoms, d.column_labels,
                                           [f"e{i}" for i in range(d.num_atoms)]))
     for acc in rank1_identification(atom_probes, gallery, ["sacrc", "crc", "src", "knn1"]):
         assert acc == 1.0

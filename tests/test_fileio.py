@@ -218,10 +218,25 @@ def test_dictionary_round_trip(tmp_path):
     data = path.read_bytes()
     assert data[:20] == b"CDIC" + struct.pack("<IIII", 1, 10, 12, 3)
     atoms = np.frombuffer(data[20 : 20 + 8 * 120], dtype="<f8").reshape(10, 12)
-    assert atoms.tobytes() == d.atoms.tobytes()
+    assert atoms.tobytes() == d.atoms.T.tobytes()
     column_labels = np.frombuffer(data[20 + 8 * 120 :], dtype="<u4")
     assert np.array_equal(column_labels, d.column_labels)
     assert np.array_equal(np.flatnonzero(np.diff(column_labels, prepend=-1)), d.class_starts)
+
+
+def test_dictionary_written_in_several_chunks(tmp_path, monkeypatch):
+    from sparserec import fileio
+
+    # the K x N = 10 x 12 matrix goes out 36 values (three of its rows) at a
+    # time: rows 0-2, 3-5 and 6-8, then a one-row tail
+    monkeypatch.setattr(fileio, "_CHUNK_VALUES", 36)
+    enrolment, _ = generate_synthetic(3, 4, 10, 2, 0.2, seed=6)
+    d = build_dictionary(enrolment)
+    path = tmp_path / "dict.bin"
+    write_dictionary(path, d)
+    data = path.read_bytes()
+    assert data[:20] == b"CDIC" + struct.pack("<IIII", 1, 10, 12, 3)
+    assert data[20:] == np.ascontiguousarray(d.atoms.T).tobytes() + d.column_labels.astype("<u4").tobytes()
 
 
 def test_scores_csv_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 """The batched score kernel: Gallery.scores against one-row calls and the
 straight-line oracles in reference_impls.py."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -38,24 +39,24 @@ def _oracle(kind, y, d, enrolment):
         return best
     y_hat = y / np.linalg.norm(y)
     if kind == "sacrc":
-        return sacrc_reference(d.atoms, label_matrix(d.column_labels, d.num_classes), y, LAM, K, TOL)[3]
+        return sacrc_reference(d.atoms.T, label_matrix(d.column_labels, d.num_classes), y, LAM, K, TOL)[3]
     if kind == "crc":
-        alpha = ridge_solve_reference(d.atoms, y_hat, LAM)
+        alpha = ridge_solve_reference(d.atoms.T, y_hat, LAM)
         return label_matrix(d.column_labels, d.num_classes) @ (alpha / np.linalg.norm(alpha))
-    alpha = omp_reference(d.atoms, y_hat, K, TOL)
+    alpha = omp_reference(d.atoms.T, y_hat, K, TOL)
     return np.array([
-        -np.linalg.norm(y_hat - d.atoms @ np.where(d.column_labels == i, alpha, 0.0))
+        -np.linalg.norm(y_hat - d.atoms.T @ np.where(d.column_labels == i, alpha, 0.0))
         for i in range(d.num_classes)
     ])
 
 
-def _assert_rows_match(kind, scores, probes, gallery):
+def _assert_rows_match(kind, scores, probes, gallery, enrolment):
     d = gallery.dictionary
     assert scores.shape == (probes.num_samples, d.num_classes)
     for y, row in zip(probes.features, scores):
         one = _one_row(kind, y, gallery)
         assert np.max(np.abs(row - one)) <= 1e-12
-        assert np.max(np.abs(row - _oracle(kind, y, d, gallery.enrolment))) <= 1e-8
+        assert np.max(np.abs(row - _oracle(kind, y, d, enrolment))) <= 1e-8
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -64,7 +65,7 @@ def test_score_matrix_matches_rows_and_oracles(kind, dim):
     enrolment, probes, d, gallery = _fitted(num_classes=8, per_class=5, dim=dim, probes_per_class=2)
     assert (d.dim < d.num_atoms) == (dim == 20)
     (scores,) = gallery.scores([kind], probes.features)
-    _assert_rows_match(kind, scores, probes, gallery)
+    _assert_rows_match(kind, scores, probes, gallery, enrolment)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -74,7 +75,7 @@ def test_score_matrix_single_probe_and_block_boundary(kind):
                                             probes_per_class=p // 2 + 1, seed=3)
     probes = dataset_from_arrays(probes.features[:p], probes.labels[:p], probes.ids[:p])
     (scores,) = gallery.scores([kind], probes.features)
-    _assert_rows_match(kind, scores, probes, gallery)
+    _assert_rows_match(kind, scores, probes, gallery, enrolment)
     (single,) = gallery.scores([kind], probes.features[:1])
     assert np.max(np.abs(single[0] - scores[0])) <= 1e-12
 
@@ -105,8 +106,11 @@ def test_knn1_and_src_set_up_no_ridge_map(monkeypatch):
 
 def test_gallery_builds_its_dictionary_from_the_enrolment():
     enrolment, probes, d, gallery = _fitted(num_classes=3, per_class=3, dim=10, probes_per_class=1)
+    # the enrolment builds the dictionary and is not kept
+    assert [f.name for f in dataclasses.fields(gallery)] == ["solver", "dictionary", "k"]
     built = build_dictionary(enrolment)
     assert d.atoms.tobytes() == built.atoms.tobytes()
+    assert d.sq_norms.tobytes() == built.sq_norms.tobytes()
     assert np.array_equal(d.column_labels, built.column_labels)
     assert np.array_equal(d.class_starts, built.class_starts)
     zero_row = enrolment.features.copy()
@@ -178,18 +182,42 @@ def test_lockstep_omp_rows_stop_independently():
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     d = build_dictionary(dataset_from_arrays(q.T, [i % 4 for i in range(8)], [str(i) for i in range(8)]))
     y = np.vstack([
-        d.atoms[:, 2],  # residual reaches 0 after one atom: tol stop
-        d.atoms @ np.where(np.arange(8) < 3, 1.0, 0.0),  # three atoms then tol stop
+        d.atoms.T[:, 2],  # residual reaches 0 after one atom: tol stop
+        d.atoms.T @ np.where(np.arange(8) < 3, 1.0, 0.0),  # three atoms then tol stop
         rng.standard_normal(8),  # runs to the budget
         np.zeros(8),  # zero probe: stops before any atom
     ])
     batched = _omp_block(d.atoms, y, 5, 1e-9)
     for row, alpha in zip(y, batched):
-        expected = omp_reference(d.atoms, row, 5, 1e-9)
+        expected = omp_reference(d.atoms.T, row, 5, 1e-9)
         assert np.array_equal(np.flatnonzero(alpha), np.flatnonzero(expected))
         assert np.max(np.abs(alpha - expected)) <= 1e-12
         assert np.max(np.abs(alpha - _omp_block(d.atoms, row[None, :], 5, 1e-9)[0])) <= 1e-12
     assert [np.count_nonzero(a) for a in batched] == [1, 3, 5, 0]
+
+
+def test_knn1_from_atoms_and_norms_matches_the_brute_force_distances():
+    # single-sample classes (1, 4, 5 and 6), an exact duplicate of sample 2
+    # in classes 2 and 3, and sample norms from 1e-3 to 1e3
+    rng = np.random.default_rng(5)
+    dim = 12
+    samples = rng.standard_normal((9, dim))
+    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+    samples *= np.logspace(-3, 3, 9)[:, None]
+    samples = np.vstack([samples, samples[2]])
+    labels = [0, 1, 2, 3, 4, 0, 5, 6, 2, 3]
+    enrolment = dataset_from_arrays(samples, labels, [str(i) for i in range(10)])
+    gallery = Gallery(enrolment)
+    probes = np.vstack([
+        rng.standard_normal((6, dim)) * np.logspace(-3, 3, 6)[:, None],
+        samples[[0, 2, 9]],  # on a sample: distance 0
+        np.zeros(dim),
+    ])
+    (scores,) = gallery.scores(["knn1"], probes)
+    for y, row in zip(probes, scores):
+        expected = _oracle("knn1", y, gallery.dictionary, enrolment)
+        assert np.max(np.abs(row - expected)) <= 1e-8
+        assert row.argmax() == expected.argmax()
 
 
 def test_knn1_identification_is_argmax_of_score_rows():
