@@ -21,9 +21,9 @@ from .core import Dataset, dataset_from_arrays
 from .errors import (DegenerateAugmentation, DimensionMismatch, InconsistentBundle, InvalidParameters,
                      MissingClass, NonFiniteValue, SparserecError, ZeroNormSample)
 from .evaluation import build_scoreset, evaluate_verification, generate_synthetic, rank1_identification
-from .fileio import (format_report_kv, format_report_text, load_flat_dataset, load_tensor_set, read_pairs_csv,
-                     read_pca_model, write_dictionary, write_flat_features, write_pca_model, write_roc_csv,
-                     write_scores_csv, write_tensor_features)
+from .fileio import (FLAG_TENSOR, format_report_kv, format_report_text, load_flat_dataset, read_feature_file,
+                     read_pairs_csv, read_pca_model, write_dictionary, write_flat_features, write_pca_model,
+                     write_roc_csv, write_scores_csv, write_tensor_features)
 from .pca import pca_fit, pca_sweep, transform_dataset
 
 MANIFEST_NAME = "manifest.txt"
@@ -113,6 +113,11 @@ def _load_bundle(args: argparse.Namespace):
     for key in ("lambda", "sparsity_k", "residual_tol", "pca"):
         if key in manifest:
             cfg = apply_setting(cfg, key, *manifest[key])
+    n, d = enrolment.num_samples, enrolment.dim
+    with _naming(bundle / MANIFEST_NAME, InvalidParameters):  # settings that fit refuses for this gallery
+        cfg.solver.resolve_k(n)
+        if cfg.solver.ridge_lambda == 0.0 and n > d:
+            raise InvalidParameters(f"lambda = 0 with {n} atoms in dimension {d}")
     cfg = _resolve_config(args, cfg)
     with _naming(bundle / ENROLMENT_NAME, MissingClass, ZeroNormSample):
         gallery = Gallery(enrolment, cfg.solver)
@@ -125,7 +130,8 @@ def _load_probes(path: str, model, gallery: Gallery) -> Dataset:
     expected = gallery.dictionary.dim if model is None else model.dim_in
     if probes.dim != expected:
         raise DimensionMismatch(f"{path}: dim {probes.dim}, but the bundle expects dim {expected}")
-    return probes if model is None else transform_dataset(probes, model)
+    with _naming(path, NonFiniteValue):  # the reduced probes are checked again
+        return probes if model is None else transform_dataset(probes, model)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +181,7 @@ def _parse_tensor_shape(text: str) -> tuple[int, int, int]:
 
 
 def cmd_flatten(args: argparse.Namespace) -> int:
-    flat = load_tensor_set(args.input).flatten()
+    flat = read_feature_file(args.input, FLAG_TENSOR)
     out = _out_dir(args)
     write_flat_features(out / "features.feat", flat)
     print(f"wrote {out / 'features.feat'} ({flat.num_samples} samples, dim {flat.dim})")
@@ -244,7 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         num_atoms=gallery.dictionary.num_atoms,
         num_classes=gallery.dictionary.num_classes,
     )
-    with _naming(args.probes, DegenerateAugmentation, NonFiniteValue):
+    with _naming(args.probes, DegenerateAugmentation, NonFiniteValue, ZeroNormSample):
         scoreset = build_scoreset(probes, gallery, cfg.classifier, pairs=pairs)
         report = evaluate_verification(scoreset, cfg.far_targets, echo)
 
@@ -286,7 +292,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
         )
 
     classifiers = classifiers or [cfg.classifier]
-    with _naming(args.probes, DegenerateAugmentation):
+    with _naming(args.probes, DegenerateAugmentation, ZeroNormSample):
         rows = list(zip(classifiers, rank1_identification(probes, gallery, classifiers)))
 
     echo = config_echo(
@@ -347,7 +353,8 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
     pairs = _protocol_pairs(cfg)
     # One projection at the widest K serves every row: a row slices its
     # leading K columns.
-    counts, enrol_all, probes_all = pca_sweep(enrolment, probes, k_values)
+    with _naming(args.probes, NonFiniteValue):  # only the probes' projection can leave the range
+        counts, enrol_all, probes_all = pca_sweep(enrolment, probes, k_values)
     header = ["num_components", "eer"] + [f"gmr_at_far_{t:g}" for t in cfg.far_targets]
     lines = [",".join(header)]
     lines += [_sweep_row(k, enrol_all, probes_all, cfg, pairs) for k in counts]

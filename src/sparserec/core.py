@@ -30,11 +30,28 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every value is finite.  A NaN or infinity makes the sum
-    non-finite, so a finite sum settles it without an elementwise mask; only
-    a sum that overflows needs the mask."""
-    return bool(np.isfinite(a.sum()) or np.isfinite(a).all())
+# The largest sum of squares a feature payload or pca.bin field may hold.  By
+# Cauchy-Schwarz every norm, dot product, centred Gram entry and knn1 squared
+# distance of such values, or of two such sets, is then at most float64's
+# maximum, so none of them overflows.
+_MAX_SUM_SQ = np.finfo(np.float64).max / 4
+
+# Values per dot product when summing squares.  OpenBLAS runs a dot product
+# of more than 10,000 values on its threads, and in some processes every such
+# call waits about 8 ms for them; shorter ones run on the calling thread.
+_DOT_VALUES = 8192
+
+
+def _in_range(a: np.ndarray) -> bool:
+    """Whether every value is finite and their sum of squares is at most
+    `_MAX_SUM_SQ`, in one pass: a NaN, an infinity or an overflow makes the
+    sum fail the comparison."""
+    flat = a.reshape(-1)
+    total = 0.0  # a Python float, which overflows to inf without a warning
+    for lo in range(0, flat.size, _DOT_VALUES):
+        chunk = flat[lo : lo + _DOT_VALUES]
+        total += float(np.vdot(chunk, chunk))
+    return total <= _MAX_SUM_SQ
 
 
 @dataclass(frozen=True)
@@ -109,8 +126,8 @@ def dataset_from_arrays(
     """Build a validated Dataset from row-stacked features.
 
     Checks that it is non-empty, with one label and one id per row, finite
-    values and non-negative integer labels; the class index space is
-    [0, max label + 1).
+    values whose sum of squares is at most `_MAX_SUM_SQ` and non-negative
+    integer labels; the class index space is [0, max label + 1).
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -126,9 +143,13 @@ def dataset_from_arrays(
     ids = tuple(str(s) for s in ids)
     if len(ids) != m:
         raise DimensionMismatch(f"expected {m} ids, got {len(ids)}")
-    if not _all_finite(features):
-        bad = int(np.nonzero(~np.isfinite(features).all(axis=1))[0][0])
-        raise NonFiniteValue(f"sample {ids[bad]!r} contains a NaN or infinity")
+    if not _in_range(features):
+        peaks = np.abs(features).max(axis=1)
+        bad = int(np.argmax(peaks))  # the first row holding a NaN, else the largest magnitude
+        if not np.isfinite(peaks[bad]):
+            raise NonFiniteValue(f"sample {ids[bad]!r} contains a NaN or infinity")
+        raise NonFiniteValue(f"sample {ids[bad]!r} holds a value of magnitude {peaks[bad]:g}; the sum of"
+                             f" squares of all values must be at most {_MAX_SUM_SQ:g}")
     if labels.min() < 0:
         bad = int(np.nonzero(labels < 0)[0][0])
         raise InvalidParameters(f"sample {ids[bad]!r} has negative class label {int(labels[bad])}")
@@ -143,14 +164,13 @@ def build_dictionary(enrolment: Dataset) -> Dictionary:
     each class owns one run of rows.  Every class index in [0, num_classes)
     must have at least one sample and no sample may have zero norm.
     """
-    labels = enrolment.labels
-    c = enrolment.num_classes
-    present = np.bincount(labels, minlength=c)
-    if np.any(present == 0):
-        missing = int(np.nonzero(present == 0)[0][0])
+    order = np.argsort(enrolment.labels, kind="stable")  # class-major, input order preserved
+    labels = enrolment.labels[order]
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))  # first row of each class
+    if starts.size != enrolment.num_classes:
+        missing = int(np.argmax(labels[starts] != np.arange(starts.size)))
         raise MissingClass(f"class {missing} has no enrolment samples")
 
-    order = np.argsort(labels, kind="stable")  # class-major, input order preserved
     features = enrolment.features
     m, d = features.shape
     # atoms and norms go through row chunks: no M x D temporary beside the atoms
@@ -164,5 +184,4 @@ def build_dictionary(enrolment: Dataset) -> Dictionary:
             bad = int(order[start + np.argmax(sq == 0.0)])
             raise ZeroNormSample(f"sample {enrolment.ids[bad]!r} has zero norm")
         np.divide(block, np.sqrt(sq)[:, None], out=out)
-    starts = np.cumsum(present) - present  # first row of each class
-    return Dictionary(_frozen(atoms), _frozen(sq_norms), _frozen(labels[order]), _frozen(starts))
+    return Dictionary(_frozen(atoms), _frozen(sq_norms), _frozen(labels), _frozen(starts))

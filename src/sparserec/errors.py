@@ -14,7 +14,8 @@ class DimensionMismatch(SparserecError):
 
 
 class NonFiniteValue(SparserecError):
-    """A NaN or infinity where finite data is required."""
+    """A NaN or infinity, or values too large to square and sum in float64,
+    where finite data is required."""
 
 
 class EmptyDataset(SparserecError):

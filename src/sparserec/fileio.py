@@ -1,5 +1,5 @@
 """File formats: the binary feature container, model serialization, CSV
-interchange and report rendering.
+inputs and outputs, and report rendering.
 
 Binary layout (all integers and floats little-endian):
 
@@ -26,12 +26,17 @@ is checked against the mapped length before it is read, and float payloads
 are read-only views of the mapping, so loading a file copies no payload.
 A feature payload starts at byte 17 (flat) or 25 (tensor), so its view is
 not 8-byte aligned; code that multiplies loaded arrays hands BLAS aligned
-copies, chunk by chunk.  A NaN or infinity in a payload raises
-NonFiniteValue naming the file.
+copies, chunk by chunk.  Either layout loads as one flat row per sample: a
+tensor sample's maps, row-major in channel order, are a view of its payload.
+A payload or pca.bin field holding a NaN or infinity, or values whose sum of
+squares exceeds float64's maximum / 4 (`core._MAX_SUM_SQ`; for the
+eigenvalues, which are sums of squares, their sum), raises NonFiniteValue
+naming the file.
 
-CSV outputs (scores, ROC, features) are formatted and written in blocks of
+The CSV outputs, scores and ROC, are formatted and written in blocks of
 `_WRITE_CELLS` cells, so writing one holds one block's Python objects,
-however many rows the file has.
+however many rows the file has.  CSV inputs are features, read wherever an
+input path ends in `.csv`, and pairs lists.
 
 A binary output is written as a fresh file: an existing file at its path is
 unlinked first, never truncated, because a live mapping may still read it
@@ -53,7 +58,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _CHUNK_VALUES, Dataset, Dictionary, _all_finite, _frozen, dataset_from_arrays
+from .core import _CHUNK_VALUES, Dataset, Dictionary, _frozen, _in_range, dataset_from_arrays
 from .errors import (
     BadEncoding,
     BadMagic,
@@ -76,9 +81,12 @@ FORMAT_VERSION = 1
 FLAG_FLAT = 0
 FLAG_TENSOR = 1
 SCORES_HEADER = ["probe_id", "claimed_class", "score", "is_genuine"]
+# How a file of each layout is refused where the other layout is expected.
+_WRONG_LAYOUT = {FLAG_FLAT: "holds flat vectors, not activation tensors",
+                 FLAG_TENSOR: "holds activation tensors; run the flatten command first"}
 
 # Cells per block when writing a CSV (about 2 MB of Python objects): a score
-# set, ROC table or feature file costs one block's memory, not the file's.
+# set or ROC table costs one block's memory, not the file's.
 _WRITE_CELLS = 1 << 15
 
 
@@ -164,10 +172,19 @@ def _check_header(reader: _ByteReader, magic: bytes, path: str) -> None:
 
 
 def _finite(values: np.ndarray, path: str, what: str) -> np.ndarray:
-    """`values`, or NonFiniteValue naming the file and the field."""
-    if not _all_finite(values):
-        raise NonFiniteValue(f"{path}: {what} contains a NaN or infinity")
+    """`values`, or NonFiniteValue naming the file and the field when they
+    fail `core._in_range`."""
+    if not _in_range(values):
+        raise NonFiniteValue(f"{path}: {what} contains a NaN or infinity, or values too large for float64")
     return values
+
+
+def _named_dataset(path, values, labels, ids) -> Dataset:
+    """`dataset_from_arrays`, with `path` before any error it raises."""
+    try:
+        return dataset_from_arrays(values, labels, ids)
+    except SparserecError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _f64(a: np.ndarray) -> np.ndarray:
@@ -226,75 +243,42 @@ def write_tensor_features(
     _write_parts(path, (header, _f64(tensors), _u32(labels), _id_block(list(ids))))
 
 
-class TensorFeatureSet:
-    """Activation tensors for M samples: stack of shape (M, n, n1, n2), with
-    the validated labels and ids of their flattened rows."""
-
-    def __init__(self, tensors: np.ndarray, flat: Dataset):
-        self.tensors = _frozen(tensors)
-        self.labels = flat.labels
-        self.ids = flat.ids
-        self._flat = flat
-
-    def flatten(self) -> Dataset:
-        """One row per sample, each map row-major in channel order (a view of
-        the tensors, checked when the file was read)."""
-        return self._flat
-
-
-def read_feature_file(path: str | Path) -> Dataset | TensorFeatureSet:
-    """Read a binary feature file; the flag byte decides flat vs tensor."""
+def read_feature_file(path: str | Path, layout: int | None = None) -> Dataset:
+    """Read a binary feature file, of either layout, as one row per sample;
+    the flag byte says which.  Given `layout` (FLAG_FLAT or FLAG_TENSOR), a
+    file of the other layout is refused once it has been read."""
     path = str(path)
     reader = _ByteReader(path)
     _check_header(reader, FEATURE_MAGIC, path)
     flag = reader.u8("layout flag")
     if flag == FLAG_FLAT:
-        shape = (reader.u32("feature dimension"),)
-        m = reader.u32("sample count")
+        dim = reader.u32("feature dimension")
         what = "feature payload"
     elif flag == FLAG_TENSOR:
-        n1 = reader.u32("map rows")
-        n2 = reader.u32("map cols")
-        n = reader.u32("map count")
-        m = reader.u32("sample count")
-        shape, what = (n, n1, n2), "tensor payload"
+        dim = math.prod(reader.u32(field) for field in ("map rows", "map cols", "map count"))
+        what = "tensor payload"
     else:
         raise InvalidParameters(f"{path}: unknown layout flag {flag}")
-    dim = math.prod(shape)
-    values = reader.f64_array(m * dim, what).reshape(m, *shape)
+    m = reader.u32("sample count")
+    values = reader.f64_array(m * dim, what).reshape(m, dim)
     labels = reader.u32_array(m, "class labels")
     ids = tuple(reader.utf8(f"id {i}") for i in range(m))
     reader.finish()
-    try:
-        flat = dataset_from_arrays(values.reshape(m, dim), labels, ids)
-    except SparserecError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    if flag == FLAG_FLAT:
-        return flat
-    return TensorFeatureSet(values, flat)
+    dataset = _named_dataset(path, values, labels, ids)
+    if layout not in (None, flag):
+        raise InvalidParameters(f"{path} {_WRONG_LAYOUT[flag]}")
+    return dataset
 
 
 def load_flat_dataset(path: str | Path) -> Dataset:
     """Load a flat feature file (or CSV, by extension) as a Dataset."""
     if str(path).endswith(".csv"):
         return read_features_csv(path)
-    loaded = read_feature_file(path)
-    if isinstance(loaded, TensorFeatureSet):
-        raise InvalidParameters(
-            f"{path} holds activation tensors; run the flatten command first"
-        )
-    return loaded
-
-
-def load_tensor_set(path: str | Path) -> TensorFeatureSet:
-    loaded = read_feature_file(path)
-    if not isinstance(loaded, TensorFeatureSet):
-        raise InvalidParameters(f"{path} holds flat vectors, not activation tensors")
-    return loaded
+    return read_feature_file(path, FLAG_FLAT)
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange (small hand-written fixtures)
+# CSV (feature inputs for small hand-written fixtures; writing shared by the outputs)
 
 
 def _csv_field(text: str) -> str:
@@ -319,13 +303,6 @@ def _write_rows(path: str | Path, header: str, template: str, rows: int, block) 
             for k, column in enumerate(columns):
                 cells[k::width] = column
             fh.write((template * len(columns[0])) % tuple(cells))
-
-
-def write_features_csv(path: str | Path, dataset: Dataset) -> None:
-    header = ",".join(["id", "class_label"] + [f"v{i}" for i in range(dataset.dim)]) + "\n"
-    _write_rows(path, header, "%s,%d" + ",%.17g" * dataset.dim + "\n", dataset.num_samples,
-                lambda lo, hi: [[_csv_field(pid) for pid in dataset.ids[lo:hi]],
-                                dataset.labels[lo:hi].tolist(), *dataset.features[lo:hi].T.tolist()])
 
 
 def _read_csv(path: str | Path, header_ok, header_text: str, convert, row_text: str) -> list:
@@ -375,7 +352,7 @@ def read_features_csv(path: str | Path) -> Dataset:
         "an id, a class label from 0 and one finite number per value column",
     )
     ids, labels, values = zip(*rows) if rows else ((),) * 3
-    return dataset_from_arrays(np.asarray(values, dtype=np.float64), labels, ids)
+    return _named_dataset(path, np.asarray(values, dtype=np.float64), labels, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +376,8 @@ def read_pca_model(path: str | Path) -> PcaModel:
     d = reader.u32("input dimension")
     k = reader.u32("component count")
     mean = _finite(reader.f64_array(d, "mean vector"), path, "mean vector")
-    eigenvalues = _finite(reader.f64_array(k, "eigenvalues"), path, "eigenvalues")
+    eigenvalues = reader.f64_array(k, "eigenvalues")
+    _finite(np.sqrt(np.abs(eigenvalues)), path, "eigenvalues")  # sums of squares: bound their sum
     projection = reader.f64_array(d * k, "projection matrix").reshape(d, k)
     _finite(projection, path, "projection matrix")
     reader.finish()
@@ -434,17 +412,6 @@ def write_scores_csv(path: str | Path, scoreset: ScoreSet) -> None:
         path, ",".join(SCORES_HEADER) + "\n", "%s,%d,%.17g,%d\n", len(scoreset.score),
         lambda lo, hi: [ids[scoreset.probe[lo:hi]].tolist(), *(c[lo:hi].tolist() for c in columns)],
     )
-
-
-def read_scores_csv(path: str | Path) -> ScoreSet:
-    rows = _read_csv(
-        path, SCORES_HEADER.__eq__, ",".join(SCORES_HEADER),
-        lambda r: (r[0], _class_index(r[1]), _finite_number(r[2]), ("0", "1").index(r[3])),
-        "a probe id, a claimed class from 0, a finite score and is_genuine 0 or 1",
-    )
-    pids, claim, score, genuine = zip(*rows) if rows else ((),) * 4
-    index_of = {pid: i for i, pid in enumerate(dict.fromkeys(pids))}
-    return ScoreSet(tuple(index_of), list(map(index_of.__getitem__, pids)), claim, score, genuine)
 
 
 def write_roc_csv(path: str | Path, report: EvalReport) -> None:

@@ -7,6 +7,7 @@ speed for obviousness so the production code can be checked against them.
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
@@ -182,3 +183,20 @@ def flatten_reference(maps: np.ndarray) -> np.ndarray:
             for c in range(n2):
                 out[i * n1 * n2 + r * n2 + c] = maps[i, r, c]
     return out
+
+
+def scores_csv_reference(path) -> tuple[tuple[str, ...], dict[str, np.ndarray]]:
+    """A scores CSV parsed with the csv module, int and float: the probe ids in
+    first-seen order, and the columns `probe` (an index into them), `claim`,
+    `score` and `is_genuine`, one entry per row."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["probe_id", "claimed_class", "score", "is_genuine"]
+    index = {pid: i for i, pid in enumerate(dict.fromkeys(row[0] for row in rows))}
+    assert all(row[3] in ("0", "1") for row in rows)
+    return tuple(index), {
+        "probe": np.array([index[row[0]] for row in rows], dtype=np.int64),
+        "claim": np.array([int(row[1]) for row in rows], dtype=np.int64),
+        "score": np.array([float(row[2]) for row in rows]),
+        "is_genuine": np.array([row[3] == "1" for row in rows]),
+    }

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_impls import scores_csv_reference
 
 from sparserec.classifiers import CLASSIFIERS, Gallery
 from sparserec import cli
@@ -15,7 +16,7 @@ from sparserec.cli import _parse_k_list, main
 from sparserec.core import Dataset, build_dictionary, dataset_from_arrays
 from sparserec.errors import InvalidParameters
 from sparserec.evaluation import build_scoreset, rank1_identification
-from sparserec.fileio import load_flat_dataset, read_scores_csv
+from sparserec.fileio import load_flat_dataset
 from sparserec.pca import pca_fit, transform_dataset
 
 
@@ -48,17 +49,14 @@ def test_gen_synthetic_counts_and_determinism(tmp_path):
 
 
 def test_flatten_tensor_file(tmp_path):
-    from sparserec.fileio import load_tensor_set
-
     gen(tmp_path / "data", dim=24, tensor="2x3x4")
     assert run("flatten", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "flat") == 0
-    flat = load_flat_dataset(tmp_path / "flat" / "features.feat")
-    assert flat.dim == 24
-    # flattening only relabels the layout; payload values are unchanged
-    tensors = load_tensor_set(tmp_path / "data" / "enrolment.feat")
-    m = tensors.tensors.shape[0]
-    assert flat.features.tobytes() == tensors.tensors.reshape(m, -1).tobytes()
-    assert flat.ids == tensors.ids
+    assert load_flat_dataset(tmp_path / "flat" / "features.feat").dim == 24
+    # flattening only relabels the layout: the output is the flat file that
+    # gen-synthetic writes from the same values without --tensor
+    gen(tmp_path / "plain", dim=24)
+    assert ((tmp_path / "flat" / "features.feat").read_bytes()
+            == (tmp_path / "plain" / "enrolment.feat").read_bytes())
 
 
 def test_flatten_2x2x2_gives_dim_8(tmp_path):
@@ -241,13 +239,13 @@ def test_verify_scores_csv_matches_library(tmp_path):
     assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
     assert run("verify", tmp_path / "data" / "probes.feat", tmp_path / "bundle",
                "--out", tmp_path / "ver") == 0
-    scores = read_scores_csv(tmp_path / "ver" / "scores.csv")
+    ids, columns = scores_csv_reference(tmp_path / "ver" / "scores.csv")
     enrolment = load_flat_dataset(tmp_path / "data" / "enrolment.feat")
     probes = load_flat_dataset(tmp_path / "data" / "probes.feat")
     expected = build_scoreset(probes, Gallery(enrolment))
-    assert scores.ids == expected.ids
-    for column in ("probe", "claim", "score", "is_genuine"):
-        assert np.array_equal(getattr(scores, column), getattr(expected, column))
+    assert ids == expected.ids
+    for name, column in columns.items():
+        assert np.array_equal(column, getattr(expected, name))
 
 
 def test_verify_pairs_protocol(tmp_path):
@@ -261,9 +259,9 @@ def test_verify_pairs_protocol(tmp_path):
     assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
     assert run("verify", tmp_path / "data" / "probes.feat", tmp_path / "bundle",
                "--protocol", f"pairs:{pairs}", "--out", tmp_path / "ver") == 0
-    scores = read_scores_csv(tmp_path / "ver" / "scores.csv")
-    assert scores.score.size == 6
-    assert [scores.ids[p] for p in scores.probe] == [pid for pid in probes.ids[:3] for _ in (0, 1)]
+    ids, columns = scores_csv_reference(tmp_path / "ver" / "scores.csv")
+    assert columns["score"].size == 6
+    assert [ids[p] for p in columns["probe"]] == [pid for pid in probes.ids[:3] for _ in (0, 1)]
 
 
 def test_identify_perfect_on_enrolment_probes(tmp_path):
@@ -878,6 +876,9 @@ MANIFEST_EDIT_CASES = {
     "manifest-num-atoms": ("num_atoms", "21", "enrolment.feat"),
     "manifest-num-classes": ("num_classes", "5", "enrolment.feat"),
     "manifest-pca-components": ("pca_components", "8", "pca.bin"),
+    # settings that fit refuses for this gallery of 20 atoms in dimension 10
+    "manifest-sparsity-k": ("sparsity_k", "21", "manifest.txt"),
+    "manifest-lambda-zero": ("lambda", "0", "manifest.txt"),
 }
 
 
@@ -963,11 +964,12 @@ def test_scoring_commands_do_not_read_the_stored_dictionary(tmp_path, pca, donor
 
 
 # Damaged payloads: (file under tmp_path, byte offset, bytes written there,
-# command, text the error must carry).  The bundle is fit with --pca 10 on
-# dim 30 from 4 classes x 5 samples, class-major: pca.bin holds a 16-byte
-# header, the mean (30 f64), the eigenvalues (10 f64) and the projection; a
-# flat feature file's payload follows a 17-byte header, and the bundle's
-# enrolment.feat holds 20 x 10 f64 there, then 20 u32 labels.
+# command, text the error must carry[, the fit's --pca, 10 if not given]).
+# The bundle is fit on dim 30 from 4 classes x 5 samples, class-major: at
+# --pca 10, pca.bin holds a 16-byte header, the mean (30 f64), the eigenvalues
+# (10 f64) and the projection; a flat feature file's payload follows a
+# 17-byte header, and the bundle's enrolment.feat holds 20 x 10 f64 there,
+# then 20 u32 labels.
 NAN, INF = struct.pack("<d", float("nan")), struct.pack("<d", float("inf"))
 DAMAGED_PAYLOAD_CASES = {
     "pca-nan-projection": ("bundle/pca.bin", 16 + 8 * 40, NAN, "verify", "projection matrix contains a NaN"),
@@ -981,15 +983,19 @@ DAMAGED_PAYLOAD_CASES = {
     "enrolment-top-class-gone": ("bundle/enrolment.feat", 17 + 8 * 200 + 4 * 15, struct.pack("<5I", *[2] * 5),
                                  "verify", "classes 3, but manifest.txt says num_classes = 4"),
     "probes-nan": ("data/probes.feat", 17, NAN, "verify", "contains a NaN or infinity"),
+    "probes-zero-row-verify": ("data/probes.feat", 17 + 8 * 30, bytes(8 * 30), "verify",
+                               "cannot l2-normalize a zero vector", "off"),
+    "probes-zero-row-identify": ("data/probes.feat", 17 + 8 * 30, bytes(8 * 30), "identify",
+                                 "cannot l2-normalize a zero vector", "off"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DAMAGED_PAYLOAD_CASES))
 def test_damaged_payload_names_its_file(tmp_path, capsys, case):
-    name, offset, value, command, text = DAMAGED_PAYLOAD_CASES[case]
+    name, offset, value, command, text, *pca = DAMAGED_PAYLOAD_CASES[case]
     gen(tmp_path / "data", dim=30)
     bundle = tmp_path / "bundle"
-    assert run("fit", tmp_path / "data" / "enrolment.feat", "--pca", "10", "--out", bundle) == 0
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--pca", *(pca or ["10"]), "--out", bundle) == 0
     path = tmp_path / name
     data = bytearray(path.read_bytes())
     data[offset : offset + len(value)] = value
@@ -1029,12 +1035,9 @@ def test_fit_names_the_enrolment_it_cannot_build_a_gallery_from(tmp_path, capsys
     assert not (tmp_path / "bundle").exists()
 
 
-# the probe's norm overflows, and numpy warns of that before the error is raised
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("command, classifier, text", [
     ("verify", "sacrc", "both coefficient vectors are zero"),
     ("identify", "sacrc", "both coefficient vectors are zero"),
-    ("verify", "knn1", "score set contains a non-finite score"),
 ])
 def test_scoring_errors_name_the_probe_file(tmp_path, capsys, command, classifier, text):
     from sparserec.fileio import write_flat_features
@@ -1043,7 +1046,9 @@ def test_scoring_errors_name_the_probe_file(tmp_path, capsys, command, classifie
     assert run("fit", tmp_path / "data" / "enrolment.feat", "--pca", "off", "--out", tmp_path / "bundle") == 0
     probes = load_flat_dataset(tmp_path / "data" / "probes.feat")
     features = probes.features.copy()
-    features[1, 4] = 1e200  # squares to infinity
+    # a probe orthogonal to the 20 gallery samples in dim 30: both of its codes vanish
+    basis = np.linalg.qr(load_flat_dataset(tmp_path / "data" / "enrolment.feat").features.T)[0]
+    features[1] -= basis @ (basis.T @ features[1])
     path = tmp_path / "probes.feat"
     write_flat_features(path, dataset_from_arrays(features, probes.labels, probes.ids))
     capsys.readouterr()
@@ -1052,3 +1057,94 @@ def test_scoring_errors_name_the_probe_file(tmp_path, capsys, command, classifie
     assert code == 2
     assert err == f"error: {path}: {text}\n"
     assert not (tmp_path / "out").exists()
+
+
+# One value of an input set to an extreme finite value, whose square
+# overflows float64: (input, value, command line with {name} for the input
+# and the bundles).  Each fails when the input is read, naming it.
+EXTREME_VALUE_CASES = {
+    "fit-pca-1e155": ("enrolment", 1e155, ["fit", "{enrolment}", "--pca", "8"]),
+    "fit-pca-1e200": ("enrolment", -1e200, ["fit", "{enrolment}", "--pca", "8"]),
+    "fit-pca-off-1e200": ("enrolment", 1e200, ["fit", "{enrolment}", "--pca", "off"]),
+    "sweep-enrolment-1e155": ("enrolment", 1e155, ["sweep-pcs", "{enrolment}", "{probes}", "--k-list", "4"]),
+    "sweep-probes-1e200": ("probes", 1e200, ["sweep-pcs", "{enrolment}", "{probes}", "--k-list", "4"]),
+    "verify-knn1-1e200": ("probes", 1e200, ["verify", "{probes}", "{bundle-off}", "--classifier", "knn1"]),
+    "verify-pca-1e155": ("probes", -1e155, ["verify", "{probes}", "{bundle}"]),
+    "identify-crc-src-1e200": ("probes", 1e200, ["identify", "{probes}", "{bundle-off}", "--classifier", "crc,src"]),
+    "fit-csv-1e200": ("enrolment-csv", 1e200, ["fit", "{enrolment-csv}", "--pca", "off"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_VALUE_CASES))
+def test_an_extreme_value_fails_naming_its_file(tmp_path, capsys, case):
+    name, value, argv = EXTREME_VALUE_CASES[case]
+    gen(tmp_path / "data", classes=5, samples=4, dim=30, subspace=3, sigma=0.1, seed=3)
+    paths = {"enrolment": tmp_path / "data" / "enrolment.feat", "probes": tmp_path / "data" / "probes.feat",
+             "bundle": tmp_path / "bundle", "bundle-off": tmp_path / "bundle-off"}
+    for pca, bundle in (("8", "bundle"), ("off", "bundle-off")):
+        assert run("fit", paths["enrolment"], "--pca", pca, "--out", paths[bundle]) == 0
+    source = paths[name.split("-")[0]]
+    ds = load_flat_dataset(source)
+    path = paths[name] = tmp_path / f"damaged-{name}.{'csv' if name.endswith('csv') else 'feat'}"
+    if path.suffix == ".csv":
+        features = ds.features.tolist()
+        features[1][7] = value
+        path.write_text("id,class_label," + ",".join(f"v{i}" for i in range(ds.dim)) + "\n" + "".join(
+            f"{pid},{label}," + ",".join(map(repr, row)) + "\n"
+            for pid, label, row in zip(ds.ids, ds.labels.tolist(), features)))
+    else:  # row 1, column 7 of the flat payload after its 17-byte header
+        data = bytearray(source.read_bytes())
+        data[17 + 8 * (ds.dim + 7) : 17 + 8 * (ds.dim + 8)] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run(*[arg.format(**paths) for arg in argv], "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (f"error: {path}: sample {ds.ids[1]!r} holds a value of magnitude"
+                                       f" {abs(value):g}; the sum of squares of all values must be at most"
+                                       f" {np.finfo(float).max / 4:g}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_values_just_inside_the_bound_run_like_small_ones(tmp_path):
+    # The fixture scaled so that the enrolment's sum of squares is 0.9 of the
+    # bound: the fit's pca.bin (eigenvalues summing to about that) loads, and
+    # every classifier decides as on the unscaled files.
+    gen(tmp_path / "data", classes=5, samples=4, dim=30, subspace=3, sigma=0.1, seed=3)
+    from sparserec.fileio import write_flat_features
+
+    enrolment = load_flat_dataset(tmp_path / "data" / "enrolment.feat")
+    scale = np.sqrt(0.9 * np.finfo(float).max / 4 / np.sum(enrolment.features**2))
+    for name in ("enrolment.feat", "probes.feat"):
+        ds = load_flat_dataset(tmp_path / "data" / name)
+        write_flat_features(tmp_path / f"scaled-{name}",
+                            dataset_from_arrays(ds.features * scale, ds.labels, ds.ids))
+    rank1 = {}
+    for prefix in ("data/", "scaled-"):
+        bundle, out = tmp_path / f"{prefix}bundle", tmp_path / f"{prefix}out"
+        assert run("fit", tmp_path / f"{prefix}enrolment.feat", "--pca", "8", "--out", bundle) == 0
+        assert run("verify", tmp_path / f"{prefix}probes.feat", bundle, "--out", out / "verify") == 0
+        assert run("identify", tmp_path / f"{prefix}probes.feat", bundle, "--classifier", "sacrc,crc,src,knn1",
+                   "--out", out / "identify") == 0
+        rank1[prefix] = (out / "identify" / "rank1.csv").read_text()
+    assert rank1["scaled-"] == rank1["data/"]
+
+
+def test_a_probe_set_whose_projection_leaves_the_bound_names_the_probe_file(tmp_path, capsys):
+    # Enrolment c*e0 and 3c*e0, for c^2 = bound / 11 (sum of squares 10c^2),
+    # has mean 2c*e0 along its one component, so each near-zero probe
+    # projects to about -2c: three of them sum to 12c^2, over the bound.
+    from sparserec.fileio import write_flat_features
+
+    c = np.sqrt(np.finfo(float).max / 44)
+    enrolment = np.zeros((2, 3))
+    enrolment[:, 0] = c, 3 * c
+    write_flat_features(tmp_path / "enrol.feat", dataset_from_arrays(enrolment, [0, 1], ["a", "b"]))
+    probes = tmp_path / "probes.feat"
+    write_flat_features(probes, dataset_from_arrays(np.full((3, 3), 1e-3), [0, 1, 0], ["p", "q", "r"]))
+    assert run("fit", tmp_path / "enrol.feat", "--pca", "1", "--out", tmp_path / "bundle") == 0
+    for argv in (["verify", probes, tmp_path / "bundle", "--classifier", "knn1"],
+                 ["sweep-pcs", tmp_path / "enrol.feat", probes, "--k-list", "1", "--classifier", "knn1"]):
+        capsys.readouterr()
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {probes}: sample ") and "holds a value of magnitude" in err
+        assert len(err.splitlines()) == 1 and not (tmp_path / "out").exists()

@@ -45,6 +45,12 @@ def test_validate_nonfinite():
         rows([0], [[1, np.nan]])
     with pytest.raises(NonFiniteValue):
         rows([0], [[1, np.inf]])
+    # finite values whose sum of squares passes float64 max / 4, the largest sample named
+    with pytest.raises(NonFiniteValue, match="sample 's1' holds a value of magnitude 1e\\+155"):
+        rows([0, 0], [[1.0, 0.0], [0.0, -1e155]])
+    with pytest.raises(NonFiniteValue, match="sample 's0' holds a value of magnitude 5e\\+153"):
+        rows([0, 0], [[5e153, 0.0], [0.0, 5e153]])  # each square is inside the bound, their sum is not
+    rows([0, 0], [[6.5e153, 0.0], [0.0, 1.0]])  # a sum of squares of 4.2e307
 
 
 def test_validate_empty():
@@ -101,6 +107,20 @@ def test_missing_class_rejected():
     ds = rows([0, 2], [[1.0], [2.0]])
     with pytest.raises(MissingClass):
         build_dictionary(ds)
+
+
+def test_a_missing_class_costs_no_memory_in_proportion_to_the_largest_label():
+    # the classes are read off the sorted labels; counting them in an array as
+    # long as the largest label took 8 bytes per class index
+    ds = rows([0, 1, 10**7], [[1.0], [2.0], [3.0]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(MissingClass, match="class 2 has no enrolment samples"):
+            build_dictionary(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_idempotent_on_normalized_input():

@@ -3,13 +3,13 @@ channel order, become one row of the flat dataset."""
 
 import numpy as np
 
-from sparserec.fileio import load_tensor_set, write_tensor_features
+from sparserec.fileio import FLAG_TENSOR, read_feature_file, write_tensor_features
 
 
 def _flatten_one(tmp_path, maps):
     path = tmp_path / "t.feat"
     write_tensor_features(path, maps[np.newaxis], [0], ["s"])
-    flat = load_tensor_set(path).flatten()
+    flat = read_feature_file(path, FLAG_TENSOR)
     assert flat.num_samples == 1
     return flat.features[0]
 

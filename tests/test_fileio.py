@@ -5,12 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference_impls import flatten_reference
+from reference_impls import flatten_reference, scores_csv_reference
 from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.errors import (
     BadMagic,
     InvalidParameters,
-    MalformedLine,
     TrailingData,
     TruncatedFile,
     VersionMismatch,
@@ -18,15 +17,14 @@ from sparserec.errors import (
 from sparserec.evaluation import EvalReport, Roc, ScoreSet, evaluate_verification, generate_synthetic
 from sparserec.fileio import (
     _WRITE_CELLS,
+    FLAG_FLAT,
+    FLAG_TENSOR,
     load_flat_dataset,
-    load_tensor_set,
     read_feature_file,
     read_features_csv,
     read_pairs_csv,
     read_pca_model,
-    read_scores_csv,
     write_dictionary,
-    write_features_csv,
     write_flat_features,
     write_pca_model,
     write_roc_csv,
@@ -65,10 +63,10 @@ def test_tensor_round_trip(tmp_path):
     tensors = rng.standard_normal((3, 2, 4, 5))
     path = tmp_path / "t.feat"
     write_tensor_features(path, tensors, [0, 1, 0], ["a", "b", "c"])
-    loaded = load_tensor_set(path)
-    assert loaded.tensors.tobytes() == tensors.tobytes()
-    assert np.array_equal(loaded.labels, [0, 1, 0])
-    flat = loaded.flatten()
+    flat = read_feature_file(path, FLAG_TENSOR)
+    assert flat.features.reshape(tensors.shape).tobytes() == tensors.tobytes()
+    assert np.array_equal(flat.labels, [0, 1, 0])
+    assert flat.ids == ("a", "b", "c")
     assert flat.dim == 2 * 4 * 5
     for i in range(3):  # file flattening agrees with the per-tensor index arithmetic
         assert np.array_equal(flat.features[i], flatten_reference(tensors[i]))
@@ -85,7 +83,7 @@ def test_flattened_tensor_file_is_a_bijection(tmp_path):
     maps = rng.standard_normal((2, 3, 4, 5))  # two samples of 3 maps, 4 x 5 each
     path = tmp_path / "t.feat"
     write_tensor_features(path, maps, [0, 1], ["a", "b"])
-    flat = load_tensor_set(path).flatten()
+    flat = read_feature_file(path, FLAG_TENSOR)
     n, n1, n2 = maps.shape[1:]
     for sample in range(2):
         row = flat.features[sample]
@@ -134,7 +132,7 @@ def test_reading_a_feature_file_copies_no_payload(tmp_path, layout):
     del values
     tracemalloc.start()
     try:
-        loaded = load_flat_dataset(path) if layout == "flat" else load_tensor_set(path).flatten()
+        loaded = read_feature_file(path, FLAG_FLAT if layout == "flat" else FLAG_TENSOR)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -177,20 +175,24 @@ def test_trailing_bytes_rejected(tmp_path):
 
 def test_flat_loader_rejects_tensor_file(tmp_path):
     path = tmp_path / "t.feat"
-    write_tensor_features(path, np.zeros((1, 1, 2, 2)), [0], ["a"])
-    with pytest.raises(InvalidParameters, match="flatten"):
+    write_tensor_features(path, np.arange(4.0).reshape(1, 1, 2, 2), [0], ["a"])
+    with pytest.raises(InvalidParameters, match=f"{path} holds activation tensors; run the flatten command first"):
         load_flat_dataset(path)
     flat = tmp_path / "f.feat"
     write_flat_features(flat, dataset_from_arrays(np.eye(2), [0, 1], ["a", "b"]))
-    with pytest.raises(InvalidParameters):
-        load_tensor_set(flat)
+    with pytest.raises(InvalidParameters, match=f"{flat} holds flat vectors, not activation tensors"):
+        read_feature_file(flat, FLAG_TENSOR)
+    # without a layout either file reads as one row per sample
+    assert read_feature_file(path).features.tolist() == [[0.0, 1.0, 2.0, 3.0]]
+    assert read_feature_file(flat).features.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     ds = _dataset(rng, m=3, d=2)
     path = tmp_path / "f.csv"
-    write_features_csv(path, ds)
+    _reference_csv(path, ["id", "class_label", "v0", "v1"],
+                   [(pid, label, *row) for pid, label, row in zip(ds.ids, ds.labels.tolist(), ds.features.tolist())])
     loaded = read_features_csv(path)
     assert np.max(np.abs(loaded.features - ds.features)) == 0.0  # 17g is lossless
     assert loaded.ids == ds.ids
@@ -245,10 +247,10 @@ def test_scores_csv_round_trip(tmp_path):
                         rng.standard_normal(20), [bool(i % 2) for i in range(20)])
     path = tmp_path / "scores.csv"
     write_scores_csv(path, scoreset)
-    loaded = read_scores_csv(path)
-    assert loaded.ids == scoreset.ids
-    for column in ("probe", "claim", "score", "is_genuine"):  # float scores survive exactly
-        assert np.array_equal(getattr(loaded, column), getattr(scoreset, column))
+    ids, columns = scores_csv_reference(path)
+    assert ids == scoreset.ids
+    for name, column in columns.items():  # float scores survive exactly
+        assert np.array_equal(column, getattr(scoreset, name))
 
 
 def _reference_csv(path, header, rows):
@@ -331,18 +333,6 @@ def test_roc_csv_matches_reference_writer_across_blocks(tmp_path, rows):
     assert written.decode().splitlines()[1].startswith("-inf,")
 
 
-@pytest.mark.parametrize("m, d", [(3, _WRITE_CELLS + 5), (70, 1000)],
-                         ids=["rows-wider-than-a-block", "several-rows-per-block"])
-def test_features_csv_matches_reference_writer_across_blocks(tmp_path, m, d):
-    rng = np.random.default_rng(d)
-    ids = [f'{i},"{i}"' for i in range(m)]
-    ds = dataset_from_arrays(_with_specials(rng.standard_normal(m * d)).reshape(m, d), np.arange(m) % 4, ids)
-    write_features_csv(tmp_path / "f.csv", ds)
-    _reference_csv(tmp_path / "f_ref.csv", ["id", "class_label"] + [f"v{i}" for i in range(d)],
-                   [(pid, label, *row) for pid, label, row in zip(ds.ids, ds.labels.tolist(), ds.features.tolist())])
-    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "f_ref.csv").read_bytes()
-
-
 # Traced peak of writing a 200,000-row score set and its ROC.  Blocks of
 # _WRITE_CELLS cells keep it at 2.5 MB; formatting whole columns at once
 # (about 250 bytes a row) took 46 MB.
@@ -369,20 +359,11 @@ def test_score_and_roc_writes_use_bounded_memory(tmp_path):
 def test_scores_csv_round_trips_awkward_ids_and_scores(tmp_path):
     s = _awkward_scoreset()
     write_scores_csv(tmp_path / "scores.csv", s)
-    loaded = read_scores_csv(tmp_path / "scores.csv")
-    assert loaded.ids == s.ids
-    assert loaded.score.tobytes() == s.score.tobytes()  # bit-exact, -0.0 included
-    for column in ("probe", "claim", "is_genuine"):
-        assert np.array_equal(getattr(loaded, column), getattr(s, column))
-
-
-@pytest.mark.parametrize("row", ["p0,1,0.5", "p0,x,0.5,1", "p0,1,zz,1", "p0,1,0.5,2", ""],
-                         ids=["field-count", "claimed-class", "score", "is-genuine", "blank-line"])
-def test_scores_csv_bad_row_names_the_line(tmp_path, row):
-    path = tmp_path / "scores.csv"
-    path.write_text(f"probe_id,claimed_class,score,is_genuine\np0,0,0.25,1\n{row}\np1,1,0.5,0\n")
-    with pytest.raises(MalformedLine, match=f"{path}:3:"):
-        read_scores_csv(path)
+    ids, columns = scores_csv_reference(tmp_path / "scores.csv")
+    assert ids == s.ids
+    assert columns.pop("score").tobytes() == s.score.tobytes()  # bit-exact, -0.0 included
+    for name, column in columns.items():
+        assert np.array_equal(column, getattr(s, name))
 
 
 def test_pairs_csv(tmp_path):

@@ -12,17 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparserec.errors import SparserecError
-from sparserec.evaluation import ScoreSet, generate_synthetic
+from sparserec.evaluation import generate_synthetic
 from sparserec.fileio import (
     read_feature_file,
     read_features_csv,
     read_pairs_csv,
     read_pca_model,
-    read_scores_csv,
-    write_features_csv,
     write_flat_features,
     write_pca_model,
-    write_scores_csv,
     write_tensor_features,
 )
 from sparserec.pca import pca_fit
@@ -34,7 +31,6 @@ READERS = {
 }
 CSV_READERS = {
     "features.csv": read_features_csv,
-    "scores.csv": read_scores_csv,
     "pairs.csv": read_pairs_csv,
 }
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -50,9 +46,11 @@ def scratch(tmp_path_factory) -> Path:
     tensors = enrolment.features.reshape(-1, 2, 2, 2)
     write_tensor_features(directory / "tensor", tensors, enrolment.labels, ids)
     write_pca_model(directory / "pca", pca_fit(enrolment, num_components=3)[0])
-    write_features_csv(directory / "features.csv", enrolment)
-    write_scores_csv(directory / "scores.csv",
-                     ScoreSet(("p0", "p,1"), [0, 0, 1], [0, 1, 2], [0.5, -1.25e-3, 2.0], [1, 0, 0]))
+    with open(directory / "features.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "class_label"] + [f"v{i}" for i in range(enrolment.dim)])
+        writer.writerows([pid, label, *row] for pid, label, row in
+                         zip(enrolment.ids, enrolment.labels.tolist(), enrolment.features.tolist()))
     (directory / "pairs.csv").write_text("probe_id,claimed_class\np0,1\np1,0\n\"p,2\",2\n")
     return directory
 
