@@ -4,13 +4,16 @@ Subcommands: gen-synthetic, flatten, fit, verify, identify, sweep-pcs.
 Every command is deterministic given its input files, configuration and
 seed; re-runs write byte-identical outputs.  Probes are scored in blocks by
 array operations; BLAS's own thread variables (OPENBLAS_NUM_THREADS and the
-like) set how many cores those use.
+like) set how many cores those use.  `entrypoint`, which the console script
+and `python -m sparserec` run, freezes the import-time heap (`gc.freeze`) so
+no collection walks it again, teardown included; in-process `main` does not.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 from pathlib import Path
 
@@ -18,8 +21,9 @@ from .classifiers import CLASSIFIERS, Gallery, check_classifier
 from .config import (RunConfig, _apply_raw, apply_setting, config_echo, parse_pca_selection, parse_protocol,
                      read_settings)
 from .core import Dataset, dataset_from_arrays
-from .errors import (DegenerateAugmentation, DimensionMismatch, InconsistentBundle, InvalidParameters,
-                     MissingClass, NonFiniteValue, SparserecError, ZeroNormSample)
+from .errors import (DegenerateAugmentation, DegenerateScoreSet, DimensionMismatch, DuplicateId, InconsistentBundle,
+                     InvalidParameters, KTooLarge, MissingClass, NonFiniteValue, SingularSystem, SparserecError,
+                     UnknownClass, ZeroNormSample)
 from .evaluation import build_scoreset, evaluate_verification, generate_synthetic, rank1_identification
 from .fileio import (FLAG_TENSOR, format_report_kv, format_report_text, load_flat_dataset, read_feature_file,
                      read_pairs_csv, read_pca_model, write_dictionary, write_flat_features, write_pca_model,
@@ -36,27 +40,23 @@ ENROLMENT_NAME = "enrolment.feat"
 # configuration plumbing
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict[str, str | None]:
-    return {
-        "lambda": getattr(args, "ridge_lambda", None),
-        "sparsity_k": getattr(args, "sparsity_k", None),
-        "pca": getattr(args, "pca", None),
-        "classifier": getattr(args, "classifier", None),
-        "protocol": getattr(args, "protocol", None),
-        "seed": getattr(args, "seed", None),
-    }
+# configuration keys that a command-line flag of the same name overrides
+FLAG_KEYS = ("lambda", "sparsity_k", "pca", "classifier", "protocol", "seed")
 
 
 def _resolve_config(args: argparse.Namespace, base: RunConfig | None = None) -> RunConfig:
     """Layered resolution: defaults, then bundle manifest (`base`), then
-    config file, then command-line flags."""
-    cfg = base or RunConfig()
+    config file, then command-line flags.  `args.set_at` maps each config
+    file setting that no flag replaces to its path:line."""
+    cfg, args.set_at = base or RunConfig(), {}
     if getattr(args, "config", None):
         for key, value, where in read_settings(args.config):
             cfg = apply_setting(cfg, key, value, where)
-    for key, value in _overrides_from_args(args).items():
-        if value is not None:
-            cfg = _apply_raw(cfg, key, str(value))
+            args.set_at[key] = where
+    for key in FLAG_KEYS:
+        if getattr(args, key, None) is not None:
+            cfg = _apply_raw(cfg, key, str(getattr(args, key)))
+            args.set_at.pop(key, None)
     return cfg
 
 
@@ -68,20 +68,15 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 @contextlib.contextmanager
 def _naming(path, *errors: type[SparserecError]):
-    """Re-raise any of `errors` from the block with `path` before its message."""
+    """Re-raise any of `errors` from the block with `path`, unless None, before its message."""
     try:
         yield
     except errors as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise (exc if path is None else type(exc)(f"{path}: {exc}")) from None
 
 
 # ---------------------------------------------------------------------------
 # model bundles
-
-
-def _write_manifest(path: Path, entries: dict[str, str]) -> None:
-    lines = [f"{key} = {entries[key]}" for key in sorted(entries)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _load_bundle(args: argparse.Namespace):
@@ -119,7 +114,8 @@ def _load_bundle(args: argparse.Namespace):
         if cfg.solver.ridge_lambda == 0.0 and n > d:
             raise InvalidParameters(f"lambda = 0 with {n} atoms in dimension {d}")
     cfg = _resolve_config(args, cfg)
-    with _naming(bundle / ENROLMENT_NAME, MissingClass, ZeroNormSample):
+    with (_naming(bundle / ENROLMENT_NAME, MissingClass, ZeroNormSample),
+          _naming(args.set_at.get("sparsity_k"), InvalidParameters)):
         gallery = Gallery(enrolment, cfg.solver)
     return model, gallery, cfg
 
@@ -194,17 +190,20 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     mode, param = parse_pca_selection(cfg.pca)
     model, reduced = None, enrolment
-    if mode == "fixed":
-        model, reduced = pca_fit(enrolment, num_components=int(param))
-    elif mode != "off":
-        model, reduced = pca_fit(enrolment, retain=float(param))
+    with _naming(args.set_at.get("pca"), KTooLarge):
+        if mode == "fixed":
+            model, reduced = pca_fit(enrolment, num_components=int(param))
+        elif mode != "off":
+            model, reduced = pca_fit(enrolment, retain=float(param))
 
-    with _naming(args.enrolment, MissingClass, ZeroNormSample):
+    with (_naming(args.enrolment, MissingClass, ZeroNormSample),
+          _naming(args.set_at.get("sparsity_k"), InvalidParameters)):
         gallery = Gallery(reduced, cfg.solver)
     if cfg.solver.ridge_lambda == 0.0:
         # a positive lambda always gives a ridge map; at 0 the bundle's default
         # classifier would refuse it, so the fit refuses now and writes nothing
-        gallery.operator
+        with _naming(args.set_at.get("lambda"), SingularSystem):
+            gallery.operator
     dictionary = gallery.dictionary
 
     out = _out_dir(args)
@@ -212,20 +211,18 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if model is not None:
         write_pca_model(out / PCA_NAME, model)
     write_flat_features(out / ENROLMENT_NAME, reduced)
-    _write_manifest(
-        out / MANIFEST_NAME,
-        {
-            "bundle_version": "1",
-            "dim_input": str(enrolment.dim),
-            "lambda": f"{cfg.solver.ridge_lambda:g}",
-            "num_atoms": str(dictionary.num_atoms),
-            "num_classes": str(dictionary.num_classes),
-            "pca": cfg.pca,
-            "pca_components": str(0 if model is None else model.num_components),
-            "residual_tol": f"{cfg.solver.residual_tol:g}",
-            "sparsity_k": str(gallery.k),
-        },
-    )
+    manifest = {
+        "bundle_version": "1",
+        "dim_input": str(enrolment.dim),
+        "lambda": f"{cfg.solver.ridge_lambda:g}",
+        "num_atoms": str(dictionary.num_atoms),
+        "num_classes": str(dictionary.num_classes),
+        "pca": cfg.pca,
+        "pca_components": str(0 if model is None else model.num_components),
+        "residual_tol": f"{cfg.solver.residual_tol:g}",
+        "sparsity_k": str(gallery.k),
+    }
+    (out / MANIFEST_NAME).write_text("".join(f"{k} = {v}\n" for k, v in sorted(manifest.items())), encoding="utf-8")
     print(
         f"wrote bundle {out} ({dictionary.num_atoms} atoms, {dictionary.num_classes} classes,"
         f" dim {dictionary.dim})"
@@ -234,15 +231,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _protocol_pairs(cfg: RunConfig):
-    """The pairs list a `pairs:<file>` protocol names, or None for all-vs-all."""
-    _, pairs_path = parse_protocol(cfg.protocol)
-    return None if pairs_path is None else read_pairs_csv(pairs_path)
+    """The file and pairs list a `pairs:<file>` protocol names; (None, None) for all-vs-all."""
+    _, path = parse_protocol(cfg.protocol)
+    return path, None if path is None else read_pairs_csv(path)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     model, gallery, cfg = _load_bundle(args)
     probes = _load_probes(args.probes, model, gallery)
-    pairs = _protocol_pairs(cfg)
+    pairs_path, pairs = _protocol_pairs(cfg)
     echo = config_echo(
         cfg,
         resolved_sparsity_k=gallery.k,
@@ -250,7 +247,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         num_atoms=gallery.dictionary.num_atoms,
         num_classes=gallery.dictionary.num_classes,
     )
-    with _naming(args.probes, DegenerateAugmentation, NonFiniteValue, ZeroNormSample):
+    with (_naming(args.probes, DegenerateAugmentation, DuplicateId, NonFiniteValue, ZeroNormSample),
+          _naming(pairs_path, InvalidParameters, UnknownClass), _naming(pairs_path or args.probes, DegenerateScoreSet),
+          _naming(args.set_at.get("lambda"), SingularSystem)):
         scoreset = build_scoreset(probes, gallery, cfg.classifier, pairs=pairs)
         report = evaluate_verification(scoreset, cfg.far_targets, echo)
 
@@ -284,7 +283,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
     dropped = probes.num_samples - int(enrolled.sum())
     if dropped:
         if not enrolled.any():
-            raise InvalidParameters("no probe belongs to an enrolled class")
+            raise InvalidParameters(f"{args.probes}: no probe belongs to an enrolled class")
         probes = dataset_from_arrays(
             probes.features[enrolled],
             probes.labels[enrolled],
@@ -292,7 +291,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
         )
 
     classifiers = classifiers or [cfg.classifier]
-    with _naming(args.probes, DegenerateAugmentation, ZeroNormSample):
+    with (_naming(args.probes, DegenerateAugmentation, ZeroNormSample),
+          _naming(args.set_at.get("lambda"), SingularSystem)):
         rows = list(zip(classifiers, rank1_identification(probes, gallery, classifiers)))
 
     echo = config_echo(
@@ -350,14 +350,18 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
             f"{args.probes}: dim {probes.dim} does not match the enrolment's dim {enrolment.dim}"
         )
 
-    pairs = _protocol_pairs(cfg)
+    pairs_path, pairs = _protocol_pairs(cfg)
     # One projection at the widest K serves every row: a row slices its
     # leading K columns.
     with _naming(args.probes, NonFiniteValue):  # only the probes' projection can leave the range
         counts, enrol_all, probes_all = pca_sweep(enrolment, probes, k_values)
     header = ["num_components", "eer"] + [f"gmr_at_far_{t:g}" for t in cfg.far_targets]
     lines = [",".join(header)]
-    lines += [_sweep_row(k, enrol_all, probes_all, cfg, pairs) for k in counts]
+    with _naming(args.set_at.get("sparsity_k"), InvalidParameters):  # every row's gallery has the same atoms
+        cfg.solver.resolve_k(enrolment.num_samples)
+    with (_naming(args.probes, DuplicateId), _naming(pairs_path, InvalidParameters, UnknownClass),
+          _naming(pairs_path or args.probes, DegenerateScoreSet), _naming(args.set_at.get("lambda"), SingularSystem)):
+        lines += [_sweep_row(k, enrol_all, probes_all, cfg, pairs) for k in counts]
     out = _out_dir(args)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     echo = config_echo(cfg, k_list=",".join(str(k) for k in k_values))
@@ -375,7 +379,7 @@ def _add_common(parser: argparse.ArgumentParser, *, solver: bool = True, pca: bo
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="random seed")
     if solver:
-        parser.add_argument("--lambda", dest="ridge_lambda", type=float, default=None,
+        parser.add_argument("--lambda", type=float, default=None,
                             help="ridge regularizer for the collaborative solve")
         parser.add_argument("--k", dest="sparsity_k", type=int, default=None,
                             help="sparsity budget for the greedy solve")
@@ -450,6 +454,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    gc.freeze()
     sys.exit(main())
 
 

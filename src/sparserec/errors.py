@@ -54,6 +54,10 @@ class UnknownClass(SparserecError):
     """A class index outside the enrolled class space."""
 
 
+class DuplicateId(SparserecError):
+    """Two probes share an id that a pairs list would name."""
+
+
 class DegenerateScoreSet(SparserecError):
     """Metrics need at least one genuine and one impostor score."""
 

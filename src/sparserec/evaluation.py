@@ -23,6 +23,7 @@ from .core import Dataset, _frozen, dataset_from_arrays
 from .errors import (
     DegenerateScoreSet,
     DimensionMismatch,
+    DuplicateId,
     InvalidParameters,
     NonFiniteValue,
     UnknownClass,
@@ -107,7 +108,7 @@ def build_scoreset(
     index_of: dict[str, int] = {}
     for i, pid in enumerate(probes.ids):
         if pid in index_of:
-            raise InvalidParameters(f"duplicate probe id {pid!r}; pairs would be ambiguous")
+            raise DuplicateId(f"duplicate probe id {pid!r}; pairs would be ambiguous")
         index_of[pid] = i
     pair_ids, claims = zip(*pairs) if pairs else ((), ())
     probe = np.fromiter(map(index_of.get, pair_ids, repeat(-1)), dtype=np.int64, count=len(pair_ids))

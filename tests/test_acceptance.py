@@ -253,29 +253,25 @@ def test_criterion_7_gmr_monotonicity_panel():
             assert g1 >= g2 >= g3
 
 
+def pipeline(root):
+    """Criterion 8's commands, one argv for `main` each, writing under `root`."""
+    data, flat_e, flat_p, bundle = (root / name for name in ("data", "flat_enrol", "flat_probe", "bundle"))
+    enrol, probes = flat_e / "features.feat", flat_p / "features.feat"
+    commands = [
+        ["gen-synthetic", "--classes", "6", "--samples-per-class", "6", "--dim", "48",
+         "--subspace-dim", "3", "--noise-sigma", "0.15", "--tensor", "4x4x3", "--seed", "77", "--out", data],
+        ["flatten", data / "enrolment.feat", "--out", flat_e],
+        ["flatten", data / "probes.feat", "--out", flat_p],
+        ["fit", enrol, "--pca", "12", "--lambda", "0.01", "--out", bundle],
+        ["verify", probes, bundle, "--out", root / "verify"],
+        ["identify", probes, bundle, "--classifier", "sacrc,knn1", "--out", root / "identify"],
+    ]
+    return [[str(arg) for arg in argv] for argv in commands]
+
+
 def _run_pipeline(root):
-    data = root / "data"
-    flat_e = root / "flat_enrol"
-    flat_p = root / "flat_probe"
-    bundle = root / "bundle"
-    assert main([
-        "gen-synthetic", "--classes", "6", "--samples-per-class", "6", "--dim", "48",
-        "--subspace-dim", "3", "--noise-sigma", "0.15", "--tensor", "4x4x3",
-        "--seed", "77", "--out", str(data),
-    ]) == 0
-    assert main(["flatten", str(data / "enrolment.feat"), "--out", str(flat_e)]) == 0
-    assert main(["flatten", str(data / "probes.feat"), "--out", str(flat_p)]) == 0
-    assert main([
-        "fit", str(flat_e / "features.feat"), "--pca", "12", "--lambda", "0.01",
-        "--out", str(bundle),
-    ]) == 0
-    assert main([
-        "verify", str(flat_p / "features.feat"), str(bundle), "--out", str(root / "verify"),
-    ]) == 0
-    assert main([
-        "identify", str(flat_p / "features.feat"), str(bundle),
-        "--classifier", "sacrc,knn1", "--out", str(root / "identify"),
-    ]) == 0
+    for argv in pipeline(root):
+        assert main(argv) == 0
 
 
 def test_criterion_8_pipeline_determinism(tmp_path):

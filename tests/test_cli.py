@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import os
 import shutil
 import struct
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from reference_impls import scores_csv_reference
+from test_acceptance import pipeline
 
 from sparserec.classifiers import CLASSIFIERS, Gallery
 from sparserec import cli
@@ -16,7 +20,7 @@ from sparserec.cli import _parse_k_list, main
 from sparserec.core import Dataset, build_dictionary, dataset_from_arrays
 from sparserec.errors import InvalidParameters
 from sparserec.evaluation import build_scoreset, rank1_identification
-from sparserec.fileio import load_flat_dataset
+from sparserec.fileio import load_flat_dataset, write_flat_features
 from sparserec.pca import pca_fit, transform_dataset
 
 
@@ -649,6 +653,73 @@ def test_bad_solver_value_in_a_config_file_names_its_line(tmp_path, capsys, line
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep-pcs"])
+def test_duplicate_probe_ids_under_a_pairs_list_name_the_probe_file(tmp_path, capsys, command):
+    gen(tmp_path / "data", dim=20)
+    enrol = tmp_path / "data" / "enrolment.feat"
+    assert run("fit", enrol, "--out", tmp_path / "bundle") == 0
+    ds = load_flat_dataset(tmp_path / "data" / "probes.feat")
+    probes = tmp_path / "probes.feat"
+    write_flat_features(probes, dataset_from_arrays(ds.features, ds.labels, [ds.ids[0], *ds.ids[:-1]]))
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"probe_id,claimed_class\n{ds.ids[1]},0\n")
+    argv = {"verify": ["verify", probes, tmp_path / "bundle"], "sweep-pcs": ["sweep-pcs", enrol, probes, "--k-list", "4"]}
+    capsys.readouterr()
+    assert run(*argv[command], "--protocol", f"pairs:{pairs}", "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {probes}: duplicate probe id {ds.ids[0]!r}; pairs would be ambiguous\n"
+
+
+# a config setting that parses but that the data refuses: (command, line, text)
+REFUSED_SETTINGS = {
+    "fit-pca": ("fit", "pca = 99", "requested 99 components"),
+    "fit-sparsity-k": ("fit", "sparsity_k = 99", "sparsity_k=99 exceeds dictionary size 20"),
+    "fit-lambda-zero": ("fit --pca 4", "lambda = 0", "lambda=0 with 20 atoms in dimension 4"),
+    "verify-sparsity-k": ("verify", "sparsity_k = 21", "sparsity_k=21 exceeds dictionary size 20"),
+    "verify-lambda-zero": ("verify", "lambda = 0", "lambda=0 with 20 atoms in dimension 4"),
+    "identify-lambda-zero": ("identify", "lambda = 0", "lambda=0 with 20 atoms in dimension 4"),
+    "sweep-sparsity-k": ("sweep-pcs", "sparsity_k = 99", "sparsity_k=99 exceeds dictionary size 20"),
+    "sweep-lambda-zero": ("sweep-pcs", "lambda = 0", "lambda=0 with 20 atoms in dimension 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_SETTINGS))
+def test_a_config_setting_the_data_refuses_names_its_line(tmp_path, capsys, case):
+    command, line, text = REFUSED_SETTINGS[case]
+    gen(tmp_path / "data", dim=20)
+    enrol, probes, bundle = tmp_path / "data" / "enrolment.feat", tmp_path / "data" / "probes.feat", tmp_path / "b"
+    assert run("fit", enrol, "--pca", "4", "--out", bundle) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    argv = {"fit": ["fit", enrol], "fit --pca 4": ["fit", enrol, "--pca", "4"], "verify": ["verify", probes, bundle],
+            "identify": ["identify", probes, bundle], "sweep-pcs": ["sweep-pcs", enrol, probes, "--k-list", "4"]}
+    capsys.readouterr()
+    assert run(*argv[command], "--config", cfg, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:2: ") and text in err and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row, text", [("nobody,0", "unknown probe id 'nobody'"),
+                                       ("{probe},9", "pair claims class 9"),
+                                       ("{probe},{label}", "need at least one genuine and one impostor")],
+                         ids=["unknown-probe", "unknown-class", "no-impostor"])
+@pytest.mark.parametrize("command", ["verify", "sweep-pcs"])
+def test_a_pairs_list_the_probes_refuse_names_the_pairs_file(tmp_path, capsys, command, row, text):
+    gen(tmp_path / "data", dim=20)
+    enrol, probes = tmp_path / "data" / "enrolment.feat", tmp_path / "data" / "probes.feat"
+    assert run("fit", enrol, "--out", tmp_path / "bundle") == 0
+    first = load_flat_dataset(probes)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("probe_id,claimed_class\n" + row.format(probe=first.ids[0], label=first.labels[0]) + "\n")
+    argv = {"verify": ["verify", probes, tmp_path / "bundle"], "sweep-pcs": ["sweep-pcs", enrol, probes, "--k-list", "4"]}
+    capsys.readouterr()
+    assert run(*argv[command], "--protocol", f"pairs:{pairs}", "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pairs}: ") and text in err and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line, text", [("lambda = abc", "bad value 'abc'"),
                                         ("residual_tol = nan", "residual_tol must be finite"),
                                         ("pca = 0.5", "bad pca selection")],
@@ -780,12 +851,56 @@ def test_non_utf8_id_fails_cleanly(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-def _fresh_python(code: str) -> str:
-    """Standard output of `code` run in a new interpreter importing this checkout."""
+def _fresh(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """`python <args>` run in a new interpreter importing this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          check=True).stdout
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=check)
+
+
+def _fresh_python(code: str) -> str:
+    """Standard output of `code` run in a new interpreter importing this checkout."""
+    return _fresh("-c", code).stdout
+
+
+def test_entrypoint_freezes_the_import_heap_before_dispatch(monkeypatch):
+    before = gc.get_freeze_count()
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()) or 3)
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.entrypoint()
+    finally:
+        gc.unfreeze()
+    assert seen[0] > before and exited.value.code == 3
+
+
+def test_main_leaves_the_heap_unfrozen(tmp_path):
+    gen(tmp_path / "data", dim=20)
+    before = gc.get_freeze_count()
+    assert run("fit", tmp_path / "data" / "enrolment.feat", "--out", tmp_path / "bundle") == 0
+    assert gc.get_freeze_count() == before
+
+
+def _pipeline_outputs(root: Path, fresh: bool):
+    """Criterion 8's pipeline under `root`, each command in its own `python -m
+    sparserec` or in-process: each exit code and stdout, then every file."""
+    printed = []
+    for argv in pipeline(root):
+        if fresh:
+            proc = _fresh("-m", "sparserec", *argv, check=False)
+            code, out = proc.returncode, proc.stdout
+        else:
+            with contextlib.redirect_stdout(io.StringIO()) as buf:
+                code = main(argv)
+            out = buf.getvalue()
+        printed.append((code, out.replace(str(root), "<root>")))
+    return printed, {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_python_m_runs_the_pipeline_like_main(tmp_path):
+    fresh = _pipeline_outputs(tmp_path / "fresh", True)
+    assert fresh[1] and fresh == _pipeline_outputs(tmp_path / "main", False)
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -2,9 +2,13 @@
 `identify` or `sweep-pcs` is damaged, and the command, run in-process, must
 either succeed or exit 2 with one `error:` line that names the damaged file.
 Any other exception, a numpy warning (the test suite turns warnings into
-errors) or a second line of output fails the test."""
+errors) or a second line of output fails the test.  Binary files and bundle
+manifests take byte, header, value and manifest damage; features and pairs
+CSVs and `--config` files take one row or field changed the way
+test_fileio_properties.py changes a CSV row."""
 
 import contextlib
+import csv
 import io
 import math
 import re
@@ -17,7 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_fileio_properties import FIELD, _with_field
+
 from sparserec.cli import main
+from sparserec.fileio import load_flat_dataset
 
 # (argv, with {name} for each input file; the inputs that may be damaged)
 COMMANDS = {
@@ -32,7 +39,22 @@ COMMANDS = {
                  ["probes", "bundle/manifest.txt", "bundle/pca.bin", "bundle/enrolment.feat"]),
     "sweep-pcs": (["sweep-pcs", "{enrolment}", "{probes}", "--k-list", "4"], ["enrolment", "probes"]),
 }
-FILES = {"tensor": "tensor/enrolment.feat", "enrolment": "data/enrolment.feat", "probes": "data/probes.feat"}
+# text inputs: a features CSV to fit from or verify, a pairs list and config files
+TEXT_COMMANDS = {
+    "fit-csv": (["fit", "{enrolment-csv}", "--pca", "8"], ["enrolment-csv"]),
+    "fit-config": (["fit", "{enrolment}", "--config", "{fit-config}"], ["fit-config"]),
+    "verify-csv": (["verify", "{probes-csv}", "{bundle}"], ["probes-csv"]),
+    "verify-pairs": (["verify", "{probes}", "{bundle}", "--protocol", "pairs:{pairs}"], ["pairs"]),
+    "verify-config": (["verify", "{probes}", "{bundle}", "--config", "{verify-config}"], ["verify-config"]),
+}
+FILES = {"tensor": "tensor/enrolment.feat", "enrolment": "data/enrolment.feat", "probes": "data/probes.feat",
+         "enrolment-csv": "data/enrolment.csv", "probes-csv": "data/probes.csv", "pairs": "data/pairs.csv",
+         "fit-config": "data/fit.cfg", "verify-config": "data/verify.cfg"}
+CONFIGS = {
+    "fit-config": "pca = 8\nlambda = 0.01\nsparsity_k = 4\nresidual_tol = 1e-06\nseed = 5\n",
+    "verify-config": "lambda = 0.01\nsparsity_k = 4\nresidual_tol = 1e-06\nclassifier = sacrc\n"
+                     "protocol = all-vs-all\nfar_targets = 0.1,0.01\nseed = 5\n",
+}
 
 
 def _pca_values(data: bytes) -> int:
@@ -60,6 +82,11 @@ DAMAGE = st.one_of(
     st.tuples(st.just("manifest"), st.integers(min_value=0),
               st.one_of(st.sampled_from(MANIFEST_VALUES), st.text(max_size=6))),
 )
+# one line replaced by free text, or one CSV field or config value by another
+TEXT_DAMAGE = st.one_of(
+    st.tuples(st.just("row"), st.integers(min_value=0), st.text(max_size=40)),
+    st.tuples(st.just("field"), st.integers(min_value=0), st.tuples(st.integers(min_value=0), FIELD)),
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +101,18 @@ def pristine(tmp_path_factory) -> Path:
         assert main(["gen-synthetic", *common, "--tensor", "2x3x5", "--out", str(root / "tensor")]) == 0
         for pca, name in (("8", "bundle"), ("off", "bundle-off")):
             assert main(["fit", str(root / "data" / "enrolment.feat"), "--pca", pca, "--out", str(root / name)]) == 0
+    for name in ("enrolment", "probes"):
+        ds = load_flat_dataset(root / FILES[name])
+        with open(root / FILES[name + "-csv"], "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "class_label"] + [f"v{i}" for i in range(ds.dim)])
+            writer.writerows([pid, label, *map(repr, row)] for pid, label, row in
+                             zip(ds.ids, ds.labels.tolist(), ds.features.tolist()))
+    with open(root / FILES["pairs"], "w", newline="") as fh:  # claims on the first probes
+        csv.writer(fh, lineterminator="\n").writerows(
+            [("probe_id", "claimed_class"), (ds.ids[0], 0), (ds.ids[1], 4), (ds.ids[2], int(ds.labels[2]))])
+    for name, text in CONFIGS.items():
+        (root / FILES[name]).write_text(text)
     return root
 
 
@@ -109,18 +148,48 @@ def _damaged(data: bytes, layout: str | None, how) -> bytes:
     return bytes(data)
 
 
+def _damaged_text(data: bytes, how) -> bytes:
+    """`data` with one line replaced by free text, or one CSV field or one
+    config value replaced by another."""
+    kind, where, what = how
+    lines = data.decode().splitlines()
+    line = lines[where % len(lines)]
+    if kind == "row":
+        line = what
+    elif " = " in line:  # a config line
+        line = f"{line.split(' = ')[0]} = {what[1]}"
+    else:
+        line = _with_field(line, *what)
+    lines[where % len(lines)] = line
+    return ("\n".join(lines) + "\n").encode()
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(target=st.integers(min_value=0), how=DAMAGE)
 def test_a_damaged_input_fails_with_one_line_naming_it(pristine, command, target, how):
     argv, damageable = COMMANDS[command]
+    name = damageable[target % len(damageable)]
+    _check_damaged_run(pristine, argv, name, lambda data: _damaged(data, _layout(name, data), how))
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_COMMANDS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(how=TEXT_DAMAGE)
+def test_a_damaged_text_input_fails_with_one_line_naming_it(pristine, command, how):
+    argv, (name,) = TEXT_COMMANDS[command]
+    _check_damaged_run(pristine, argv, name, lambda data: _damaged_text(data, how))
+
+
+def _check_damaged_run(pristine: Path, argv: list[str], name: str, damage) -> None:
+    """Run `argv` on a copy of the pristine inputs with input `name` passed
+    through `damage`: exit 0, or exit 2 with one `error:` line naming it."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name in ("data", "tensor", "bundle", "bundle-off"):
-            shutil.copytree(pristine / name, work / name)
-        name = damageable[target % len(damageable)]
+        for directory in ("data", "tensor", "bundle", "bundle-off"):
+            shutil.copytree(pristine / directory, work / directory)
         path = work / FILES.get(name, name)
-        path.write_bytes(_damaged(path.read_bytes(), _layout(name, path.read_bytes()), how))
+        path.write_bytes(damage(path.read_bytes()))
         paths = {key: str(work / value) for key, value in FILES.items()}
         paths.update({"bundle": str(work / "bundle"), "bundle-off": str(work / "bundle-off")})
         err = io.StringIO()
