@@ -7,6 +7,9 @@ array operations; BLAS's own thread variables (OPENBLAS_NUM_THREADS and the
 like) set how many cores those use.  `entrypoint`, which the console script
 and `python -m sparserec` run, freezes the import-time heap (`gc.freeze`) so
 no collection walks it again, teardown included; in-process `main` does not.
+Each stage that reads an input (the PCA fit, the gallery, the scoring) names
+it, or the config line that set the value at fault, on the errors it raises:
+each naming scope wraps only the calls that read its own input.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ from .classifiers import CLASSIFIERS, Gallery, check_classifier
 from .config import (RunConfig, _apply_raw, apply_setting, config_echo, parse_pca_selection, parse_protocol,
                      read_settings)
 from .core import Dataset, dataset_from_arrays
-from .errors import (DegenerateAugmentation, DegenerateScoreSet, DimensionMismatch, DuplicateId, InconsistentBundle,
-                     InvalidParameters, KTooLarge, MissingClass, NonFiniteValue, SingularSystem, SparserecError,
-                     UnknownClass, ZeroNormSample)
+from .errors import (DegenerateAugmentation, DegenerateData, DegenerateScoreSet, DimensionMismatch, DuplicateId,
+                     InconsistentBundle, InsufficientSamples, InvalidParameters, KTooLarge, MissingClass,
+                     NonFiniteValue, SingularSystem, SparserecError, UnknownClass, ZeroNormSample)
 from .evaluation import build_scoreset, evaluate_verification, generate_synthetic, rank1_identification
-from .fileio import (FLAG_TENSOR, format_report_kv, format_report_text, load_flat_dataset, read_feature_file,
-                     read_pairs_csv, read_pca_model, write_dictionary, write_flat_features, write_pca_model,
-                     write_roc_csv, write_scores_csv, write_tensor_features)
+from .fileio import (FLAG_TENSOR, format_kv, format_panel, format_report_kv, format_report_text,
+                     load_flat_dataset, read_feature_file, read_pairs_csv, read_pca_model, write_dictionary,
+                     write_flat_features, write_pca_model, write_roc_csv, write_scores_csv, write_tensor_features)
 from .pca import pca_fit, pca_sweep, transform_dataset
 
 MANIFEST_NAME = "manifest.txt"
@@ -75,6 +78,21 @@ def _naming(path, *errors: type[SparserecError]):
         raise (exc if path is None else type(exc)(f"{path}: {exc}")) from None
 
 
+def _gallery(enrolment: Dataset, cfg: RunConfig, args: argparse.Namespace, path) -> Gallery:
+    """The gallery of `enrolment`; its errors name `path`, a refused sparsity its config line."""
+    with _naming(path, MissingClass, ZeroNormSample), _naming(args.set_at.get("sparsity_k"), InvalidParameters):
+        return Gallery(enrolment, cfg.solver)
+
+
+@contextlib.contextmanager
+def _scoring(args: argparse.Namespace, pairs_path=None):
+    """Name the probe file, pairs list or lambda's config line on what scoring raises."""
+    with (_naming(args.probes, DegenerateAugmentation, DuplicateId, NonFiniteValue, ZeroNormSample),
+          _naming(pairs_path, InvalidParameters, UnknownClass), _naming(pairs_path or args.probes, DegenerateScoreSet),
+          _naming(args.set_at.get("lambda"), SingularSystem)):
+        yield
+
+
 # ---------------------------------------------------------------------------
 # model bundles
 
@@ -114,10 +132,13 @@ def _load_bundle(args: argparse.Namespace):
         if cfg.solver.ridge_lambda == 0.0 and n > d:
             raise InvalidParameters(f"lambda = 0 with {n} atoms in dimension {d}")
     cfg = _resolve_config(args, cfg)
-    with (_naming(bundle / ENROLMENT_NAME, MissingClass, ZeroNormSample),
-          _naming(args.set_at.get("sparsity_k"), InvalidParameters)):
-        gallery = Gallery(enrolment, cfg.solver)
-    return model, gallery, cfg
+    return model, _gallery(enrolment, cfg, args, bundle / ENROLMENT_NAME), cfg
+
+
+def _bundle_echo(cfg: RunConfig, model, gallery: Gallery, **extras) -> list[tuple[str, str]]:
+    """The config echo of a bundle run: the resolved sparsity, the PCA width, then `extras`."""
+    return config_echo(cfg, resolved_sparsity_k=gallery.k,
+                       pca_components=0 if model is None else model.num_components, **extras)
 
 
 def _load_probes(path: str, model, gallery: Gallery) -> Dataset:
@@ -190,15 +211,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     mode, param = parse_pca_selection(cfg.pca)
     model, reduced = None, enrolment
-    with _naming(args.set_at.get("pca"), KTooLarge):
+    with _naming(args.set_at.get("pca"), KTooLarge), _naming(args.enrolment, InsufficientSamples, DegenerateData):
         if mode == "fixed":
             model, reduced = pca_fit(enrolment, num_components=int(param))
         elif mode != "off":
             model, reduced = pca_fit(enrolment, retain=float(param))
 
-    with (_naming(args.enrolment, MissingClass, ZeroNormSample),
-          _naming(args.set_at.get("sparsity_k"), InvalidParameters)):
-        gallery = Gallery(reduced, cfg.solver)
+    gallery = _gallery(reduced, cfg, args, args.enrolment)
     if cfg.solver.ridge_lambda == 0.0:
         # a positive lambda always gives a ridge map; at 0 the bundle's default
         # classifier would refuse it, so the fit refuses now and writes nothing
@@ -240,16 +259,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     model, gallery, cfg = _load_bundle(args)
     probes = _load_probes(args.probes, model, gallery)
     pairs_path, pairs = _protocol_pairs(cfg)
-    echo = config_echo(
-        cfg,
-        resolved_sparsity_k=gallery.k,
-        pca_components=0 if model is None else model.num_components,
-        num_atoms=gallery.dictionary.num_atoms,
-        num_classes=gallery.dictionary.num_classes,
-    )
-    with (_naming(args.probes, DegenerateAugmentation, DuplicateId, NonFiniteValue, ZeroNormSample),
-          _naming(pairs_path, InvalidParameters, UnknownClass), _naming(pairs_path or args.probes, DegenerateScoreSet),
-          _naming(args.set_at.get("lambda"), SingularSystem)):
+    echo = _bundle_echo(cfg, model, gallery, num_atoms=gallery.dictionary.num_atoms,
+                        num_classes=gallery.dictionary.num_classes)
+    with _scoring(args, pairs_path):
         scoreset = build_scoreset(probes, gallery, cfg.classifier, pairs=pairs)
         report = evaluate_verification(scoreset, cfg.far_targets, echo)
 
@@ -272,9 +284,8 @@ def _parse_classifier_list(text: str) -> list[str]:
 
 
 def cmd_identify(args: argparse.Namespace) -> int:
-    # a comma list, checked whole before any work and kept out of the config
-    classifiers = None if args.classifier is None else _parse_classifier_list(args.classifier)
-    args.classifier = None
+    # a comma list, checked whole before any work
+    classifiers = None if args.classifiers is None else _parse_classifier_list(args.classifiers)
     model, gallery, cfg = _load_bundle(args)
     probes = _load_probes(args.probes, model, gallery)
 
@@ -291,29 +302,17 @@ def cmd_identify(args: argparse.Namespace) -> int:
         )
 
     classifiers = classifiers or [cfg.classifier]
-    with (_naming(args.probes, DegenerateAugmentation, ZeroNormSample),
-          _naming(args.set_at.get("lambda"), SingularSystem)):
+    with _scoring(args):
         rows = list(zip(classifiers, rank1_identification(probes, gallery, classifiers)))
 
-    echo = config_echo(
-        cfg,
-        resolved_sparsity_k=gallery.k,
-        pca_components=0 if model is None else model.num_components,
-        probes_used=probes.num_samples,
-        probes_dropped=dropped,
-    )
+    echo = _bundle_echo(cfg, model, gallery, probes_used=probes.num_samples, probes_dropped=dropped)
     out = _out_dir(args)
     csv_lines = ["classifier,rank1_accuracy"]
     csv_lines += [f"{name},{acc:.17g}" for name, acc in rows]
     (out / "rank1.csv").write_text("\n".join(csv_lines) + "\n")
-
-    text_lines = ["rank-1 identification", "=====================", ""]
-    text_lines += [f"{name}: {100.0 * acc:.2f}%" for name, acc in rows]
-    text_lines += ["", "config", "------"]
-    text_lines += [f"{key} = {value}" for key, value in echo]
-    (out / "rank1.txt").write_text("\n".join(text_lines) + "\n")
-    for name, acc in rows:
-        print(f"{name}: {100.0 * acc:.2f}%")
+    lines = [f"{name}: {100.0 * acc:.2f}%" for name, acc in rows]
+    (out / "rank1.txt").write_text(format_panel("rank-1 identification", lines, echo))
+    print("\n".join(lines))
     return 0
 
 
@@ -327,16 +326,17 @@ def _parse_k_list(text: str) -> list[int]:
     return ks
 
 
-def _sweep_row(k: int, enrol_all: Dataset, probes_all: Dataset, cfg: RunConfig, pairs) -> str:
+def _sweep_row(k: int, enrol_all: Dataset, probes_all: Dataset, cfg: RunConfig, args, pairs_path, pairs) -> str:
     """One sweep.csv row: verification at the leading k columns, read as views.
     The row's gallery, score set and report are freed when it returns, before
     the next row builds its own."""
-    gallery = Gallery(dataset_from_arrays(enrol_all.features[:, :k], enrol_all.labels, enrol_all.ids),
-                      cfg.solver)
+    gallery = _gallery(dataset_from_arrays(enrol_all.features[:, :k], enrol_all.labels, enrol_all.ids),
+                       cfg, args, args.enrolment)
     probes = dataset_from_arrays(probes_all.features[:, :k], probes_all.labels, probes_all.ids)
-    scoreset = build_scoreset(probes, gallery, cfg.classifier, pairs=pairs)
-    del gallery  # free the dictionary and ridge map before the ROC sweep
-    report = evaluate_verification(scoreset, cfg.far_targets)
+    with _scoring(args, pairs_path):
+        scoreset = build_scoreset(probes, gallery, cfg.classifier, pairs=pairs)
+        del gallery  # free the dictionary and ridge map before the ROC sweep
+        report = evaluate_verification(scoreset, cfg.far_targets)
     return ",".join([str(k), f"{report.eer:.17g}", *(f"{g.gmr:.17g}" for g in report.gmr_at_far)])
 
 
@@ -352,20 +352,16 @@ def cmd_sweep_pcs(args: argparse.Namespace) -> int:
 
     pairs_path, pairs = _protocol_pairs(cfg)
     # One projection at the widest K serves every row: a row slices its
-    # leading K columns.
-    with _naming(args.probes, NonFiniteValue):  # only the probes' projection can leave the range
+    # leading K columns.  Only the probes' projection can leave the range.
+    with _naming(args.probes, NonFiniteValue), _naming(args.enrolment, InsufficientSamples, DegenerateData):
         counts, enrol_all, probes_all = pca_sweep(enrolment, probes, k_values)
     header = ["num_components", "eer"] + [f"gmr_at_far_{t:g}" for t in cfg.far_targets]
     lines = [",".join(header)]
-    with _naming(args.set_at.get("sparsity_k"), InvalidParameters):  # every row's gallery has the same atoms
-        cfg.solver.resolve_k(enrolment.num_samples)
-    with (_naming(args.probes, DuplicateId), _naming(pairs_path, InvalidParameters, UnknownClass),
-          _naming(pairs_path or args.probes, DegenerateScoreSet), _naming(args.set_at.get("lambda"), SingularSystem)):
-        lines += [_sweep_row(k, enrol_all, probes_all, cfg, pairs) for k in counts]
+    lines += [_sweep_row(k, enrol_all, probes_all, cfg, args, pairs_path, pairs) for k in counts]
     out = _out_dir(args)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     echo = config_echo(cfg, k_list=",".join(str(k) for k in k_values))
-    (out / "sweep.kv").write_text("".join(f"config.{k} = {v}\n" for k, v in echo))
+    (out / "sweep.kv").write_text(format_kv(echo, "config."))
     print(f"wrote {out / 'sweep.csv'} ({len(counts)} rows)")
     return 0
 
@@ -426,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="rank-1 identification accuracy per classifier")
     p.add_argument("probes", help="flat probe feature file")
     p.add_argument("bundle", help="model bundle directory from fit")
-    p.add_argument("--classifier", default=None,
+    p.add_argument("--classifier", dest="classifiers", metavar="CLASSIFIER",
                    help=f"comma-separated list from {', '.join(CLASSIFIERS)} (default sacrc)")
     _add_common(p)
     p.set_defaults(func=cmd_identify)

@@ -255,7 +255,7 @@ def evaluate_verification(
     """Assemble the standard verification panel from one threshold sweep:
     EER, GMR at each FAR target and the full ROC."""
     roc = compute_roc(scoreset)
-    num_impostors = scoreset.impostor_scores().size
+    num_impostors = np.count_nonzero(~scoreset.is_genuine)
     return EvalReport(
         eer=_eer(roc),
         gmr_at_far=tuple(_gmr_at_far(roc, t, num_impostors) for t in far_targets),

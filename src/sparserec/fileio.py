@@ -435,25 +435,29 @@ def _percent(x: float) -> str:
     return f"{100.0 * x:.2f}%"
 
 
+def format_kv(pairs: Iterable[tuple[str, object]], prefix: str = "") -> str:
+    """One `<prefix><key> = <value>` line per pair."""
+    return "".join(f"{prefix}{key} = {value}\n" for key, value in pairs)
+
+
+def format_panel(title: str, lines: Sequence[str], config_echo: Sequence[tuple[str, str]]) -> str:
+    """A text report: the title over its rule, `lines`, then the config echo."""
+    return "\n".join([title, "=" * len(title), "", *lines, "", "config", "------", ""]) + format_kv(config_echo)
+
+
 def format_report_text(report: EvalReport) -> str:
     """Human-readable verification panel; rates rendered as percentages."""
-    lines = ["verification report", "===================", ""]
-    lines.append(f"EER: {_percent(report.eer)}")
+    lines = [f"EER: {_percent(report.eer)}"]
     for g in report.gmr_at_far:
         note = "  (insufficient impostors)" if g.insufficient_impostors else ""
         lines.append(f"GMR at FAR={g.far_target:g}: {_percent(g.gmr)}{note}")
-    lines += ["", "config", "------"]
-    for key, value in report.config_echo:
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return format_panel("verification report", lines, report.config_echo)
 
 
 def format_report_kv(report: EvalReport) -> str:
     """Machine-readable key-value report; rates kept as full-precision fractions."""
-    lines = [f"eer = {report.eer:.17g}"]
+    pairs = [("eer", f"{report.eer:.17g}")]
     for g in report.gmr_at_far:
-        lines.append(f"gmr_at_far_{g.far_target:g} = {g.gmr:.17g}")
-        lines.append(f"gmr_at_far_{g.far_target:g}_insufficient_impostors = {int(g.insufficient_impostors)}")
-    for key, value in report.config_echo:
-        lines.append(f"config.{key} = {value}")
-    return "\n".join(lines) + "\n"
+        pairs.append((f"gmr_at_far_{g.far_target:g}", f"{g.gmr:.17g}"))
+        pairs.append((f"gmr_at_far_{g.far_target:g}_insufficient_impostors", int(g.insufficient_impostors)))
+    return format_kv(pairs) + format_kv(report.config_echo, "config.")

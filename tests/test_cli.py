@@ -1123,51 +1123,71 @@ def test_damaged_payload_names_its_file(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
-# An enrolment that cannot make a gallery: (how it is damaged, the error text).
+# An enrolment that cannot make a gallery or a PCA: (how it is damaged, the
+# command line with {enrolment} and {probes}, the error text).  A zero row is
+# not run under sweep-pcs: its centred projection is not zero.
+FIT = ["fit", "{enrolment}"]
+SWEEP = ["sweep-pcs", "{enrolment}", "{probes}", "--k-list", "2"]
 UNBUILDABLE_ENROLMENT_CASES = {
-    "zero-row": "sample 'enrol-0-2' has zero norm",
-    "missing-class": "class 2 has no enrolment samples",
+    "zero-row": ("zero-row", FIT, "sample 'enrol-0-2' has zero norm"),
+    "missing-class": ("missing-class", FIT, "class 2 has no enrolment samples"),
+    "missing-class-sweep-pcs": ("missing-class", SWEEP, "class 2 has no enrolment samples"),
+    "one-sample-fit": ("one-sample", [*FIT, "--pca", "2"], "PCA needs at least 2 samples, got 1"),
+    "one-sample-sweep-pcs": ("one-sample", SWEEP, "PCA needs at least 2 samples, got 1"),
+    "constant-fit": ("constant", [*FIT, "--pca", "2"], "all samples are identical; nothing to decompose"),
+    "constant-sweep-pcs": ("constant", SWEEP, "all samples are identical; nothing to decompose"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNBUILDABLE_ENROLMENT_CASES))
 def test_fit_names_the_enrolment_it_cannot_build_a_gallery_from(tmp_path, capsys, case):
-    from sparserec.fileio import write_flat_features
-
+    damage, argv, text = UNBUILDABLE_ENROLMENT_CASES[case]
     gen(tmp_path / "data", classes=5, samples=4, dim=30, subspace=3, sigma=0.1, seed=3)
     enrol = load_flat_dataset(tmp_path / "data" / "enrolment.feat")
-    features, labels = enrol.features.copy(), enrol.labels.copy()
-    if case == "zero-row":
+    features, labels, ids = enrol.features.copy(), enrol.labels.copy(), enrol.ids
+    if damage == "zero-row":
         features[2] = 0.0
-    else:
+    elif damage == "missing-class":
         labels[labels == 2] = 4
+    elif damage == "one-sample":
+        features, labels, ids = features[:1], labels[:1], ids[:1]
+    else:
+        features = np.ones_like(features)
     path = tmp_path / "enrol.feat"
-    write_flat_features(path, dataset_from_arrays(features, labels, enrol.ids))
+    write_flat_features(path, dataset_from_arrays(features, labels, ids))
     capsys.readouterr()
-    assert run("fit", path, "--out", tmp_path / "bundle") == 2
+    paths = {"enrolment": path, "probes": tmp_path / "data" / "probes.feat"}
+    assert run(*[arg.format(**paths) for arg in argv], "--out", tmp_path / "bundle") == 2
     err = capsys.readouterr().err
-    assert err == f"error: {path}: {UNBUILDABLE_ENROLMENT_CASES[case]}\n"
+    assert err == f"error: {path}: {text}\n"
     assert not (tmp_path / "bundle").exists()
 
 
 @pytest.mark.parametrize("command, classifier, text", [
     ("verify", "sacrc", "both coefficient vectors are zero"),
     ("identify", "sacrc", "both coefficient vectors are zero"),
+    ("sweep-pcs", "sacrc", "cannot l2-normalize a zero vector"),
 ])
 def test_scoring_errors_name_the_probe_file(tmp_path, capsys, command, classifier, text):
-    from sparserec.fileio import write_flat_features
-
     gen(tmp_path / "data", classes=5, samples=4, dim=30, subspace=3, sigma=0.1, seed=3)
-    assert run("fit", tmp_path / "data" / "enrolment.feat", "--pca", "off", "--out", tmp_path / "bundle") == 0
+    enrolment_path = tmp_path / "data" / "enrolment.feat"
+    enrolment = load_flat_dataset(enrolment_path)
     probes = load_flat_dataset(tmp_path / "data" / "probes.feat")
     features = probes.features.copy()
-    # a probe orthogonal to the 20 gallery samples in dim 30: both of its codes vanish
-    basis = np.linalg.qr(load_flat_dataset(tmp_path / "data" / "enrolment.feat").features.T)[0]
-    features[1] -= basis @ (basis.T @ features[1])
+    if command == "sweep-pcs":
+        # a probe at the enrolment mean projects to zero at every K
+        features[1] = enrolment.features.mean(axis=0)
+        argv = [command, enrolment_path, tmp_path / "probes.feat", "--k-list", "4"]
+    else:
+        # a probe orthogonal to the 20 gallery samples in dim 30: both of its codes vanish
+        basis = np.linalg.qr(enrolment.features.T)[0]
+        features[1] -= basis @ (basis.T @ features[1])
+        assert run("fit", enrolment_path, "--pca", "off", "--out", tmp_path / "bundle") == 0
+        argv = [command, tmp_path / "probes.feat", tmp_path / "bundle"]
     path = tmp_path / "probes.feat"
     write_flat_features(path, dataset_from_arrays(features, probes.labels, probes.ids))
     capsys.readouterr()
-    code = run(command, path, tmp_path / "bundle", "--classifier", classifier, "--out", tmp_path / "out")
+    code = run(*argv, "--classifier", classifier, "--out", tmp_path / "out")
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {path}: {text}\n"

@@ -3,9 +3,9 @@
 either succeed or exit 2 with one `error:` line that names the damaged file.
 Any other exception, a numpy warning (the test suite turns warnings into
 errors) or a second line of output fails the test.  Binary files and bundle
-manifests take byte, header, value and manifest damage; features and pairs
-CSVs and `--config` files take one row or field changed the way
-test_fileio_properties.py changes a CSV row."""
+manifests take byte, header, value, class label and manifest damage;
+features and pairs CSVs and `--config` files take one row or field changed
+the way test_fileio_properties.py changes a CSV row."""
 
 import contextlib
 import csv
@@ -46,6 +46,10 @@ TEXT_COMMANDS = {
     "verify-csv": (["verify", "{probes-csv}", "{bundle}"], ["probes-csv"]),
     "verify-pairs": (["verify", "{probes}", "{bundle}", "--protocol", "pairs:{pairs}"], ["pairs"]),
     "verify-config": (["verify", "{probes}", "{bundle}", "--config", "{verify-config}"], ["verify-config"]),
+    "sweep-pairs": (["sweep-pcs", "{enrolment}", "{probes}", "--k-list", "4", "--protocol", "pairs:{pairs}"],
+                    ["pairs"]),
+    "sweep-config": (["sweep-pcs", "{enrolment}", "{probes}", "--k-list", "4", "--config", "{verify-config}"],
+                     ["verify-config"]),
 }
 FILES = {"tensor": "tensor/enrolment.feat", "enrolment": "data/enrolment.feat", "probes": "data/probes.feat",
          "enrolment-csv": "data/enrolment.csv", "probes-csv": "data/probes.csv", "pairs": "data/pairs.csv",
@@ -71,6 +75,7 @@ PAYLOAD = {
     "pca": (16, _pca_values),
 }
 EXTREME = [1e155, -1e155, 1e200, -1e200]
+LABELS = [0, 1, 5, 7, 2**32 - 1]
 MANIFEST_VALUES = ["", "0", "1", "-1", "4", "21", "99", "1e999", "nan", "off", "abc", "0.5"]
 
 DAMAGE = st.one_of(
@@ -79,6 +84,7 @@ DAMAGE = st.one_of(
     st.tuples(st.just("header"), st.integers(min_value=0),
               st.one_of(st.integers(min_value=0, max_value=64), st.just(2**32 - 1))),
     st.tuples(st.just("value"), st.integers(min_value=0), st.sampled_from(EXTREME)),
+    st.tuples(st.just("label"), st.integers(min_value=0), st.sampled_from(LABELS)),
     st.tuples(st.just("manifest"), st.integers(min_value=0),
               st.one_of(st.sampled_from(MANIFEST_VALUES), st.text(max_size=6))),
 )
@@ -138,6 +144,12 @@ def _damaged(data: bytes, layout: str | None, how) -> bytes:
         start, count = PAYLOAD[layout]
         offset = start + 8 * (where % count(data))
         data[offset : offset + 8] = struct.pack("<d", what)
+    elif kind == "label" and layout in ("flat", "tensor"):
+        # the M u32 labels follow the payload; M is the header's last field
+        start, count = PAYLOAD[layout]
+        (m,) = struct.unpack_from("<I", data, start - 4)
+        offset = start + 8 * count(data) + 4 * (where % m)
+        data[offset : offset + 4] = struct.pack("<I", what)
     elif kind == "manifest" and layout is None:
         lines = data.decode().splitlines()
         key = lines[where % len(lines)].split(" = ")[0]
