@@ -218,13 +218,17 @@ def _knn1_scores(y: np.ndarray, dictionary: Dictionary) -> np.ndarray:
     """Minus the Euclidean distance from every row of y to each class's
     nearest enrolment sample, (P, c).  Sample j is n_j a_j, for atom a_j and
     n_j^2 = sq_norms[j], so its squared distance is ||y||^2 - 2 n_j (y.a_j)
-    + n_j^2; the per-class minima are taken over each class's run of atoms."""
+    + n_j^2; the per-class minima are taken over each class's run of atoms.
+
+    It sums a quarter of each term and doubles the root, exact scalings but
+    for subnormals: the terms of inputs within `core._MAX_SUM_SQ` can sum to
+    float64's maximum, which the full sum could round to inf."""
     sq_norms = dictionary.sq_norms
-    sq = (y @ dictionary.atoms.T) * (-2.0 * np.sqrt(sq_norms))
-    sq += np.einsum("pd,pd->p", y, y)[:, None]
-    sq += sq_norms
+    sq = (y @ dictionary.atoms.T) * (-0.5 * np.sqrt(sq_norms))
+    sq += 0.25 * np.einsum("pd,pd->p", y, y)[:, None]
+    sq += 0.25 * sq_norms
     best = np.minimum.reduceat(np.sqrt(np.maximum(sq, 0.0)), dictionary.class_starts, axis=1)
-    return np.where(np.isfinite(best), -best, -np.inf)
+    return np.where(np.isfinite(best), -2.0 * best, -np.inf)
 
 
 def check_classifier(kind: str) -> None:

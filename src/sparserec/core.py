@@ -33,7 +33,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 # The largest sum of squares a feature payload or pca.bin field may hold.  By
 # Cauchy-Schwarz every norm, dot product, centred Gram entry and knn1 squared
 # distance of such values, or of two such sets, is then at most float64's
-# maximum, so none of them overflows.
+# maximum; knn1 sums a quarter of each distance, so none of them overflows.
 _MAX_SUM_SQ = np.finfo(np.float64).max / 4
 
 # Values per dot product when summing squares.  OpenBLAS runs a dot product

@@ -9,10 +9,11 @@ the scatter's eigenvectors are the directions.  The component count K is
 read off the eigenvalues first and only those K directions are built.
 
 A Gram-route fit holds X, the M x M eigenproblem and the D x K directions.
-It makes two passes over X, the Gram and the directions, each centring
-fixed-size chunks into a reused buffer, and takes the enrolment's projection
-from the Gram as G V diag(1/sqrt(mu)) without a third pass (the scatter
-route, D < M, centres X once and then projects it).  `transform_dataset`
+It makes two passes over X, both centring column chunks into reused buffers
+(`_centred_columns`): the Gram, and the directions as one product per chunk
+against the K weights zero-padded to a multiple of 8 columns.  It takes the
+enrolment's projection from the Gram as G V diag(1/sqrt(mu)) without a third
+pass (the scatter route, D < M, centres X once and then projects it).  `transform_dataset`
 projects other samples in row blocks.  A Gram-route sweep costs the Gram
 pass, which also forms the probes' cross-Gram, plus `eigh`: it projects in
 sample space and holds no D x K array.
@@ -39,9 +40,6 @@ EIGENVALUE_FLOOR_RATIO = 1e-10
 
 # Component count used when no selection is given and the data permits it.
 DEFAULT_NUM_COMPONENTS = 1300
-
-# Most columns per product when mapping Gram eigenvectors to directions.
-_BLOCK = 256
 
 # Columns of X per Gram product; a wider X sums one Gram per column chunk.
 _GRAM_COLUMNS = 2048
@@ -87,7 +85,7 @@ def _fit(enrolment: Dataset, choose_k) -> tuple[PcaModel, Dataset]:
     # decompose the smaller one.
     if d >= m:
         mean, evals, fractions, weights, projected, _ = _gram_route(x, choose_k)
-        directions = _gram_directions(x, mean, weights, min(_BLOCK, len(evals)))
+        directions = _gram_directions(x, mean, weights)
     else:
         mean = x.mean(axis=0)
         centered = x - mean
@@ -139,11 +137,15 @@ def _ranked_eigh(matrix: np.ndarray):
     return evals, evecs[:, :rank], np.cumsum(evals) / evals.sum()
 
 
-def _centred(x: np.ndarray, mean: np.ndarray, lo: int, hi: int, buffer: np.ndarray) -> np.ndarray:
-    """Columns lo:hi of X - mean, as a C-contiguous view of `buffer`."""
-    chunk = buffer[: x.shape[0] * (hi - lo)].reshape(x.shape[0], hi - lo)
-    np.subtract(x[:, lo:hi], mean[lo:hi], out=chunk)
-    return chunk
+def _centred_columns(mean: np.ndarray, bounds: list[int], *arrays: np.ndarray):
+    """For each column range lo:hi between consecutive `bounds`, yield
+    `(lo, hi, chunks)`: columns lo:hi of each array minus the mean, each a
+    C-contiguous view of one buffer per array that every range reuses."""
+    width = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    buffers = [np.empty(a.shape[0] * width) for a in arrays]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield lo, hi, [np.subtract(a[:, lo:hi], mean[lo:hi], out=b[: a.shape[0] * (hi - lo)].reshape(-1, hi - lo))
+                       for a, b in zip(arrays, buffers)]
 
 
 def _centred_gram(x: np.ndarray, mean: np.ndarray, probes: np.ndarray | None = None) -> np.ndarray:
@@ -155,12 +157,8 @@ def _centred_gram(x: np.ndarray, mean: np.ndarray, probes: np.ndarray | None = N
     """
     m, d = x.shape
     y = x[:0] if probes is None else probes
-    width = min(d, _GRAM_COLUMNS)
-    buffer, probe_buffer = np.empty(m * width), np.empty(y.shape[0] * width)
     grams = np.empty((m + y.shape[0], m))
-    for lo in range(0, d, width):
-        chunk = _centred(x, mean, lo, min(d, lo + width), buffer)
-        probe_chunk = _centred(y, mean, lo, min(d, lo + width), probe_buffer)
+    for lo, _, (chunk, probe_chunk) in _centred_columns(mean, [*range(0, d, _GRAM_COLUMNS), d], x, y):
         if lo == 0:  # assigned, not added to zeros, so a -0.0 entry keeps its sign for eigh
             grams[:m], grams[m:] = chunk @ chunk.T, probe_chunk @ chunk.T
         else:
@@ -169,39 +167,35 @@ def _centred_gram(x: np.ndarray, mean: np.ndarray, probes: np.ndarray | None = N
     return grams
 
 
-def _gram_directions(x: np.ndarray, mean: np.ndarray, weights: np.ndarray, block_width: int):
-    """(X - mean)^T @ weights, in zero-padded blocks of `block_width` columns.
+def _gram_directions(x: np.ndarray, mean: np.ndarray, weights: np.ndarray):
+    """(X - mean)^T @ weights, one product per column chunk of X.
 
     BLAS may round a column differently depending on how many columns are
-    multiplied with it (numpy takes a matrix-vector path for one column).
-    With every product the same shape, and that shape independent of K,
-    column j comes out the same bits whatever the total K, so a K-column fit
-    equals the leading columns of a wider one.
+    multiplied with it: numpy takes a matrix-vector path for one column, and
+    OpenBLAS can round a last group of fewer than 8 columns unlike a full
+    one (seen above 192 columns).  So the weights are zero-padded to a
+    multiple of 8 columns, and column j comes out the same bits whatever the
+    total K: a K-column fit equals the leading columns of a wider one.
 
-    X is taken in column chunks of at most `_CHUNK_VALUES // block_width`,
-    each centred once into a reused buffer and multiplied by every block
-    while in cache.  The columns are split evenly, so when there is more than
-    one chunk each holds over half that many: OpenBLAS then rounds every row
-    as it does in one D-row product, whereas a chunk of a few rows can take
-    its small-matrix or matrix-vector path and round differently.  The split
-    depends on D and the block width only, never on K.
+    X is taken in column chunks of at most `_CHUNK_VALUES // 256` = 1024,
+    each centred once into a reused buffer.  The columns are split evenly,
+    so when there is more than one chunk each holds over half that many:
+    OpenBLAS then rounds every row as it does in one D-row product, whereas
+    a chunk of a few rows can take its small-matrix or matrix-vector path
+    and round differently.  The split depends on D only, never on K.
     """
     m, k = weights.shape
     d = x.shape[1]
-    directions = np.empty((d, k))
-    starts = range(0, k, block_width)
-    padded = np.zeros((m, len(starts) * block_width))
+    padded = np.zeros((m, -(-k // 8) * 8))
     padded[:, :k] = weights
-    chunks = -(-d // max(1, _CHUNK_VALUES // block_width))
+    chunks = -(-d // (_CHUNK_VALUES // 256))
     bounds = [d * i // chunks for i in range(chunks + 1)]
-    buffer = np.empty(m * -(-d // chunks))
-    product = np.empty((-(-d // chunks), block_width))
-    for lo, hi in zip(bounds, bounds[1:]):
-        chunk = _centred(x, mean, lo, hi, buffer)
+    directions = np.empty((d, k))
+    product = np.empty((-(-d // chunks), padded.shape[1]))
+    for lo, hi, (chunk,) in _centred_columns(mean, bounds, x):
         out = product[: hi - lo]
-        for start in starts:
-            np.matmul(chunk.T, padded[:, start : start + block_width], out=out)
-            directions[lo:hi, start : start + block_width] = out[:, : k - start]
+        np.matmul(chunk.T, padded, out=out)
+        directions[lo:hi] = out[:, :k]
     return directions
 
 

@@ -14,7 +14,7 @@ from sparserec.classifiers import (
     _omp_block,
     _unit_rows,
 )
-from sparserec.core import build_dictionary, dataset_from_arrays
+from sparserec.core import _in_range, build_dictionary, dataset_from_arrays
 from sparserec.evaluation import build_scoreset
 from sparserec.errors import (
     DegenerateAugmentation,
@@ -395,6 +395,17 @@ def test_knn_class_scores_are_negative_min_distances():
     ds = dataset_from_arrays(np.array([[2.0], [4.0], [10.0]]), [0, 0, 1], ["a", "b", "c"])
     scores = Gallery(ds).scores(["knn1"], np.array([[1.0]]))[0][0]
     assert np.allclose(scores, [-1.0, -9.0])
+
+
+def test_knn1_scores_opposite_inputs_at_the_value_bound():
+    # The probe and its negation each pass the value bound, yet the terms of
+    # their squared distance, ||y||^2 + 2 ||y||^2 + ||y||^2, sum to float64's
+    # maximum, which rounded to inf.
+    probe = np.array([[-5.55643423244827e153, 3.750782184029739e153]])
+    assert _in_range(probe)
+    (scores,) = Gallery(dataset_from_arrays(-probe, [0], ["a"])).scores(["knn1"], probe)
+    assert np.isfinite(scores).all()
+    assert scores[0, 0] == pytest.approx(-2 * np.hypot(*probe[0]), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

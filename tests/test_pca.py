@@ -162,8 +162,8 @@ def test_invalid_selections():
 
 
 def test_sweep_shares_leading_columns_exactly():
-    # A sweep row at k reads the leading k columns of the widest projection,
-    # so a k-component fit must be the leading columns of a wider one.
+    # A Gram-route sweep reads no directions; what `retain` relies on is that
+    # a k-component fit is, bit for bit, the leading columns of a wider fit.
     rng = np.random.default_rng(11)
     ds = _random_ds(rng, 9, 12)
     (small, _), (large, _) = pca_fit(ds, num_components=2), pca_fit(ds, num_components=5)
@@ -210,10 +210,10 @@ def test_high_dimensional_fit_stays_cheap():
 
 
 # Shapes that take each eigenproblem: (samples M, dimension D).  The Gram
-# shape has rank above 256, so its directions are built in more than one block.
+# shape's directions are one product, of up to 304 columns at its rank 299.
 GRAM_SHAPE = (300, 320)
 SCATTER_SHAPE = (60, 20)
-# A Gram shape whose 256-column blocks are multiplied in several row chunks,
+# A Gram shape whose directions are multiplied in several column chunks of X,
 # with a remainder that fixed-size chunks would leave as a one-row tail.
 CHUNKED_SHAPE = (300, 2 * (pca._CHUNK_VALUES // 256) + 1)
 
@@ -237,10 +237,14 @@ def test_largest_entry_of_each_direction_is_positive(shape):
     assert np.all(model.projection[peak, np.arange(10)] > 0)
 
 
+# Gram-route pairs either side of the 8-column unit the weights are padded to.
+PADDING_PAIRS = [(1, 8), (7, 9), (8, 16), (196, 200), (199, 200), (255, 257)]
+
+
 @pytest.mark.parametrize("shape,pairs", [
-    (GRAM_SHAPE, [(1, 299), (37, 260), (256, 257)]),
+    (GRAM_SHAPE, [(1, 299), (37, 260), (256, 257), *PADDING_PAIRS]),
     (SCATTER_SHAPE, [(1, 20), (7, 15)]),
-    (CHUNKED_SHAPE, [(1, 299), (37, 260)]),
+    (CHUNKED_SHAPE, [(1, 299), (37, 260), *PADDING_PAIRS]),
 ], ids=["gram", "scatter", "chunked"])
 def test_sweep_head_equals_fit_bitwise(shape, pairs):
     ds = _random_ds(np.random.default_rng(17), *shape)
@@ -284,7 +288,7 @@ def test_many_sample_fit_never_builds_the_sample_gram():
 
 
 def test_row_chunks_give_the_bits_of_one_product(monkeypatch):
-    # 260 directions: a full 256-column block and a zero-padded one.
+    # 260 directions: 256 columns and a group of 4 padded to 8.
     ds = _random_ds(np.random.default_rng(21), *CHUNKED_SHAPE)
     chunked, _ = pca_fit(ds, num_components=260)
     monkeypatch.setattr(pca, "_CHUNK_VALUES", 1 << 40)  # one product, one sign pass
@@ -292,6 +296,18 @@ def test_row_chunks_give_the_bits_of_one_product(monkeypatch):
     assert chunked.projection.tobytes() == whole.projection.tobytes()
     peak = np.argmax(np.abs(chunked.projection), axis=0)
     assert np.all(chunked.projection[peak, np.arange(260)] > 0)
+
+
+def test_directions_are_built_in_products_no_wider_than_k_padded_to_8(monkeypatch):
+    widths, matmul = [], np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        widths.append(b.shape[1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(pca.np, "matmul", spy)
+    pca_fit(_random_ds(np.random.default_rng(29), *CHUNKED_SHAPE), num_components=50)
+    assert len(widths) == 3 and max(widths) <= 56, widths  # one product per column chunk of X
 
 
 def test_sign_rule_matches_the_per_column_oracle():
