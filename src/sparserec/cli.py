@@ -28,9 +28,9 @@ from .errors import (DegenerateAugmentation, DegenerateData, DegenerateScoreSet,
                      InconsistentBundle, InsufficientSamples, InvalidParameters, KTooLarge, MissingClass,
                      NonFiniteValue, SingularSystem, SparserecError, UnknownClass, ZeroNormSample)
 from .evaluation import build_scoreset, evaluate_verification, generate_synthetic, rank1_identification
-from .fileio import (FLAG_TENSOR, format_kv, format_panel, format_report_kv, format_report_text,
-                     load_flat_dataset, read_feature_file, read_pairs_csv, read_pca_model, write_dictionary,
-                     write_flat_features, write_pca_model, write_roc_csv, write_scores_csv, write_tensor_features)
+from .fileio import (format_kv, format_panel, format_report_kv, format_report_text, load_flat_dataset,
+                     read_feature_file, read_pairs_csv, read_pca_model, write_dictionary, write_flat_features,
+                     write_pca_model, write_roc_csv, write_scores_csv)
 from .pca import pca_fit, pca_sweep, transform_dataset
 
 MANIFEST_NAME = "manifest.txt"
@@ -157,12 +157,7 @@ def _load_probes(path: str, model, gallery: Gallery) -> Dataset:
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    if args.tensor:
-        n1, n2, n = _parse_tensor_shape(args.tensor)
-        if n1 * n2 * n != args.dim:
-            raise InvalidParameters(
-                f"tensor shape {args.tensor} holds {n1 * n2 * n} values per sample, dim is {args.dim}"
-            )
+    shape = _parse_tensor_shape(args.tensor, args.dim) if args.tensor else None
     enrolment, probes = generate_synthetic(
         num_classes=args.classes,
         samples_per_class=args.samples_per_class,
@@ -174,17 +169,14 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args)
     for name, ds in (("enrolment.feat", enrolment), ("probes.feat", probes)):
-        if args.tensor:
-            stacked = ds.features.reshape(ds.num_samples, n, n1, n2)
-            write_tensor_features(out / name, stacked, ds.labels, ds.ids)
-        else:
-            write_flat_features(out / name, ds)
+        write_flat_features(out / name, ds, shape)
     print(f"wrote {out / 'enrolment.feat'} ({enrolment.num_samples} samples)")
     print(f"wrote {out / 'probes.feat'} ({probes.num_samples} samples)")
     return 0
 
 
-def _parse_tensor_shape(text: str) -> tuple[int, int, int]:
+def _parse_tensor_shape(text: str, dim: int) -> tuple[int, int, int]:
+    """The map shape (n1, n2, n) that `text` names, checked to hold `dim` values."""
     parts = text.lower().split("x")
     if len(parts) != 3:
         raise InvalidParameters(f"tensor shape must be n1xn2xn, got {text!r}")
@@ -194,11 +186,13 @@ def _parse_tensor_shape(text: str) -> tuple[int, int, int]:
         raise InvalidParameters(f"tensor shape must be n1xn2xn, got {text!r}") from None
     if min(n1, n2, n) < 1:
         raise InvalidParameters(f"tensor shape dims must be positive, got {text!r}")
+    if n1 * n2 * n != dim:
+        raise InvalidParameters(f"tensor shape {text} holds {n1 * n2 * n} values per sample, dim is {dim}")
     return n1, n2, n
 
 
 def cmd_flatten(args: argparse.Namespace) -> int:
-    flat = read_feature_file(args.input, FLAG_TENSOR)
+    flat = read_feature_file(args.input)
     out = _out_dir(args)
     write_flat_features(out / "features.feat", flat)
     print(f"wrote {out / 'features.feat'} ({flat.num_samples} samples, dim {flat.dim})")
@@ -401,18 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, solver=False)
     p.set_defaults(func=cmd_gen_synthetic)
 
-    p = sub.add_parser("flatten", help="flatten an activation-tensor file into flat vectors")
-    p.add_argument("input", help="tensor-format feature file")
+    p = sub.add_parser("flatten", help="rewrite a feature file with the flat header; every command reads"
+                                       " either layout, so this is optional")
+    p.add_argument("input", help="feature file")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_flatten)
 
     p = sub.add_parser("fit", help="fit PCA + dictionary into a model bundle")
-    p.add_argument("enrolment", help="flat enrolment feature file")
+    p.add_argument("enrolment", help="enrolment feature file")
     _add_common(p, pca=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("verify", help="score probes against a bundle and report EER/GMR/ROC")
-    p.add_argument("probes", help="flat probe feature file")
+    p.add_argument("probes", help="probe feature file")
     p.add_argument("bundle", help="model bundle directory from fit")
     p.add_argument("--classifier", choices=CLASSIFIERS, default=None)
     p.add_argument("--protocol", default=None, help="all-vs-all or pairs:<file>")
@@ -420,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("identify", help="rank-1 identification accuracy per classifier")
-    p.add_argument("probes", help="flat probe feature file")
+    p.add_argument("probes", help="probe feature file")
     p.add_argument("bundle", help="model bundle directory from fit")
     p.add_argument("--classifier", dest="classifiers", metavar="CLASSIFIER",
                    help=f"comma-separated list from {', '.join(CLASSIFIERS)} (default sacrc)")
@@ -428,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("sweep-pcs", help="verification metrics across component counts")
-    p.add_argument("enrolment", help="flat enrolment feature file")
-    p.add_argument("probes", help="flat probe feature file")
+    p.add_argument("enrolment", help="enrolment feature file")
+    p.add_argument("probes", help="probe feature file")
     p.add_argument("--k-list", required=True, help="comma-separated component counts")
     p.add_argument("--classifier", choices=CLASSIFIERS, default=None)
     p.add_argument("--protocol", default=None, help="all-vs-all or pairs:<file>")

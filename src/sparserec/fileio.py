@@ -26,8 +26,10 @@ is checked against the mapped length before it is read, and float payloads
 are read-only views of the mapping, so loading a file copies no payload.
 A feature payload starts at byte 17 (flat) or 25 (tensor), so its view is
 not 8-byte aligned; code that multiplies loaded arrays hands BLAS aligned
-copies, chunk by chunk.  Either layout loads as one flat row per sample: a
-tensor sample's maps, row-major in channel order, are a view of its payload.
+copies, chunk by chunk.  The layout is a header detail: either layout loads as
+one flat row per sample (a tensor sample's maps, row-major in channel order,
+are a view of its payload), every command reads both, and one writer writes
+both, so the two files of a Dataset differ only in their headers.
 A payload or pca.bin field holding a NaN or infinity, or values whose sum of
 squares exceeds float64's maximum / 4 (`core._MAX_SUM_SQ`; for the
 eigenvalues, which are sums of squares, their sum), raises NonFiniteValue
@@ -81,9 +83,6 @@ FORMAT_VERSION = 1
 FLAG_FLAT = 0
 FLAG_TENSOR = 1
 SCORES_HEADER = ["probe_id", "claimed_class", "score", "is_genuine"]
-# How a file of each layout is refused where the other layout is expected.
-_WRONG_LAYOUT = {FLAG_FLAT: "holds flat vectors, not activation tensors",
-                 FLAG_TENSOR: "holds activation tensors; run the flatten command first"}
 
 # Cells per block when writing a CSV (about 2 MB of Python objects): a score
 # set or ROC table costs one block's memory, not the file's.
@@ -221,32 +220,19 @@ def _id_block(ids: Sequence[str]) -> bytes:
 # feature files
 
 
-def write_flat_features(path: str | Path, dataset: Dataset) -> None:
-    header = FEATURE_MAGIC + struct.pack(
-        "<IBII", FORMAT_VERSION, FLAG_FLAT, dataset.dim, dataset.num_samples
-    )
+def write_flat_features(path: str | Path, dataset: Dataset, shape: tuple[int, int, int] | None = None) -> None:
+    """Write `dataset` as a flat feature file or, given the map shape
+    `(n1, n2, n)` of its rows, as a tensor file: only the header differs."""
+    flag, dims = (FLAG_FLAT, (dataset.dim,)) if shape is None else (FLAG_TENSOR, tuple(shape))
+    if math.prod(dims) != dataset.dim:
+        raise InvalidParameters(f"map shape {shape} holds {math.prod(dims)} values per sample, dim is {dataset.dim}")
+    header = FEATURE_MAGIC + struct.pack(f"<IB{len(dims) + 1}I", FORMAT_VERSION, flag, *dims, dataset.num_samples)
     _write_parts(path, (header, _f64(dataset.features), _u32(dataset.labels), _id_block(dataset.ids)))
 
 
-def write_tensor_features(
-    path: str | Path,
-    tensors: np.ndarray,
-    labels: Sequence[int] | np.ndarray,
-    ids: Sequence[str],
-) -> None:
-    tensors = np.asarray(tensors, dtype=np.float64)
-    if tensors.ndim != 4:
-        raise InvalidParameters(f"expected (M, n, n1, n2) tensor stack, got shape {tensors.shape}")
-    m, n, n1, n2 = tensors.shape
-    labels = np.asarray(labels, dtype=np.int64)
-    header = FEATURE_MAGIC + struct.pack("<IBIIII", FORMAT_VERSION, FLAG_TENSOR, n1, n2, n, m)
-    _write_parts(path, (header, _f64(tensors), _u32(labels), _id_block(list(ids))))
-
-
-def read_feature_file(path: str | Path, layout: int | None = None) -> Dataset:
+def read_feature_file(path: str | Path) -> Dataset:
     """Read a binary feature file, of either layout, as one row per sample;
-    the flag byte says which.  Given `layout` (FLAG_FLAT or FLAG_TENSOR), a
-    file of the other layout is refused once it has been read."""
+    the flag byte says which header to read."""
     path = str(path)
     reader = _ByteReader(path)
     _check_header(reader, FEATURE_MAGIC, path)
@@ -264,17 +250,15 @@ def read_feature_file(path: str | Path, layout: int | None = None) -> Dataset:
     labels = reader.u32_array(m, "class labels")
     ids = tuple(reader.utf8(f"id {i}") for i in range(m))
     reader.finish()
-    dataset = _named_dataset(path, values, labels, ids)
-    if layout not in (None, flag):
-        raise InvalidParameters(f"{path} {_WRONG_LAYOUT[flag]}")
-    return dataset
+    return _named_dataset(path, values, labels, ids)
 
 
 def load_flat_dataset(path: str | Path) -> Dataset:
-    """Load a flat feature file (or CSV, by extension) as a Dataset."""
+    """Load a feature file of either layout, or a CSV by extension, as a
+    Dataset of flat rows."""
     if str(path).endswith(".csv"):
         return read_features_csv(path)
-    return read_feature_file(path, FLAG_FLAT)
+    return read_feature_file(path)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import struct
 
 import numpy as np
 
@@ -182,6 +183,23 @@ def flatten_reference(maps: np.ndarray) -> np.ndarray:
         for r in range(n1):
             for c in range(n2):
                 out[i * n1 * n2 + r * n2 + c] = maps[i, r, c]
+    return out
+
+
+def tensor_file_reference(maps: np.ndarray, labels, ids) -> bytes:
+    """The bytes of a tensor feature file holding the (M, n, n1, n2) stack
+    `maps`, field by field as the file format documents it: header, the
+    values map-major then row-major, u32 labels, length-prefixed UTF-8 ids."""
+    m, n, n1, n2 = maps.shape
+    out = b"CSRC" + struct.pack("<IBIIII", 1, 1, n1, n2, n, m)
+    for sample in range(m):
+        for i in range(n):
+            for r in range(n1):
+                out += b"".join(struct.pack("<d", v) for v in maps[sample, i, r])
+    out += b"".join(struct.pack("<I", label) for label in labels)
+    for sample_id in ids:
+        encoded = sample_id.encode("utf-8")
+        out += struct.pack("<I", len(encoded)) + encoded
     return out
 
 

@@ -64,20 +64,16 @@ def test_flatten_tensor_file(tmp_path):
 
 
 def test_flatten_2x2x2_gives_dim_8(tmp_path):
-    from sparserec.fileio import write_tensor_features
-
     rng = np.random.default_rng(0)
-    write_tensor_features(tmp_path / "t.feat", rng.standard_normal((3, 2, 2, 2)), [0, 1, 2],
-                          ["a", "b", "c"])
+    write_flat_features(tmp_path / "t.feat", dataset_from_arrays(rng.standard_normal((3, 8)), [0, 1, 2],
+                                                                 ["a", "b", "c"]), (2, 2, 2))
     assert run("flatten", tmp_path / "t.feat", "--out", tmp_path / "flat") == 0
     assert load_flat_dataset(tmp_path / "flat" / "features.feat").dim == 8
 
 
 def test_flatten_conv_layer_file_gives_dim_100352(tmp_path):
-    from sparserec.fileio import write_tensor_features
-
     # one sample of 512 maps at 14x14, the last-convolution-layer geometry
-    write_tensor_features(tmp_path / "t.feat", np.zeros((1, 512, 14, 14)), [0], ["s"])
+    write_flat_features(tmp_path / "t.feat", dataset_from_arrays(np.zeros((1, 100352)), [0], ["s"]), (14, 14, 512))
     assert run("flatten", tmp_path / "t.feat", "--out", tmp_path / "flat") == 0
     assert load_flat_dataset(tmp_path / "flat" / "features.feat").dim == 100352
 
@@ -119,6 +115,43 @@ def test_flatten_rejects_a_non_finite_tensor_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "NaN or infinity" in err
     assert len(err.splitlines()) == 1
+
+
+def test_flatten_of_a_flat_file_rewrites_it_unchanged(tmp_path):
+    gen(tmp_path / "data", dim=24)
+    flat = tmp_path / "data" / "enrolment.feat"
+    assert run("flatten", flat, "--out", tmp_path / "flat") == 0
+    assert (tmp_path / "flat" / "features.feat").read_bytes() == flat.read_bytes()
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_tensor_inputs_give_the_outputs_of_their_flattened_copies(tmp_path):
+    # 20 samples in D = 24: fit and sweep take the Gram route.  The knn1 run
+    # on the --pca off bundle scores raw probes read from the file's mapping.
+    gen(tmp_path / "data", dim=24, probes=2, tensor="2x3x4")
+    names = ("enrolment", "probes")
+    for name in names:
+        assert run("flatten", tmp_path / "data" / f"{name}.feat", "--out", tmp_path / f"flat-{name}") == 0
+    inputs = {"tensor": [tmp_path / "data" / f"{name}.feat" for name in names],
+              "flat": [tmp_path / f"flat-{name}" / "features.feat" for name in names]}
+    for layout, (enrol, probes) in inputs.items():
+        out = tmp_path / layout
+        for argv in (
+            ["fit", enrol, "--pca", "8", "--out", out / "bundle"],
+            ["fit", enrol, "--pca", "off", "--out", out / "bundle-off"],
+            ["verify", probes, out / "bundle", "--out", out / "verify"],
+            ["verify", probes, out / "bundle-off", "--classifier", "knn1", "--out", out / "verify-knn1-off"],
+            ["identify", probes, out / "bundle", "--classifier", "sacrc,crc,src,knn1", "--out", out / "identify"],
+            ["sweep-pcs", enrol, probes, "--k-list", "4,8,12", "--out", out / "sweep"],
+        ):
+            assert run(*argv) == 0
+    tensor, flat = _tree(tmp_path / "tensor"), _tree(tmp_path / "flat")
+    assert tensor.keys() == flat.keys() and len(tensor) == 19
+    for rel, data in tensor.items():
+        assert data == flat[rel], rel
 
 
 @pytest.mark.parametrize("command, flag", [

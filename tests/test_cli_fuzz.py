@@ -1,6 +1,7 @@
 """A fuzz of whole commands: one input of `flatten`, `fit`, `verify`,
-`identify` or `sweep-pcs` is damaged, and the command, run in-process, must
-either succeed or exit 2 with one `error:` line that names the damaged file.
+`identify` or `sweep-pcs`, in the flat or the tensor layout, is damaged, and
+the command, run in-process, must either succeed or exit 2 with one `error:`
+line that names the damaged file.
 Any other exception, a numpy warning (the test suite turns warnings into
 errors) or a second line of output fails the test.  Binary files and bundle
 manifests take byte, header, value, class label and manifest damage;
@@ -38,6 +39,12 @@ COMMANDS = {
     "identify": (["identify", "{probes}", "{bundle}", "--classifier", "sacrc,crc,src,knn1"],
                  ["probes", "bundle/manifest.txt", "bundle/pca.bin", "bundle/enrolment.feat"]),
     "sweep-pcs": (["sweep-pcs", "{enrolment}", "{probes}", "--k-list", "4"], ["enrolment", "probes"]),
+    # the same data in the tensor layout, which every command reads as flat rows
+    "fit-tensor": (["fit", "{tensor}", "--pca", "8"], ["tensor"]),
+    "verify-tensor": (["verify", "{tensor-probes}", "{bundle}"], ["tensor-probes"]),
+    "identify-tensor": (["identify", "{tensor-probes}", "{bundle-off}", "--classifier", "sacrc,crc,src,knn1"],
+                        ["tensor-probes"]),
+    "sweep-pcs-tensor": (["sweep-pcs", "{tensor}", "{tensor-probes}", "--k-list", "4"], ["tensor", "tensor-probes"]),
 }
 # text inputs: a features CSV to fit from or verify, a pairs list and config files
 TEXT_COMMANDS = {
@@ -51,7 +58,8 @@ TEXT_COMMANDS = {
     "sweep-config": (["sweep-pcs", "{enrolment}", "{probes}", "--k-list", "4", "--config", "{verify-config}"],
                      ["verify-config"]),
 }
-FILES = {"tensor": "tensor/enrolment.feat", "enrolment": "data/enrolment.feat", "probes": "data/probes.feat",
+FILES = {"tensor": "tensor/enrolment.feat", "tensor-probes": "tensor/probes.feat",
+         "enrolment": "data/enrolment.feat", "probes": "data/probes.feat",
          "enrolment-csv": "data/enrolment.csv", "probes-csv": "data/probes.csv", "pairs": "data/pairs.csv",
          "fit-config": "data/fit.cfg", "verify-config": "data/verify.cfg"}
 CONFIGS = {

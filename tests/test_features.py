@@ -2,14 +2,15 @@
 channel order, become one row of the flat dataset."""
 
 import numpy as np
+from reference_impls import tensor_file_reference
 
-from sparserec.fileio import FLAG_TENSOR, read_feature_file, write_tensor_features
+from sparserec.fileio import read_feature_file
 
 
 def _flatten_one(tmp_path, maps):
     path = tmp_path / "t.feat"
-    write_tensor_features(path, maps[np.newaxis], [0], ["s"])
-    flat = read_feature_file(path, FLAG_TENSOR)
+    path.write_bytes(tensor_file_reference(maps[np.newaxis], [0], ["s"]))
+    flat = read_feature_file(path)
     assert flat.num_samples == 1
     return flat.features[0]
 

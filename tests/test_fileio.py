@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference_impls import flatten_reference, scores_csv_reference
+from reference_impls import flatten_reference, scores_csv_reference, tensor_file_reference
 from sparserec.core import build_dictionary, dataset_from_arrays
 from sparserec.errors import (
     BadMagic,
@@ -17,8 +17,6 @@ from sparserec.errors import (
 from sparserec.evaluation import EvalReport, Roc, ScoreSet, evaluate_verification, generate_synthetic
 from sparserec.fileio import (
     _WRITE_CELLS,
-    FLAG_FLAT,
-    FLAG_TENSOR,
     load_flat_dataset,
     read_feature_file,
     read_features_csv,
@@ -29,7 +27,6 @@ from sparserec.fileio import (
     write_pca_model,
     write_roc_csv,
     write_scores_csv,
-    write_tensor_features,
 )
 from sparserec.pca import pca_fit
 
@@ -62,8 +59,11 @@ def test_tensor_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     tensors = rng.standard_normal((3, 2, 4, 5))
     path = tmp_path / "t.feat"
-    write_tensor_features(path, tensors, [0, 1, 0], ["a", "b", "c"])
-    flat = read_feature_file(path, FLAG_TENSOR)
+    rows = dataset_from_arrays(tensors.reshape(3, -1), [0, 1, 0], ["a", "b", "c"])
+    write_flat_features(path, rows, (4, 5, 2))
+    # the one writer puts the documented tensor layout on disk
+    assert path.read_bytes() == tensor_file_reference(tensors, [0, 1, 0], ["a", "b", "c"])
+    flat = read_feature_file(path)
     assert flat.features.reshape(tensors.shape).tobytes() == tensors.tobytes()
     assert np.array_equal(flat.labels, [0, 1, 0])
     assert flat.ids == ("a", "b", "c")
@@ -82,8 +82,8 @@ def test_flattened_tensor_file_is_a_bijection(tmp_path):
     rng = np.random.default_rng(2)
     maps = rng.standard_normal((2, 3, 4, 5))  # two samples of 3 maps, 4 x 5 each
     path = tmp_path / "t.feat"
-    write_tensor_features(path, maps, [0, 1], ["a", "b"])
-    flat = read_feature_file(path, FLAG_TENSOR)
+    path.write_bytes(tensor_file_reference(maps, [0, 1], ["a", "b"]))
+    flat = read_feature_file(path)
     n, n1, n2 = maps.shape[1:]
     for sample in range(2):
         row = flat.features[sample]
@@ -125,14 +125,12 @@ def test_reading_a_feature_file_copies_no_payload(tmp_path, layout):
     m, d = 8, 250_000
     values = np.random.default_rng(5).standard_normal((m, d))
     path = tmp_path / "wide.feat"
-    if layout == "flat":
-        write_flat_features(path, dataset_from_arrays(values, [0] * m, [f"s{i}" for i in range(m)]))
-    else:
-        write_tensor_features(path, values.reshape(m, 10, 125, 200), [0] * m, [f"s{i}" for i in range(m)])
+    shape = None if layout == "flat" else (125, 200, 10)
+    write_flat_features(path, dataset_from_arrays(values, [0] * m, [f"s{i}" for i in range(m)]), shape)
     del values
     tracemalloc.start()
     try:
-        loaded = read_feature_file(path, FLAG_FLAT if layout == "flat" else FLAG_TENSOR)
+        loaded = read_feature_file(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -173,18 +171,24 @@ def test_trailing_bytes_rejected(tmp_path):
         read_feature_file(path)
 
 
-def test_flat_loader_rejects_tensor_file(tmp_path):
-    path = tmp_path / "t.feat"
-    write_tensor_features(path, np.arange(4.0).reshape(1, 1, 2, 2), [0], ["a"])
-    with pytest.raises(InvalidParameters, match=f"{path} holds activation tensors; run the flatten command first"):
-        load_flat_dataset(path)
-    flat = tmp_path / "f.feat"
-    write_flat_features(flat, dataset_from_arrays(np.eye(2), [0, 1], ["a", "b"]))
-    with pytest.raises(InvalidParameters, match=f"{flat} holds flat vectors, not activation tensors"):
-        read_feature_file(flat, FLAG_TENSOR)
-    # without a layout either file reads as one row per sample
-    assert read_feature_file(path).features.tolist() == [[0.0, 1.0, 2.0, 3.0]]
-    assert read_feature_file(flat).features.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+def test_either_layout_loads_as_flat_rows(tmp_path):
+    # the layouts differ only in their headers: 17 bytes flat, 25 bytes tensor
+    rows = dataset_from_arrays(np.arange(8.0).reshape(2, 4), [0, 1], ["a", "b"])
+    write_flat_features(tmp_path / "f.feat", rows)
+    write_flat_features(tmp_path / "t.feat", rows, (2, 1, 2))
+    flat, tensor = (tmp_path / "f.feat").read_bytes(), (tmp_path / "t.feat").read_bytes()
+    assert flat[17:] == tensor[25:]
+    for path in (tmp_path / "f.feat", tmp_path / "t.feat"):
+        for loaded in (read_feature_file(path), load_flat_dataset(path)):
+            assert loaded.features.tolist() == [[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]]
+            assert loaded.labels.tolist() == [0, 1] and loaded.ids == ("a", "b")
+
+
+def test_writer_refuses_a_map_shape_that_does_not_hold_the_rows(tmp_path):
+    rows = dataset_from_arrays(np.eye(4), [0, 1, 2, 3], ["a", "b", "c", "d"])
+    with pytest.raises(InvalidParameters, match="map shape \\(1, 2, 3\\) holds 6 values per sample, dim is 4"):
+        write_flat_features(tmp_path / "t.feat", rows, (1, 2, 3))
+    assert not (tmp_path / "t.feat").exists()
 
 
 def test_csv_round_trip(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparserec.core import dataset_from_arrays
 from sparserec.errors import SparserecError
 from sparserec.evaluation import generate_synthetic
 from sparserec.fileio import (
@@ -20,7 +21,6 @@ from sparserec.fileio import (
     read_pca_model,
     write_flat_features,
     write_pca_model,
-    write_tensor_features,
 )
 from sparserec.pca import pca_fit
 
@@ -43,8 +43,8 @@ def scratch(tmp_path_factory) -> Path:
     enrolment, _ = generate_synthetic(3, 3, 8, 2, 0.2, seed=21)
     ids = [f"s{i}-é" for i in range(enrolment.num_samples)]
     write_flat_features(directory / "flat", enrolment)
-    tensors = enrolment.features.reshape(-1, 2, 2, 2)
-    write_tensor_features(directory / "tensor", tensors, enrolment.labels, ids)
+    write_flat_features(directory / "tensor", dataset_from_arrays(enrolment.features, enrolment.labels, ids),
+                        (2, 2, 2))
     write_pca_model(directory / "pca", pca_fit(enrolment, num_components=3)[0])
     with open(directory / "features.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
