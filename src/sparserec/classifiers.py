@@ -20,7 +20,6 @@ map is applied to a probe block with two matrix products.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -65,23 +64,22 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise InvalidParameters(f"{name} must be finite and >= 0, got {value}")
 
 
-@dataclass(frozen=True)
 class SacrcConfig:
-    """Hyperparameters for the augmented classifier.
+    """Hyperparameters for the augmented classifier, checked when built.
 
     `sparsity_k` of None resolves to min(50, N) against the dictionary when
     a `Gallery` is built.
     """
 
-    ridge_lambda: float = DEFAULT_RIDGE_LAMBDA
-    sparsity_k: int | None = None
-    residual_tol: float = DEFAULT_RESIDUAL_TOL
+    __slots__ = ("ridge_lambda", "sparsity_k", "residual_tol")
 
-    def __post_init__(self):
-        _check_nonnegative("lambda", self.ridge_lambda)
-        if self.sparsity_k is not None and self.sparsity_k < 1:
-            raise InvalidParameters(f"sparsity_k must be >= 1, got {self.sparsity_k}")
-        _check_nonnegative("residual_tol", self.residual_tol)
+    def __init__(self, ridge_lambda: float = DEFAULT_RIDGE_LAMBDA, sparsity_k: int | None = None,
+                 residual_tol: float = DEFAULT_RESIDUAL_TOL):
+        _check_nonnegative("lambda", ridge_lambda)
+        if sparsity_k is not None and sparsity_k < 1:
+            raise InvalidParameters(f"sparsity_k must be >= 1, got {sparsity_k}")
+        _check_nonnegative("residual_tol", residual_tol)
+        self.ridge_lambda, self.sparsity_k, self.residual_tol = ridge_lambda, sparsity_k, residual_tol
 
     def resolve_k(self, num_atoms: int) -> int:
         k = min(DEFAULT_SPARSITY_CAP, num_atoms) if self.sparsity_k is None else self.sparsity_k
@@ -236,7 +234,6 @@ def check_classifier(kind: str) -> None:
         raise InvalidParameters(f"unknown classifier {kind!r}; choose from {', '.join(CLASSIFIERS)}")
 
 
-@dataclass(frozen=True, eq=False)
 class Gallery:
     """An enrolled gallery ready to score probes: the solver settings, the
     dictionary that `build_dictionary` makes of the enrolment passed in, and
@@ -247,15 +244,10 @@ class Gallery:
     time sacrc or crc is scored, so knn1 and src never need one.
     """
 
-    enrolment: InitVar[Dataset]
-    solver: SacrcConfig = SacrcConfig()
-    dictionary: Dictionary = field(init=False)
-    k: int = field(init=False)
-
-    def __post_init__(self, enrolment: Dataset):
-        dictionary = build_dictionary(enrolment)
-        object.__setattr__(self, "dictionary", dictionary)
-        object.__setattr__(self, "k", self.solver.resolve_k(dictionary.num_atoms))
+    def __init__(self, enrolment: Dataset, solver: SacrcConfig = SacrcConfig()):
+        self.solver = solver
+        self.dictionary = build_dictionary(enrolment)
+        self.k = solver.resolve_k(self.dictionary.num_atoms)
 
     @cached_property
     def operator(self) -> CrcOperator:

@@ -235,7 +235,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "residual_tol": f"{cfg.solver.residual_tol:g}",
         "sparsity_k": str(gallery.k),
     }
-    (out / MANIFEST_NAME).write_text("".join(f"{k} = {v}\n" for k, v in sorted(manifest.items())), encoding="utf-8")
+    (out / MANIFEST_NAME).write_text(format_kv(sorted(manifest.items())), encoding="utf-8")
     print(
         f"wrote bundle {out} ({dictionary.num_atoms} atoms, {dictionary.num_classes} classes,"
         f" dim {dictionary.dim})"

@@ -8,15 +8,14 @@ run's report echoes the fully resolved configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .classifiers import SacrcConfig, check_classifier
 from .errors import BadEncoding, ConfigError, InvalidParameters
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     solver: SacrcConfig = SacrcConfig()  # lambda, sparsity_k and residual_tol
     pca: str = "off"  # off | <K> | retain:<fraction>
     classifier: str = "sacrc"
@@ -110,31 +109,32 @@ def apply_setting(cfg: RunConfig, key: str, value: str, where: str) -> RunConfig
 def _apply_raw(cfg: RunConfig, key: str, value: str) -> RunConfig:
     try:
         # SacrcConfig owns the solver settings' defaults and range checks
+        solver = cfg.solver
         if key == "lambda":
-            return replace(cfg, solver=replace(cfg.solver, ridge_lambda=float(value)))
+            return cfg._replace(solver=SacrcConfig(float(value), solver.sparsity_k, solver.residual_tol))
         if key == "sparsity_k":
             k = None if value == "auto" else int(value)
-            return replace(cfg, solver=replace(cfg.solver, sparsity_k=k))
+            return cfg._replace(solver=SacrcConfig(solver.ridge_lambda, k, solver.residual_tol))
         if key == "residual_tol":
-            return replace(cfg, solver=replace(cfg.solver, residual_tol=float(value)))
+            return cfg._replace(solver=SacrcConfig(solver.ridge_lambda, solver.sparsity_k, float(value)))
         if key == "seed":
             seed = int(value)
             if seed < 0:
                 raise ConfigError(f"seed must be non-negative, got {seed}")
-            return replace(cfg, seed=seed)
+            return cfg._replace(seed=seed)
     except ValueError:
         raise ConfigError(f"bad value {value!r} for configuration key {key!r}") from None
     if key == "pca":
         parse_pca_selection(value)  # validate only; stored as written
-        return replace(cfg, pca=value.strip())
+        return cfg._replace(pca=value.strip())
     if key == "classifier":
         check_classifier(value)
-        return replace(cfg, classifier=value)
+        return cfg._replace(classifier=value)
     if key == "protocol":
         parse_protocol(value)
-        return replace(cfg, protocol=value.strip())
+        return cfg._replace(protocol=value.strip())
     if key == "far_targets":
-        return replace(cfg, far_targets=_parse_far_targets(value))
+        return cfg._replace(far_targets=_parse_far_targets(value))
     raise ConfigError(f"unknown configuration key {key!r}")
 
 

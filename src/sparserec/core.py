@@ -5,8 +5,7 @@ class-labeled dictionary of unit rows every classifier solves against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,8 +53,7 @@ def _in_range(a: np.ndarray) -> bool:
     return total <= _MAX_SUM_SQ
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     """A validated sample collection with one shared feature dimension.
 
     `features` holds the samples as rows (M x D, float64) in input order;
@@ -81,8 +79,7 @@ class Dataset:
         return int(self.labels.max()) + 1
 
 
-@dataclass(frozen=True)
-class Dictionary:
+class Dictionary(NamedTuple):
     """Row-stacked l2-normalized gallery features plus class labels, built
     from an enrolment by `build_dictionary` (a `Gallery` builds its own).
 

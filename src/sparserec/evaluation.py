@@ -12,9 +12,8 @@ fraction of genuine ones; FNMR = 1 - GMR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,23 +28,19 @@ from .errors import (
     UnknownClass,
 )
 
-@dataclass(frozen=True, eq=False)
 class ScoreSet:
     """Genuine/impostor match scores from a verification run, one read-only
     column per field: row r is probe `ids[probe[r]]` claiming class `claim[r]`
     with `score[r]`, genuine when the claim is the probe's own class."""
 
-    ids: tuple[str, ...]
-    probe: np.ndarray
-    claim: np.ndarray
-    score: np.ndarray
-    is_genuine: np.ndarray
+    __slots__ = ("ids", "probe", "claim", "score", "is_genuine")
 
-    def __post_init__(self) -> None:
-        columns = {"probe": np.int64, "claim": np.int64, "score": np.float64, "is_genuine": bool}
-        for name, dtype in columns.items():
-            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=dtype)))
-        if self.score.ndim != 1 or len({getattr(self, name).shape for name in columns}) != 1:
+    def __init__(self, ids: tuple[str, ...], probe, claim, score, is_genuine) -> None:
+        self.ids = ids
+        self.probe, self.claim, self.score, self.is_genuine = columns = [
+            _frozen(np.array(column, dtype=dtype))
+            for column, dtype in ((probe, np.int64), (claim, np.int64), (score, np.float64), (is_genuine, bool))]
+        if self.score.ndim != 1 or len({column.shape for column in columns}) != 1:
             raise DimensionMismatch("score set columns must be 1-D and of equal length")
 
     def genuine_scores(self) -> np.ndarray:
@@ -55,8 +50,7 @@ class ScoreSet:
         return self.score[~self.is_genuine]
 
 
-@dataclass(frozen=True, eq=False)
-class Roc:
+class Roc(NamedTuple):
     """Accepted impostor (`far`) and genuine (`gmr`) fractions at -inf, each
     distinct observed score and +inf, in increasing-threshold order."""
 
@@ -65,16 +59,14 @@ class Roc:
     gmr: np.ndarray
 
 
-@dataclass(frozen=True)
-class GmrAtFar:
+class GmrAtFar(NamedTuple):
     far_target: float
     gmr: float
     threshold: float
     insufficient_impostors: bool
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Verification metric panel plus the resolved configuration it came from."""
 
     eer: float

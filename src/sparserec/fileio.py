@@ -73,7 +73,7 @@ from .errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from .evaluation import EvalReport, ScoreSet
+from .evaluation import EvalReport, ScoreSet, _sorted_unique
 from .pca import PcaModel
 
 FEATURE_MAGIC = b"CSRC"
@@ -391,7 +391,7 @@ def write_dictionary(path: str | Path, dictionary: Dictionary) -> None:
 def write_scores_csv(path: str | Path, scoreset: ScoreSet) -> None:
     # 17 significant digits keep the float64 scores lossless across the round trip.
     ids = np.array([_csv_field(pid) for pid in scoreset.ids], dtype=object)
-    columns = (scoreset.claim, scoreset.score, scoreset.is_genuine)
+    columns = (scoreset.claim, scoreset.score, scoreset.is_genuine.view(np.int8))  # %d of an int, not a bool
     _write_rows(
         path, ",".join(SCORES_HEADER) + "\n", "%s,%d,%.17g,%d\n", len(scoreset.score),
         lambda lo, hi: [ids[scoreset.probe[lo:hi]].tolist(), *(c[lo:hi].tolist() for c in columns)],
@@ -400,8 +400,17 @@ def write_scores_csv(path: str | Path, scoreset: ScoreSet) -> None:
 
 def write_roc_csv(path: str | Path, report: EvalReport) -> None:
     roc = report.roc
-    _write_rows(path, "threshold,far,gmr\n", "%.17g,%.17g,%.17g\n", len(roc.threshold),
-                lambda lo, hi: [c[lo:hi].tolist() for c in (roc.threshold, roc.far, roc.gmr)])
+
+    def block(lo: int, hi: int) -> list:
+        # a block's gmr holds at most (genuine count + 1) distinct values: format each once,
+        # keyed by its bits so that -0.0 and 0.0 keep their own text
+        bits = roc.gmr[lo:hi].view(np.int64)
+        distinct = _sorted_unique(bits)
+        texts = np.array(["%.17g" % value for value in distinct.view(np.float64).tolist()], dtype=object)
+        return [roc.threshold[lo:hi].tolist(), roc.far[lo:hi].tolist(),
+                texts[np.searchsorted(distinct, bits)].tolist()]
+
+    _write_rows(path, "threshold,far,gmr\n", "%.17g,%.17g,%s\n", len(roc.threshold), block)
 
 
 def read_pairs_csv(path: str | Path) -> list[tuple[str, int]]:

@@ -21,7 +21,7 @@ sample space and holds no D x K array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ _GRAM_COLUMNS = 2048
 # Smaller blocks re-pack the projection too often, larger ones raise the peak.
 _TRANSFORM_VALUES = 1 << 21
 
-@dataclass(frozen=True)
-class PcaModel:
+class PcaModel(NamedTuple):
     """Mean vector plus an orthonormal D x K projection.
 
     `eigenvalues` are the retained eigenvalues (sums of squared

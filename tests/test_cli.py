@@ -15,10 +15,11 @@ from reference_impls import scores_csv_reference
 from test_acceptance import pipeline
 
 from sparserec.classifiers import CLASSIFIERS, Gallery
+from sparserec.config import RunConfig, apply_setting
 from sparserec import cli
 from sparserec.cli import _parse_k_list, main
 from sparserec.core import Dataset, build_dictionary, dataset_from_arrays
-from sparserec.errors import InvalidParameters
+from sparserec.errors import ConfigError, InvalidParameters
 from sparserec.evaluation import build_scoreset, rank1_identification
 from sparserec.fileio import load_flat_dataset, write_flat_features
 from sparserec.pca import pca_fit, transform_dataset
@@ -686,6 +687,22 @@ def test_bad_solver_value_in_a_config_file_names_its_line(tmp_path, capsys, line
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("line, text", [("lambda = -1", "lambda must be finite and >= 0, got -1.0"),
+                                        ("sparsity_k = 0", "sparsity_k must be >= 1, got 0"),
+                                        ("residual_tol = nan", "residual_tol must be finite and >= 0, got nan")])
+def test_each_solver_setting_is_checked_with_the_others_kept(line, text):
+    # every solver line builds a new SacrcConfig from the settings before it
+    cfg = RunConfig()
+    for lineno, setting in enumerate(["lambda = 0.5", "sparsity_k = 7", "residual_tol = 0.001"], start=1):
+        cfg = apply_setting(cfg, *setting.split(" = "), f"run.cfg:{lineno}")
+    solver = cfg.solver
+    assert (solver.ridge_lambda, solver.sparsity_k, solver.residual_tol) == (0.5, 7, 0.001)
+    with pytest.raises(ConfigError) as refused:
+        apply_setting(cfg, *line.split(" = "), "run.cfg:4")
+    assert str(refused.value) == f"run.cfg:4: {text}"
+    assert cfg.solver is solver
+
+
 @pytest.mark.parametrize("command", ["verify", "sweep-pcs"])
 def test_duplicate_probe_ids_under_a_pairs_list_name_the_probe_file(tmp_path, capsys, command):
     gen(tmp_path / "data", dim=20)
@@ -938,6 +955,12 @@ def test_python_m_runs_the_pipeline_like_main(tmp_path):
 
 def test_cli_import_leaves_scipy_unloaded():
     assert _fresh_python("import sys, sparserec.cli; print('scipy' in sys.modules)").strip() == "False"
+
+
+def test_cli_import_adds_no_dataclasses_import():
+    # each dataclass generates and compiles its methods in every process
+    code = "import sys, {}; print('dataclasses' in sys.modules)"
+    assert _fresh_python(code.format("sparserec.cli")) == _fresh_python(code.format("numpy"))
 
 
 @pytest.mark.parametrize("protocol", ["all-vs-all", "pairs"])

@@ -169,3 +169,29 @@ def test_package_exports_resolve():
     import sparserec
 
     assert [name for name in sparserec.__all__ if not hasattr(sparserec, name)] == []
+
+
+def _value_records():
+    """One instance of each value record, built the way the package builds it."""
+    from sparserec.config import RunConfig
+    from sparserec.evaluation import ScoreSet, evaluate_verification
+    from sparserec.pca import pca_fit
+
+    ds = rows([0, 0, 1, 1], [[1.0, 0.0, 0.5], [0.9, 0.1, 0.4], [0.0, 1.0, 0.2], [0.1, 0.8, 0.3]])
+    report = evaluate_verification(ScoreSet(ds.ids, [0, 1], [0, 1], [0.9, 0.2], [True, False]))
+    return {"Dataset": ds, "Dictionary": build_dictionary(ds), "PcaModel": pca_fit(ds, num_components=2)[0],
+            "Roc": report.roc, "GmrAtFar": report.gmr_at_far[0], "EvalReport": report, "RunConfig": RunConfig()}
+
+
+@pytest.mark.parametrize("name", ["Dataset", "Dictionary", "PcaModel", "Roc", "GmrAtFar", "EvalReport",
+                                  "RunConfig"])
+def test_value_records_refuse_attribute_assignment(name):
+    record = _value_records()[name]
+    assert type(record).__name__ == name
+    field = record._fields[0]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert getattr(record, field) is before

@@ -328,7 +328,9 @@ def test_roc_csv_matches_reference_writer_across_blocks(tmp_path, rows):
     rng = np.random.default_rng(n)
     threshold = _with_specials(rng.standard_normal(n))
     threshold[-1], threshold[0] = np.inf, -np.inf  # the sentinel rows
-    roc = Roc(threshold, _with_specials(rng.random(n)), _with_specials(rng.random(n)))
+    far, gmr = _with_specials(rng.random(n)), _with_specials(rng.random(n))
+    gmr[-1] = 0.0  # the +inf row's gmr: keyed by value, it and a -0.0 of its block would print alike
+    roc = Roc(threshold, far, gmr)
     write_roc_csv(tmp_path / "roc.csv", EvalReport(0.0, (), roc, ()))
     _reference_csv(tmp_path / "roc_ref.csv", ["threshold", "far", "gmr"],
                    zip(roc.threshold.tolist(), roc.far.tolist(), roc.gmr.tolist()))

@@ -1,7 +1,6 @@
 """The batched score kernel: Gallery.scores against one-row calls and the
 straight-line oracles in reference_impls.py."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -107,7 +106,7 @@ def test_knn1_and_src_set_up_no_ridge_map(monkeypatch):
 def test_gallery_builds_its_dictionary_from_the_enrolment():
     enrolment, probes, d, gallery = _fitted(num_classes=3, per_class=3, dim=10, probes_per_class=1)
     # the enrolment builds the dictionary and is not kept
-    assert [f.name for f in dataclasses.fields(gallery)] == ["solver", "dictionary", "k"]
+    assert list(vars(gallery)) == ["solver", "dictionary", "k"]
     built = build_dictionary(enrolment)
     assert d.atoms.tobytes() == built.atoms.tobytes()
     assert d.sq_norms.tobytes() == built.sq_norms.tobytes()
